@@ -2,7 +2,7 @@
 
 Exit codes are a function of the semantic result only: 0 for the positive
 answer (consistent / realizable / verified), 1 for the negative answer
-with its certificate, 2 for usage or input errors.
+with its certificate, 2 for usage or input errors, 3 for internal faults.
 """
 
 from __future__ import annotations
@@ -22,17 +22,11 @@ from .bundles import (
     load_soap,
     parse_bundle,
 )
-from .mdp import (
-    EnvError,
-    LimitExceededError,
-    PolicyError,
-    RewardSpec,
-    compute_visitation,
-    enumerate_deterministic_policies,
-)
-from .numeric import EXACT, ExactInputError, NumericMode, as_float, format_number
+from .linalg import SingularSystemError
+from .lp import LpInputError
+from .mdp import RewardSpec, compute_visitation, enumerate_deterministic_policies
+from .numeric import EXACT, NumericMode, as_float, format_number
 from .separability import (
-    DeterministicSoapRequired,
     HullObstruction,
     InconsistentSoapError,
     OptimalityObstruction,
@@ -41,18 +35,10 @@ from .separability import (
     design_multi,
     design_scalar,
 )
-from .soap import Soap, SoapError, check_consistency
+from .soap import check_consistency
 from .verify import verify_realization
 
-_INPUT_ERRORS = (
-    BundleError,
-    EnvError,
-    PolicyError,
-    SoapError,
-    ExactInputError,
-    LimitExceededError,
-    DeterministicSoapRequired,
-)
+_INTERNAL_ERRORS = (SingularSystemError, LpInputError, RuntimeError)
 
 
 def _mode_from_args(args) -> NumericMode:
@@ -216,18 +202,15 @@ def _design_report(args, command, runner) -> _Report:
     if outcome.realizable:
         dim = outcome.spec.dimension
         max_dim = getattr(args, "max_dim", None)
-        verified = verify_realization(bundle.env, bundle.soap, outcome.spec, mode)
         payload.update(
             realizable=True,
             dimension=dim,
             reward=_reward_json(bundle.env, outcome.spec, mode),
-            verified=verified.realized,
+            verified=outcome.verification.realized,
         )
         lines = [f"realizable with d = {dim}"]
         lines += _spec_lines(bundle.env, outcome.spec, mode)
-        lines.append(
-            "verifier: realized" if verified.realized else "verifier: FAILED"
-        )
+        lines.append("verifier: realized")
         if max_dim is not None and dim > max_dim:
             payload["max_dim_exceeded"] = True
             lines.append(f"dimension {dim} exceeds --max-dim {max_dim}")
@@ -261,8 +244,7 @@ def _cmd_design_scalar_optimal(args) -> _Report:
     return _design_report(
         args, "design-scalar-optimal",
         lambda bundle, mode: check_scalar_optimality(
-            bundle.env, bundle.soap, mode,
-            limit=args.limit, equal_values=not args.range,
+            bundle.env, bundle.soap, mode, limit=args.limit
         ),
     )
 
@@ -429,9 +411,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p, soap=True)
     p.add_argument("--limit", type=int, default=4096,
                    help="deterministic-policy enumeration cap")
-    p.add_argument("--range", action="store_true",
-                   help="threshold reading: good policies clear the optimal value "
-                        "instead of pinning it (same answers on deterministic SOAPs)")
     p.set_defaults(func=_cmd_design_scalar_optimal)
 
     p = sub.add_parser("verify", help="check a reward spec against a SOAP")
@@ -461,10 +440,10 @@ def run_command(argv) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         report = args.func(args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except _INTERNAL_ERRORS as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:  # every input error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return _emit(args, report)

@@ -32,7 +32,6 @@ def solve_square(rows, rhs, mode: NumericMode) -> list:
 
     a = [[Fraction(v) for v in row] for row in rows]
     b = [Fraction(v) for v in rhs]
-    perm = list(range(n))
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
         if pivot_row is None:
@@ -40,7 +39,6 @@ def solve_square(rows, rhs, mode: NumericMode) -> list:
         if pivot_row != col:
             a[col], a[pivot_row] = a[pivot_row], a[col]
             b[col], b[pivot_row] = b[pivot_row], b[col]
-            perm[col], perm[pivot_row] = perm[pivot_row], perm[col]
         piv = a[col][col]
         for r in range(col + 1, n):
             factor = a[r][col] / piv

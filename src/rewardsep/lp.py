@@ -379,9 +379,12 @@ def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
             certificate=FarkasCertificate(_map_duals(y_std, std, len(lp.matrix))),
         )
 
-    # Remove artificial variables from the basis; fully zero rows are
-    # redundant and dropped.
-    dead = []
+    # Remove artificial variables from the basis.  A tableau row that is
+    # zero outside the artificial columns is redundant: drop it, and with
+    # it the original row whose artificial is basic there, so the basis
+    # left for the duals stays square and nonsingular.
+    row_of_art = {col: i for i, col in art_of_row.items()}
+    dead = {}  # tableau row -> original row
     for i in range(m):
         if basis[i] not in art_cols:
             continue
@@ -390,18 +393,18 @@ def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
             None,
         )
         if enter is None:
-            dead.append(i)
+            dead[i] = row_of_art[basis[i]]
         else:
             _pivot(tab, rhs, z, basis, i, enter)
     if dead:
-        keep = [i for i in range(m) if i not in set(dead)]
-        tab = [tab[i] for i in keep]
-        rhs = [rhs[i] for i in keep]
-        basis = [basis[i] for i in keep]
-        pristine = [pristine[i] for i in keep]
-        std.origin = [std.origin[i] for i in keep]
-        std.negated = [std.negated[i] for i in keep]
-        m = len(keep)
+        gone = set(dead.values())
+        tab = [row for i, row in enumerate(tab) if i not in dead]
+        rhs = [v for i, v in enumerate(rhs) if i not in dead]
+        basis = [v for i, v in enumerate(basis) if i not in dead]
+        pristine = [row for i, row in enumerate(pristine) if i not in gone]
+        std.origin = [v for i, v in enumerate(std.origin) if i not in gone]
+        std.negated = [v for i, v in enumerate(std.negated) if i not in gone]
+        m = len(tab)
 
     # Phase 2: the real objective over structural columns.
     costs2 = [zero] * ncols

@@ -364,6 +364,26 @@ def compute_visitation(env: MarkovEnv, policy: Policy, mode: NumericMode = EXACT
     return rho
 
 
+class VisitationTable:
+    """The visitations of one query's policies, keyed by policy name: each
+    is solved by `compute_visitation` the first time it is asked for (a
+    different policy under a known name is solved afresh, not stored).
+    Build one per query; it is never shared across calls."""
+
+    def __init__(self, env: MarkovEnv, mode: NumericMode = EXACT):
+        self.env = env
+        self.mode = mode
+        self._rows = {}
+
+    def __call__(self, policy: Policy) -> Visitation:
+        known = self._rows.get(policy.name)
+        if known is not None and known[0] == policy:
+            return known[1]
+        rho = compute_visitation(self.env, policy, self.mode)
+        self._rows.setdefault(policy.name, (policy, rho))
+        return rho
+
+
 def _self_check(env, rho, gamma, mode):
     tol = 0 if mode.exact else max(_VALIDATION_TOL, 10 * mode.tolerance)
     total = sum(rho.entries)

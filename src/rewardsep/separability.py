@@ -28,12 +28,12 @@ from .mdp import (
     MarkovEnv,
     RewardSpec,
     Visitation,
-    compute_visitation,
+    VisitationTable,
     enumerate_deterministic_policies,
 )
 from .numeric import EXACT, NumericMode, as_exact, as_float
-from .soap import ConsistencyReport, Soap, check_consistency
-from .verify import verify_realization
+from .soap import ConsistencyReport, Soap, _consistency
+from .verify import RealizationReport, _verify
 
 
 class InconsistentSoapError(ValueError):
@@ -59,9 +59,11 @@ class PointSet:
 
     @staticmethod
     def from_policies(env: MarkovEnv, policies, mode: NumericMode = EXACT) -> "PointSet":
-        names = tuple(p.name for p in policies)
-        points = tuple(compute_visitation(env, p, mode) for p in policies)
-        return PointSet(names=names, points=points)
+        return PointSet._of(VisitationTable(env, mode), policies)
+
+    @staticmethod
+    def _of(table: VisitationTable, policies) -> "PointSet":
+        return PointSet(tuple(p.name for p in policies), tuple(map(table, policies)))
 
     def __len__(self):
         return len(self.points)
@@ -128,6 +130,7 @@ class DesignOutcome:
     realizable: bool
     spec: Optional[RewardSpec] = None
     obstruction: object = None
+    verification: Optional[RealizationReport] = None  # the verifier's report on spec
 
     @property
     def dimension(self) -> Optional[int]:
@@ -264,18 +267,23 @@ def _margin_lp(keep_points, exclude_points, dim):
     )
 
 
-def _require_consistent(env, soap, mode):
+def _consistent_points(env, soap, mode):
+    """The query's visitation table and its good and bad point sets, once
+    the SOAP is known to be consistent."""
     soap.require_nonempty()
-    report = check_consistency(env, soap, mode)
+    table = VisitationTable(env, mode)
+    report = _consistency(table, soap)
     if not report.consistent:
         raise InconsistentSoapError(report)
+    return table, PointSet._of(table, soap.good), PointSet._of(table, soap.bad)
 
 
-def _checked(env, soap, spec, mode) -> RewardSpec:
-    report = verify_realization(env, soap, spec, mode)
+def _realized(table, soap, rows, lower_bounds) -> DesignOutcome:
+    spec = RewardSpec.build(rows=rows, lower_bounds=lower_bounds)
+    report = _verify(table, soap, spec)
     if not report.realized:  # pragma: no cover - guarded by construction
         raise RuntimeError("synthesized reward failed verification")
-    return spec
+    return DesignOutcome(realizable=True, spec=spec, verification=report)
 
 
 def design_scalar(env: MarkovEnv, soap: Soap, mode: NumericMode = EXACT) -> DesignOutcome:
@@ -285,17 +293,12 @@ def design_scalar(env: MarkovEnv, soap: Soap, mode: NumericMode = EXACT) -> Desi
     when that is infeasible the hulls meet, and the intersection LP
     produces the common point as the obstruction.
     """
-    _require_consistent(env, soap, mode)
-    good = PointSet.from_policies(env, soap.good, mode)
-    bad = PointSet.from_policies(env, soap.bad, mode)
+    table, good, bad = _consistent_points(env, soap, mode)
     dim = good.dimension
     program = _margin_lp(good.points, bad.points, dim)
     feasible, witness = lp.check_feasible(program, mode)
     if feasible:
-        r = tuple(witness[:dim])
-        c = witness[dim]
-        spec = RewardSpec.build(rows=[r], lower_bounds=[c])
-        return DesignOutcome(realizable=True, spec=_checked(env, soap, spec, mode))
+        return _realized(table, soap, [tuple(witness[:dim])], [witness[dim]])
     crossing = hulls_intersect(good, bad, mode)
     if not crossing.intersects:  # pragma: no cover - LP duality excludes this
         raise RuntimeError("margin LP and hull-intersection LP disagree")
@@ -384,9 +387,7 @@ def design_multi(env: MarkovEnv, soap: Soap, mode: NumericMode = EXACT,
     any infeasible -> that visitation is inside the good hull, and the
     membership LP supplies its convex coefficients as the obstruction.
     With `reduce`, a greedy merge reuses hyperplanes across bad points."""
-    _require_consistent(env, soap, mode)
-    good = PointSet.from_policies(env, soap.good, mode)
-    bad = PointSet.from_policies(env, soap.bad, mode)
+    table, good, bad = _consistent_points(env, soap, mode)
     dim = good.dimension
 
     planes = []
@@ -410,25 +411,18 @@ def design_multi(env: MarkovEnv, soap: Soap, mode: NumericMode = EXACT,
     if reduce:
         planes = _greedy_groups(good, bad, mode)
 
-    spec = RewardSpec.build(
-        rows=[r for r, _ in planes],
-        lower_bounds=[c for _, c in planes],
-    )
-    return DesignOutcome(realizable=True, spec=_checked(env, soap, spec, mode))
+    return _realized(table, soap, [r for r, _ in planes], [c for _, c in planes])
 
 
 def check_scalar_optimality(env: MarkovEnv, soap: Soap, mode: NumericMode = EXACT,
-                            limit: int = 4096,
-                            equal_values: bool = True) -> DesignOutcome:
+                            limit: int = 4096) -> DesignOutcome:
     """Optimality-based scalar design over deterministic SOAPs.
 
     One LP over (r, v): every good policy's value pinned to the shared
-    optimum v (with `equal_values=False`, lower-bounded by v instead --
-    identical feasible set for deterministic SOAPs since good policies
-    also appear among the enumerated rows), every deterministic policy at
-    most v, every bad policy at most v - 1.  Deterministic visitations are
-    the extreme points of the visitation polytope, so bounding them bounds
-    all stationary policies.  On success the reward realizes the SOAP in
+    optimum v, every other deterministic policy at most v, every bad
+    policy at most v - 1.  Deterministic visitations are the extreme
+    points of the visitation polytope, so bounding them bounds all
+    stationary policies.  On success the reward realizes the SOAP in
     the feasibility sense with c = v.
     """
     for policy in soap.policies:
@@ -438,36 +432,31 @@ def check_scalar_optimality(env: MarkovEnv, soap: Soap, mode: NumericMode = EXAC
                 "is restricted to deterministic SOAPs"
             )
     soap.require_nonempty()
+    table = VisitationTable(env, mode)
     dim = env.n_sa
     everyone = enumerate_deterministic_policies(env, limit)
 
     def action_key(policy):
         return tuple(policy.action_map[s] for s in env.states)
 
-    good_keys = {action_key(p) for p in soap.good}
-    bad_keys = {action_key(p) for p in soap.bad}
+    soap_keys = {action_key(p) for p in soap.policies}
 
     matrix = []
     senses = []
     rhs = []
 
-    def add_row(rho, sense, offset):
-        matrix.append(list(rho.entries) + [-1])
+    def add_row(policy, sense, offset):
+        matrix.append(list(table(policy).entries) + [-1])
         senses.append(sense)
         rhs.append(offset)
 
     for policy in soap.good:
-        rho = compute_visitation(env, policy, mode)
-        add_row(rho, "eq" if equal_values else "ge", 0)
+        add_row(policy, "eq", 0)
     for policy in soap.bad:
-        rho = compute_visitation(env, policy, mode)
-        add_row(rho, "le", -1)
+        add_row(policy, "le", -1)
     for policy in everyone:
-        key = action_key(policy)
-        if key in bad_keys or (equal_values and key in good_keys):
-            continue
-        rho = compute_visitation(env, policy, mode)
-        add_row(rho, "le", 0)
+        if action_key(policy) not in soap_keys:
+            add_row(policy, "le", 0)
 
     program = lp.LinearProgram.build(
         objective=[0] * (dim + 1),
@@ -481,7 +470,4 @@ def check_scalar_optimality(env: MarkovEnv, soap: Soap, mode: NumericMode = EXAC
         return DesignOutcome(
             realizable=False, obstruction=OptimalityObstruction(certificate=witness)
         )
-    r = tuple(witness[:dim])
-    v = witness[dim]
-    spec = RewardSpec.build(rows=[r], lower_bounds=[v])
-    return DesignOutcome(realizable=True, spec=_checked(env, soap, spec, mode))
+    return _realized(table, soap, [tuple(witness[:dim])], [witness[dim]])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .mdp import MarkovEnv, compute_visitation
+from .mdp import MarkovEnv, VisitationTable
 from .numeric import EXACT, NumericMode
 
 
@@ -71,8 +71,13 @@ def check_consistency(env: MarkovEnv, soap: Soap,
                       mode: NumericMode = EXACT) -> ConsistencyReport:
     """Compare every good/bad visitation pair (exact equality, or
     infinity-norm within the mode tolerance)."""
-    good_rho = [(p.name, compute_visitation(env, p, mode)) for p in soap.good]
-    bad_rho = [(p.name, compute_visitation(env, p, mode)) for p in soap.bad]
+    return _consistency(VisitationTable(env, mode), soap)
+
+
+def _consistency(table: VisitationTable, soap: Soap) -> ConsistencyReport:
+    mode = table.mode
+    good_rho = [(p.name, table(p)) for p in soap.good]
+    bad_rho = [(p.name, table(p)) for p in soap.bad]
     witnesses = tuple(
         (gn, bn)
         for gn, gr in good_rho

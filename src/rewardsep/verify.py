@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .mdp import (
     MarkovEnv,
     RewardSpec,
+    VisitationTable,
     compute_visitation,
     enumerate_deterministic_policies,
     value_of_visitation,
@@ -76,13 +77,17 @@ def verify_realization(env: MarkovEnv, soap: Soap, spec: RewardSpec,
                        mode: NumericMode = EXACT) -> RealizationReport:
     """Per-policy values and verdicts; realized iff the good/bad pattern
     holds exactly."""
-    _check_spec_dims(env, spec)
+    return _verify(VisitationTable(env, mode), soap, spec)
+
+
+def _verify(table: VisitationTable, soap: Soap, spec: RewardSpec) -> RealizationReport:
+    mode = table.mode
+    _check_spec_dims(table.env, spec)
     verdicts = []
     realized = True
     for label, policies in (("good", soap.good), ("bad", soap.bad)):
         for policy in policies:
-            rho = compute_visitation(env, policy, mode)
-            values = value_of_visitation(rho, spec, mode)
+            values = value_of_visitation(table(policy), spec, mode)
             violated, boundary = _judge(values, spec.lower_bounds, mode)
             feasible = not violated
             if (label == "good") != feasible:

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+from rewardsep import linalg, lp, mdp
 from rewardsep.cli import run_command
 
 F = Fraction
@@ -201,3 +202,43 @@ class TestErrorPaths:
         )
         capsys.readouterr()
         assert plain == as_json == 1
+
+
+class TestInternalFaults:
+    """Faults inside the solvers exit 3, apart from input errors (exit 2)."""
+
+    def design(self, capsys):
+        return run(
+            capsys, "design-scalar", "entailment.json", "--soap", "xor_soap.json",
+        )
+
+    def test_singular_solve(self, capsys, monkeypatch):
+        def singular(rows, rhs, mode):
+            raise linalg.SingularSystemError("singular system at column 0")
+
+        monkeypatch.setattr(linalg, "solve_square", singular)
+        code, out, err = self.design(capsys)
+        assert code == 3
+        assert err.startswith("internal error: singular system at column 0")
+        assert out == ""
+
+    def test_malformed_internal_lp(self, capsys, monkeypatch):
+        def reject(program):
+            raise lp.LpInputError("constraint row 0 has 2 coefficients, expected 3")
+
+        monkeypatch.setattr(lp, "_validate", reject)
+        code, _, err = self.design(capsys)
+        assert code == 3
+        assert err.startswith("internal error: constraint row 0")
+
+    def test_pivot_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr(lp, "_MAX_PIVOTS", 0)
+        code, _, err = self.design(capsys)
+        assert code == 3
+        assert err == "internal error: simplex pivot limit exceeded\n"
+
+    def test_failed_flow_self_check(self, capsys, monkeypatch):
+        monkeypatch.setattr(mdp, "flow_residuals", lambda env, rho, mode: (1,) * env.n_states)
+        code, _, err = run(capsys, "visitation", "entailment.json")
+        assert code == 3
+        assert err.startswith("internal error: Bellman flow violated")

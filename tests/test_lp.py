@@ -108,6 +108,22 @@ class TestExamples:
         assert not feasible
         assert lp.farkas_gap(program, cert.row_multipliers, EXACT) > 0
 
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT], ids=["exact", "float"])
+    def test_redundant_equality_rows_keep_the_dual_basis_square(self, mode):
+        # Row 0 = row 1 + 2 * row 2.  Phase 1 ends with row 2's artificial
+        # basic in tableau row 3, which is redundant: the cleanup must drop
+        # original row 2, not original row 3.
+        program = build(
+            [3, 2, 1],
+            [[-5, -1, -3], [-1, -1, 1], [-2, 0, -2], [-2, 2, 2]],
+            [-12, -4, -4, 0],
+            ["eq"] * 4,
+        )
+        sol = lp.solve(program, mode)
+        assert sol.status == lp.OPTIMAL
+        assert sol.objective_value == 10
+        assert_valid_optimal(program, sol, mode)
+
     def test_empty_variable_box(self):
         program = build([0], [[1]], [0], ["<="], bounds=[(1, 0)])
         sol = lp.solve(program, EXACT)

@@ -9,6 +9,7 @@ from rewardsep.mdp import (
     RewardSpec,
     compute_visitation,
     enumerate_deterministic_policies,
+    policy_value,
 )
 from rewardsep.numeric import EXACT, FLOAT
 from rewardsep.separability import (
@@ -245,12 +246,17 @@ class TestScalarOptimality:
         with pytest.raises(DeterministicSoapRequired):
             check_scalar_optimality(env, soap, EXACT)
 
-    def test_range_reading_matches_on_deterministic_soaps(self):
+    def test_good_policies_share_the_optimal_value(self):
         env = entailment_env()
-        for soap in (Soap.build(good=[PI11], bad=[PI12, PI21, PI22]), XOR_SOAP):
-            equal = check_scalar_optimality(env, soap, EXACT, equal_values=True)
-            ranged = check_scalar_optimality(env, soap, EXACT, equal_values=False)
-            assert equal.realizable == ranged.realizable
+        soap = Soap.build(good=[PI11, PI21], bad=[PI12, PI22])
+        outcome = check_scalar_optimality(env, soap, EXACT)
+        assert outcome.realizable
+        spec = outcome.spec
+        v = spec.lower_bounds[0]
+        assert [policy_value(env, p, spec)[0] for p in soap.good] == [v, v]
+        assert all(policy_value(env, p, spec)[0] <= v - 1 for p in soap.bad)
+        for policy in enumerate_deterministic_policies(env):
+            assert policy_value(env, policy, spec)[0] <= v
 
 
 def random_env(rng, max_states=4, max_actions=3):

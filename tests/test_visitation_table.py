@@ -1,0 +1,94 @@
+"""Each query solves each policy's visitation exactly once."""
+
+import json
+from collections import Counter
+
+import pytest
+
+from rewardsep import mdp
+from rewardsep.cli import run_command
+from rewardsep.mdp import Policy, RewardSpec, VisitationTable, compute_visitation
+from rewardsep.numeric import EXACT, FLOAT
+from rewardsep.separability import check_scalar_optimality, design_multi, design_scalar
+from rewardsep.soap import Soap, check_consistency
+from rewardsep.verify import verify_realization
+
+from envs import PI11, PI12, PI21, PI22, entailment_env
+
+XOR_SOAP = Soap.build(good=[PI12, PI21], bad=[PI11, PI22])
+SINGLE_GOOD_SOAP = Soap.build(good=[PI22], bad=[PI11, PI12, PI21])
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Visitation solves per policy name, counted at the public function."""
+    counts = Counter()
+    real = mdp.compute_visitation
+
+    def counting(env, policy, mode=EXACT):
+        counts[policy.name] += 1
+        return real(env, policy, mode)
+
+    monkeypatch.setattr(mdp, "compute_visitation", counting)
+    return counts
+
+
+def once_each(soap):
+    return Counter({p.name: 1 for p in soap.policies})
+
+
+def test_consistency_solves_each_policy_once(solves):
+    assert check_consistency(entailment_env(), XOR_SOAP, EXACT).consistent
+    assert solves == once_each(XOR_SOAP)
+
+
+@pytest.mark.parametrize(
+    "soap, realizable", [(SINGLE_GOOD_SOAP, True), (XOR_SOAP, False)],
+    ids=["positive", "negative"],
+)
+def test_design_scalar_solves_each_policy_once(solves, soap, realizable):
+    outcome = design_scalar(entailment_env(), soap, EXACT)
+    assert outcome.realizable is realizable
+    assert solves == once_each(soap)
+
+
+def test_design_multi_reduce_solves_each_policy_once(solves):
+    outcome = design_multi(entailment_env(), XOR_SOAP, EXACT, reduce=True)
+    assert outcome.realizable
+    assert outcome.verification.realized
+    assert solves == once_each(XOR_SOAP)
+
+
+def test_verify_solves_each_policy_once(solves):
+    env = entailment_env()
+    spec = RewardSpec.build(rows=[[0] * env.n_sa], lower_bounds=[0])
+    assert verify_realization(env, XOR_SOAP, spec, EXACT).realized is False
+    assert solves == once_each(XOR_SOAP)
+
+
+def test_cli_design_multi_solves_each_policy_once(solves, capsys):
+    code = run_command(
+        ["design-multi", "entailment.json", "--soap", "xor_soap.json", "--json"]
+    )
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["verified"] is True
+    assert solves == once_each(XOR_SOAP)
+
+
+def test_optimality_solves_each_deterministic_policy_once(solves):
+    soap = Soap.build(good=[PI11], bad=[PI12, PI21, PI22])
+    assert check_scalar_optimality(entailment_env(), soap, EXACT).realizable
+    # The enumerated twins of the SOAP's policies are skipped, so the
+    # 2^2 deterministic policies are solved once each under SOAP names.
+    assert solves == once_each(soap)
+
+
+def test_name_clash_is_solved_afresh():
+    env = entailment_env()
+    table = VisitationTable(env, FLOAT)
+    impostor = Policy.deterministic(PI11.name, dict(PI22.action_map))
+    assert table(PI11) is table(PI11)
+    assert table(impostor).entries == compute_visitation(env, PI22, FLOAT).entries
+    assert table(PI11).entries == compute_visitation(env, PI11, FLOAT).entries
+
