@@ -24,7 +24,7 @@ from .bundles import (
 )
 from .linalg import SingularSystemError
 from .lp import LpInputError
-from .mdp import RewardSpec, compute_visitation, enumerate_deterministic_policies
+from .mdp import RewardSpec, VisitationTable, enumerate_deterministic_policies
 from .numeric import EXACT, NumericMode, as_float, format_number
 from .separability import (
     HullObstruction,
@@ -133,8 +133,9 @@ def _cmd_visitation(args) -> _Report:
     bundle = _load_problem(args)
     payload = {"command": "visitation", "exact": mode.exact, "policies": {}}
     lines = []
+    table = VisitationTable(bundle.env, mode)
     for policy in bundle.policies:
-        rho = compute_visitation(bundle.env, policy, mode)
+        rho = table(policy)
         payload["policies"][policy.name] = _entries_by_sa(bundle.env, rho.entries, mode)
         terms = ", ".join(
             f"({s},{a})={_num(rho.entries[bundle.env.sa_index(s, a)], mode)}"
@@ -311,8 +312,9 @@ def build_plot_export(bundle: ProblemBundle, axis_x, axis_y,
     good = {p.name for p in bundle.soap.good} if bundle.soap else set()
     bad = {p.name for p in bundle.soap.bad} if bundle.soap else set()
     points = []
+    table = VisitationTable(env, mode)
     for policy in bundle.policies:
-        rho = compute_visitation(env, policy, mode)
+        rho = table(policy)
         label = "good" if policy.name in good else "bad" if policy.name in bad else "unlabeled"
         points.append((policy.name, label, rho.entries[ix], rho.entries[iy]))
     hyperplanes = []

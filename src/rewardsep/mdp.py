@@ -334,6 +334,11 @@ def compute_visitation(env: MarkovEnv, policy: Policy, mode: NumericMode = EXACT
     every visitation the package ever produces satisfies them.
     """
     require_valid_env(env, mode)
+    return _visitation(env, policy, mode)
+
+
+def _visitation(env: MarkovEnv, policy: Policy, mode: NumericMode) -> Visitation:
+    """`compute_visitation` on an environment already validated."""
     policy.validate_for(env, mode)
     conv = as_exact if mode.exact else as_float
     n_s, n_a = env.n_states, env.n_actions
@@ -366,9 +371,10 @@ def compute_visitation(env: MarkovEnv, policy: Policy, mode: NumericMode = EXACT
 
 class VisitationTable:
     """The visitations of one query's policies, keyed by policy name: each
-    is solved by `compute_visitation` the first time it is asked for (a
-    different policy under a known name is solved afresh, not stored).
-    Build one per query; it is never shared across calls."""
+    is solved the first time it is asked for (a different policy under a
+    known name is solved afresh, not stored), and the environment is
+    validated once, before the first solve.  Build one per query; it is
+    never shared across calls."""
 
     def __init__(self, env: MarkovEnv, mode: NumericMode = EXACT):
         self.env = env
@@ -379,7 +385,9 @@ class VisitationTable:
         known = self._rows.get(policy.name)
         if known is not None and known[0] == policy:
             return known[1]
-        rho = compute_visitation(self.env, policy, self.mode)
+        if not self._rows:  # nothing solved yet: this is the first solve
+            require_valid_env(self.env, self.mode)
+        rho = _visitation(self.env, policy, self.mode)
         self._rows.setdefault(policy.name, (policy, rho))
         return rho
 

@@ -92,10 +92,6 @@ def coerce(value, mode: NumericMode):
     return as_exact(value) if mode.exact else as_float(value)
 
 
-def coerce_seq(values, mode: NumericMode) -> tuple:
-    return tuple(coerce(v, mode) for v in values)
-
-
 def format_number(value) -> str:
     """Canonical string form: exact decimal when the denominator is a
     product of 2s and 5s, "p/q" otherwise, repr for floats."""

@@ -14,8 +14,13 @@ excludes every bad one.  The decisions here are:
 
 Strict separation of finite point sets always admits a positive gap, so
 "strictly worse" is encoded as a unit margin; the margin is free because
-(R, c) can be rescaled.  Each synthesized spec is re-checked through the
-verifier before it is returned.
+(R, c) can be rescaled.  One margin LP decides each hull query: its
+witness is the separating hyperplane as it stands, and when it is
+infeasible its Farkas multipliers, normalised, are the convex coefficients
+of a common point.  Scalar negatives alone still solve the intersection
+LP after it, because that LP's vertex is the common point reported; the
+Farkas coefficients would name another, equally valid one.  Each
+synthesized spec is re-checked through the verifier before it is returned.
 """
 
 from __future__ import annotations
@@ -141,112 +146,6 @@ def _entries(point) -> tuple:
     return point.entries if isinstance(point, Visitation) else tuple(point)
 
 
-def in_convex_hull(target, hull: PointSet, mode: NumericMode = EXACT) -> HullMembership:
-    """LP membership query: exists lambda >= 0, sum lambda = 1 with
-    sum lambda_i p_i = target.  A negative answer carries a separating
-    hyperplane recovered from the Farkas dual."""
-    t = _entries(target)
-    if not hull.points:
-        one = as_exact(1) if mode.exact else 1.0
-        zero = 0 * one
-        return HullMembership(
-            member=False,
-            separator=SeparatingHyperplane(normal=tuple(zero for _ in t), offset=one),
-        )
-    dim = len(t)
-    if any(len(p) != dim for p in hull.points):
-        raise ValueError("hull points and target differ in dimension")
-    k = len(hull.points)
-    matrix = [
-        [_entries(p)[row] for p in hull.points]
-        for row in range(dim)
-    ]
-    matrix.append([1] * k)
-    rhs = list(t) + [1]
-    senses = ["eq"] * (dim + 1)
-    program = lp.LinearProgram.build(
-        objective=[0] * k, matrix=matrix, rhs=rhs, senses=senses
-    )
-    feasible, witness = lp.check_feasible(program, mode)
-    if feasible:
-        return HullMembership(member=True, coefficients=tuple(witness))
-    y = witness.row_multipliers
-    w = y[:dim]
-    conv = as_exact if mode.exact else as_float
-    hull_scores = [
-        sum((conv(wk) * conv(pk) for wk, pk in zip(w, _entries(p))), conv(0))
-        for p in hull.points
-    ]
-    target_score = sum((conv(wk) * conv(tk) for wk, tk in zip(w, t)), conv(0))
-    top = max(hull_scores)
-    gap = target_score - top
-    normal = tuple(-conv(wk) / gap for wk in w)
-    offset = -top / gap
-    return HullMembership(
-        member=False,
-        separator=SeparatingHyperplane(normal=normal, offset=offset),
-    )
-
-
-def hulls_intersect(a: PointSet, b: PointSet, mode: NumericMode = EXACT) -> HullIntersection:
-    """LP: sum lambda_i p_i = sum mu_j q_j with both coefficient vectors on
-    the simplex.  Disjoint hulls yield a hyperplane keeping `a` above and
-    pushing `b` a unit margin below."""
-    if not a.points or not b.points:
-        raise ValueError("hull intersection needs two nonempty point sets")
-    dim = a.dimension
-    if b.dimension != dim:
-        raise ValueError("point sets differ in dimension")
-    ka, kb = len(a.points), len(b.points)
-    matrix = [
-        [_entries(p)[row] for p in a.points] + [-_entries(q)[row] for q in b.points]
-        for row in range(dim)
-    ]
-    matrix.append([1] * ka + [0] * kb)
-    matrix.append([0] * ka + [1] * kb)
-    rhs = [0] * dim + [1, 1]
-    senses = ["eq"] * (dim + 2)
-    program = lp.LinearProgram.build(
-        objective=[0] * (ka + kb), matrix=matrix, rhs=rhs, senses=senses
-    )
-    feasible, witness = lp.check_feasible(program, mode)
-    conv = as_exact if mode.exact else as_float
-    if feasible:
-        lam = witness[:ka]
-        mu = witness[ka:]
-        point = tuple(
-            sum((conv(l) * conv(_entries(p)[row]) for l, p in zip(lam, a.points)), conv(0))
-            for row in range(dim)
-        )
-        return HullIntersection(
-            intersects=True,
-            point=point,
-            coefficients_a=tuple(lam),
-            coefficients_b=tuple(mu),
-        )
-    y = witness.row_multipliers
-    w = y[:dim]
-    score_a = [
-        sum((conv(wk) * conv(pk) for wk, pk in zip(w, _entries(p))), conv(0))
-        for p in a.points
-    ]
-    score_b = [
-        sum((conv(wk) * conv(qk) for wk, qk in zip(w, _entries(q))), conv(0))
-        for q in b.points
-    ]
-    top_a = max(score_a)
-    bottom_b = min(score_b)
-    gap = bottom_b - top_a
-    # Farkas on the combined system guarantees a positive gap between the
-    # b-side minimum and the a-side maximum along -w; rescale to margin 1.
-    normal = tuple(-conv(wk) / gap for wk in w)
-    offset = -top_a / gap
-    return HullIntersection(
-        intersects=False,
-        separator=SeparatingHyperplane(normal=normal, offset=offset),
-    )
-
-
 def _margin_lp(keep_points, exclude_points, dim):
     """Variables (r, c), free: r.p >= c on keep rows, r.q <= c - 1 on
     exclude rows."""
@@ -264,6 +163,88 @@ def _margin_lp(keep_points, exclude_points, dim):
     bounds = [(None, None)] * (dim + 1)
     return lp.LinearProgram.build(
         objective=[0] * (dim + 1), matrix=matrix, rhs=rhs, senses=senses, bounds=bounds
+    )
+
+
+def _separate(keep, exclude, dim, mode):
+    """Decide one hull query with one margin LP.
+
+    Feasible: the witness (r, c) already keeps `keep` at or above c and
+    `exclude` at or below c - 1, so it is returned as the separator:
+    (separator, None).  Infeasible: the Farkas multipliers y aggregate the
+    free r- and c-columns to zero and the right-hand side to a positive
+    gap, i.e. sum y_p p = sum (-y_q) q and sum y_p = sum (-y_q) > 0 over
+    the `ge` (keep) and `le` (exclude) rows.  Normalised, the `ge` rows
+    give lambda and the `le` rows mu, convex coefficients of one common
+    point; the callers need lambda only: (None, lambda).
+    """
+    feasible, witness = lp.check_feasible(_margin_lp(keep, exclude, dim), mode)
+    if feasible:
+        separator = SeparatingHyperplane(normal=tuple(witness[:dim]), offset=witness[dim])
+        return separator, None
+    lam = witness.row_multipliers[:len(keep)]
+    total = sum(lam)
+    return None, tuple(v / total for v in lam)
+
+
+def in_convex_hull(target, hull: PointSet, mode: NumericMode = EXACT) -> HullMembership:
+    """Is `target` a convex combination of the hull points?  Decided by one
+    margin LP keeping the hull and excluding the target: a negative answer
+    carries its witness as the separating hyperplane, a positive one the
+    convex coefficients read from its Farkas multipliers."""
+    t = _entries(target)
+    dim = len(t)
+    if any(len(p) != dim for p in hull.points):
+        raise ValueError("hull points and target differ in dimension")
+    separator, lam = _separate(hull.points, [t], dim, mode)
+    if separator is None:
+        return HullMembership(member=True, coefficients=lam)
+    return HullMembership(member=False, separator=separator)
+
+
+def hulls_intersect(a: PointSet, b: PointSet, mode: NumericMode = EXACT) -> HullIntersection:
+    """Decided by one margin LP keeping `a` and excluding `b`: disjoint
+    hulls yield its witness, a hyperplane keeping `a` above and pushing
+    `b` a unit margin below.  Meeting hulls solve the intersection LP,
+    sum lambda_i p_i = sum mu_j q_j with both coefficient vectors on the
+    simplex, for the common point: its vertex is the witness reported,
+    where the margin LP's Farkas multipliers would give another, equally
+    valid one."""
+    if not a.points or not b.points:
+        raise ValueError("hull intersection needs two nonempty point sets")
+    dim = a.dimension
+    if b.dimension != dim:
+        raise ValueError("point sets differ in dimension")
+    separator, _ = _separate(a.points, b.points, dim, mode)
+    if separator is not None:
+        return HullIntersection(intersects=False, separator=separator)
+    ka, kb = len(a.points), len(b.points)
+    matrix = [
+        [_entries(p)[row] for p in a.points] + [-_entries(q)[row] for q in b.points]
+        for row in range(dim)
+    ]
+    matrix.append([1] * ka + [0] * kb)
+    matrix.append([0] * ka + [1] * kb)
+    rhs = [0] * dim + [1, 1]
+    senses = ["eq"] * (dim + 2)
+    program = lp.LinearProgram.build(
+        objective=[0] * (ka + kb), matrix=matrix, rhs=rhs, senses=senses
+    )
+    feasible, witness = lp.check_feasible(program, mode)
+    if not feasible:  # pragma: no cover - LP duality excludes this
+        raise RuntimeError("margin LP and hull-intersection LP disagree")
+    conv = as_exact if mode.exact else as_float
+    lam = witness[:ka]
+    mu = witness[ka:]
+    point = tuple(
+        sum((conv(l) * conv(_entries(p)[row]) for l, p in zip(lam, a.points)), conv(0))
+        for row in range(dim)
+    )
+    return HullIntersection(
+        intersects=True,
+        point=point,
+        coefficients_a=tuple(lam),
+        coefficients_b=tuple(mu),
     )
 
 
@@ -287,21 +268,17 @@ def _realized(table, soap, rows, lower_bounds) -> DesignOutcome:
 
 
 def design_scalar(env: MarkovEnv, soap: Soap, mode: NumericMode = EXACT) -> DesignOutcome:
-    """Scalar feasibility-based design.
+    """Scalar feasibility-based design: `hulls_intersect(good, bad)`.
 
-    Decides through the margin LP (r, c with good >= c and bad <= c - 1);
-    when that is infeasible the hulls meet, and the intersection LP
-    produces the common point as the obstruction.
+    One margin LP (r, c with good >= c and bad <= c - 1) decides; its
+    witness is the reward.  When it is infeasible the hulls meet, and the
+    intersection LP's vertex is the common point given as the obstruction.
     """
     table, good, bad = _consistent_points(env, soap, mode)
-    dim = good.dimension
-    program = _margin_lp(good.points, bad.points, dim)
-    feasible, witness = lp.check_feasible(program, mode)
-    if feasible:
-        return _realized(table, soap, [tuple(witness[:dim])], [witness[dim]])
     crossing = hulls_intersect(good, bad, mode)
-    if not crossing.intersects:  # pragma: no cover - LP duality excludes this
-        raise RuntimeError("margin LP and hull-intersection LP disagree")
+    if not crossing.intersects:
+        separator = crossing.separator
+        return _realized(table, soap, [separator.normal], [separator.offset])
     return DesignOutcome(
         realizable=False,
         obstruction=OverlapObstruction(
@@ -316,23 +293,20 @@ def _squared_distance(p, q, conv):
     return sum(((conv(a) - conv(b)) ** 2 for a, b in zip(p, q)), conv(0))
 
 
-def _greedy_groups(good: PointSet, bad: PointSet, mode: NumericMode):
+def _greedy_groups(good: PointSet, bad: PointSet, planes, mode: NumericMode):
     """Cover the bad points with as few separating hyperplanes as the
     greedy merge finds: grow each candidate group outward from its
     centroid in visitation distance, keeping additions whose single
-    hyperplane still excludes the whole group."""
+    hyperplane still excludes the whole group.  `planes[i]` is the first
+    pass's hyperplane for bad point i, which starts the group seeded there."""
     conv = as_exact if mode.exact else as_float
     dim = good.dimension
     remaining = list(range(len(bad.points)))
-    planes = []
+    merged = []
     while remaining:
         seed = remaining[0]
         group = [seed]
-        program = _margin_lp(good.points, [bad.points[seed]], dim)
-        feasible, witness = lp.check_feasible(program, mode)
-        if not feasible:  # pragma: no cover - caller pre-checks membership
-            raise RuntimeError("bad point unexpectedly inseparable")
-        group_sep = witness
+        group_sep = planes[seed]
         candidates = [i for i in remaining if i != seed]
         while candidates:
             centroid = [
@@ -348,21 +322,16 @@ def _greedy_groups(good: PointSet, bad: PointSet, mode: NumericMode):
             )
             accepted = None
             for pos, i in enumerate(candidates):
-                trial = group + [i]
-                program = _margin_lp(
-                    good.points, [bad.points[g] for g in trial], dim
-                )
-                feasible, witness = lp.check_feasible(program, mode)
-                if feasible:
-                    accepted = (pos, witness)
+                trial = [bad.points[g] for g in group + [i]]
+                separator, _ = _separate(good.points, trial, dim, mode)
+                if separator is not None:
+                    accepted = (pos, separator)
                     break
             if accepted is None:
                 break
-            pos, witness = accepted
+            pos, group_sep = accepted
             group.append(candidates.pop(pos))
-            group_sep = witness
-        r = tuple(group_sep[:dim])
-        c = group_sep[dim]
+        r, c = group_sep.normal, group_sep.offset
         # The hyperplane may exclude stragglers beyond the group it was
         # grown for; count anything a full margin below as covered.
         covered = set(group)
@@ -375,29 +344,25 @@ def _greedy_groups(good: PointSet, bad: PointSet, mode: NumericMode):
             )
             if score <= conv(c) - 1:
                 covered.add(i)
-        planes.append((r, c))
+        merged.append(group_sep)
         remaining = [i for i in remaining if i not in covered]
-    return planes
+    return merged
 
 
 def design_multi(env: MarkovEnv, soap: Soap, mode: NumericMode = EXACT,
                  reduce: bool = False) -> DesignOutcome:
-    """Multidimensional design: one margin LP per bad visitation against
-    all good ones.  All feasible -> stack the hyperplanes (d <= |bad|);
-    any infeasible -> that visitation is inside the good hull, and the
-    membership LP supplies its convex coefficients as the obstruction.
-    With `reduce`, a greedy merge reuses hyperplanes across bad points."""
+    """Multidimensional design: `in_convex_hull` of each bad visitation
+    against all good ones, i.e. one margin LP per bad point.  All outside
+    -> stack their hyperplanes (d <= |bad|); one inside -> the convex
+    coefficients read from that LP's Farkas multipliers are the
+    obstruction.  With `reduce`, a greedy merge starts from these
+    hyperplanes and reuses them across bad points."""
     table, good, bad = _consistent_points(env, soap, mode)
-    dim = good.dimension
 
     planes = []
     for name, point in zip(bad.names, bad.points):
-        program = _margin_lp(good.points, [point], dim)
-        feasible, witness = lp.check_feasible(program, mode)
-        if not feasible:
-            membership = in_convex_hull(point, good, mode)
-            if not membership.member:  # pragma: no cover - LP duality excludes this
-                raise RuntimeError("margin LP and membership LP disagree")
+        membership = in_convex_hull(point, good, mode)
+        if membership.member:
             return DesignOutcome(
                 realizable=False,
                 obstruction=HullObstruction(
@@ -406,12 +371,14 @@ def design_multi(env: MarkovEnv, soap: Soap, mode: NumericMode = EXACT,
                     coefficients=membership.coefficients,
                 ),
             )
-        planes.append((tuple(witness[:dim]), witness[dim]))
+        planes.append(membership.separator)
 
     if reduce:
-        planes = _greedy_groups(good, bad, mode)
+        planes = _greedy_groups(good, bad, planes, mode)
 
-    return _realized(table, soap, [r for r, _ in planes], [c for _, c in planes])
+    return _realized(
+        table, soap, [p.normal for p in planes], [p.offset for p in planes]
+    )
 
 
 def check_scalar_optimality(env: MarkovEnv, soap: Soap, mode: NumericMode = EXACT,

@@ -16,7 +16,6 @@ from .mdp import (
     MarkovEnv,
     RewardSpec,
     VisitationTable,
-    compute_visitation,
     enumerate_deterministic_policies,
     value_of_visitation,
 )
@@ -115,9 +114,9 @@ def brute_force_feasible_set(env: MarkovEnv, spec: RewardSpec,
     """
     _check_spec_dims(env, spec)
     feasible = []
+    table = VisitationTable(env, mode)
     for policy in enumerate_deterministic_policies(env, limit):
-        rho = compute_visitation(env, policy, mode)
-        values = value_of_visitation(rho, spec, mode)
+        values = value_of_visitation(table(policy), spec, mode)
         if is_feasible(values, spec, mode):
             feasible.append(policy)
     return tuple(feasible)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from rewardsep import lp
 from rewardsep.mdp import (
     MarkovEnv,
     Policy,
@@ -33,6 +34,13 @@ F = Fraction
 
 XOR_SOAP = Soap.build(good=[PI12, PI21], bad=[PI11, PI22])
 SINGLE_GOOD_SOAP = Soap.build(good=[PI22], bad=[PI11, PI12, PI21])
+# blend's visitation is the midpoint of the xor good pair, hence inside
+# their hull.
+BLEND = Policy.stochastic(
+    "blend",
+    {"s0": {"a1": F(1, 2), "a2": F(1, 2)}, "s1": {"a1": F(1, 2), "a2": F(1, 2)}},
+)
+BLEND_SOAP = Soap.build(good=[PI12, PI21], bad=[BLEND])
 
 
 def points(env, *policies, mode=EXACT):
@@ -44,6 +52,30 @@ def separator_is_strict(sep, kept, excluded):
         assert sum(n * e for n, e in zip(sep.normal, p.entries)) >= sep.offset
     for q in excluded:
         assert sum(n * e for n, e in zip(sep.normal, q.entries)) <= sep.offset - 1
+
+
+def assert_halves(coefficients, mode):
+    """Both weights 1/2: exactly, or in float mode within 1e-9 and summing
+    to 1."""
+    if mode.exact:
+        assert coefficients == (F(1, 2), F(1, 2))
+    else:
+        assert coefficients == pytest.approx((0.5, 0.5), abs=1e-9)
+        assert sum(coefficients) == pytest.approx(1)
+
+
+@pytest.fixture
+def lp_solves(monkeypatch):
+    """Number of LPs solved through `lp.check_feasible`."""
+    calls = []
+    real = lp.check_feasible
+
+    def counting(program, mode=EXACT):
+        calls.append(program)
+        return real(program, mode)
+
+    monkeypatch.setattr(lp, "check_feasible", counting)
+    return calls
 
 
 class TestHullMembership:
@@ -63,21 +95,23 @@ class TestHullMembership:
         assert result.member
         assert result.coefficients == (F(1), F(0))
 
-    def test_midpoint_is_member(self):
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT], ids=["exact", "float"])
+    def test_midpoint_is_member(self, mode):
         env = entailment_env()
-        hull = points(env, PI12, PI21)
+        hull = points(env, PI12, PI21, mode=mode)
         mid = tuple(
             (a + b) / 2 for a, b in zip(hull.points[0].entries, hull.points[1].entries)
         )
-        result = in_convex_hull(mid, hull, EXACT)
+        result = in_convex_hull(mid, hull, mode)
         assert result.member
-        assert result.coefficients == (F(1, 2), F(1, 2))
+        assert_halves(result.coefficients, mode)
 
     def test_empty_hull(self):
         env = entailment_env()
         target = compute_visitation(env, PI11, EXACT)
         result = in_convex_hull(target, PointSet(names=(), points=()), EXACT)
         assert not result.member
+        separator_is_strict(result.separator, [], [target])
 
 
 class TestHullIntersection:
@@ -179,22 +213,14 @@ class TestDesignMulti:
             reduced = design_multi(env, soap, EXACT, reduce=True)
             assert reduced.spec.dimension <= full.spec.dimension
 
-    def test_obstruction_when_bad_point_in_hull(self):
-        env = entailment_env()
-        half = F(1, 2)
-        blend = Policy.stochastic(
-            "blend",
-            {"s0": {"a1": half, "a2": half}, "s1": {"a1": half, "a2": half}},
-        )
-        # blend's visitation is the midpoint of the xor good pair, hence
-        # inside their hull.
-        soap = Soap.build(good=[PI12, PI21], bad=[blend])
-        outcome = design_multi(env, soap, EXACT)
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT], ids=["exact", "float"])
+    def test_obstruction_when_bad_point_in_hull(self, mode):
+        outcome = design_multi(entailment_env(), BLEND_SOAP, mode)
         assert not outcome.realizable
         obstruction = outcome.obstruction
         assert isinstance(obstruction, HullObstruction)
         assert obstruction.policy == "blend"
-        assert obstruction.coefficients == (F(1, 2), F(1, 2))
+        assert_halves(obstruction.coefficients, mode)
 
     def test_inconsistent_refusal(self):
         env = steady_state_env()
@@ -207,6 +233,26 @@ class TestDesignMulti:
         outcome = design_multi(env, XOR_SOAP, FLOAT)
         assert outcome.realizable
         assert verify_realization(env, XOR_SOAP, outcome.spec, FLOAT).realized
+
+
+class TestOneLpPerHullQuery:
+    def test_bad_point_in_hull_solves_one_lp(self, lp_solves):
+        outcome = design_multi(entailment_env(), BLEND_SOAP, EXACT)
+        assert isinstance(outcome.obstruction, HullObstruction)
+        assert len(lp_solves) == 1
+
+    def test_reduce_starts_from_first_pass_planes(self, lp_solves):
+        outcome = design_multi(entailment_env(), SINGLE_GOOD_SOAP, EXACT, reduce=True)
+        assert outcome.spec.dimension == 1
+        # One margin LP per bad point, then the two merge trials that grow
+        # the single group; no LP is solved twice.
+        assert len(lp_solves) == 3 + 2
+        assert len(set(lp_solves)) == len(lp_solves)
+
+    def test_scalar_negative_keeps_the_intersection_lp(self, lp_solves):
+        outcome = design_scalar(entailment_env(), XOR_SOAP, EXACT)
+        assert isinstance(outcome.obstruction, OverlapObstruction)
+        assert len(lp_solves) == 2
 
 
 class TestScalarOptimality:

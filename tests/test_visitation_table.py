@@ -1,4 +1,5 @@
-"""Each query solves each policy's visitation exactly once."""
+"""Each query solves each policy's visitation exactly once and validates
+its environment once."""
 
 import json
 from collections import Counter
@@ -21,16 +22,31 @@ SINGLE_GOOD_SOAP = Soap.build(good=[PI22], bad=[PI11, PI12, PI21])
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Visitation solves per policy name, counted at the public function."""
+    """Visitation solves per policy name, counted at the solve core that
+    both `compute_visitation` and the table call."""
     counts = Counter()
-    real = mdp.compute_visitation
+    real = mdp._visitation
 
-    def counting(env, policy, mode=EXACT):
+    def counting(env, policy, mode):
         counts[policy.name] += 1
         return real(env, policy, mode)
 
-    monkeypatch.setattr(mdp, "compute_visitation", counting)
+    monkeypatch.setattr(mdp, "_visitation", counting)
     return counts
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """Number of `mdp.validate_env` runs."""
+    calls = []
+    real = mdp.validate_env
+
+    def counting(env, mode=EXACT):
+        calls.append(env)
+        return real(env, mode)
+
+    monkeypatch.setattr(mdp, "validate_env", counting)
+    return calls
 
 
 def once_each(soap):
@@ -92,3 +108,45 @@ def test_name_clash_is_solved_afresh():
     assert table(impostor).entries == compute_visitation(env, PI22, FLOAT).entries
     assert table(PI11).entries == compute_visitation(env, PI11, FLOAT).entries
 
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda env: compute_visitation(env, PI11, EXACT),
+        lambda env: check_consistency(env, XOR_SOAP, EXACT),
+        lambda env: design_scalar(env, SINGLE_GOOD_SOAP, EXACT),
+        lambda env: design_scalar(env, XOR_SOAP, FLOAT),
+        lambda env: design_multi(env, XOR_SOAP, EXACT, reduce=True),
+        lambda env: check_scalar_optimality(env, Soap.build(good=[PI11], bad=[PI12]), EXACT),
+        lambda env: verify_realization(
+            env, XOR_SOAP, RewardSpec.build(rows=[[0] * env.n_sa], lower_bounds=[0])
+        ),
+    ],
+    ids=["compute-visitation", "consistency", "scalar", "scalar-negative-float", "multi-reduce",
+         "optimality", "verify"],
+)
+def test_query_validates_the_environment_once(validations, query):
+    query(entailment_env())
+    assert len(validations) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["visitation", "entailment.json"],
+        ["consistency", "entailment.json", "--soap", "xor_soap.json"],
+        ["design-scalar", "entailment.json", "--soap", "xor_soap.json", "--tol", "1e-9"],
+        ["design-multi", "entailment.json", "--soap", "xor_soap.json", "--reduce"],
+        ["design-scalar-optimal", "entailment.json", "--soap", "optimal_a1_soap.json"],
+        ["verify", "entailment.json", "--soap", "xor_soap.json",
+         "--reward", "entailment_reward.json"],
+        ["export-plot", "entailment.json", "--soap", "xor_soap.json",
+         "--axis-x", "s0,a2", "--axis-y", "s1,a2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_command_validates_the_environment_once(validations, capsys, argv):
+    assert run_command(argv) in (0, 1)
+    capsys.readouterr()
+    assert len(validations) == 1
