@@ -6,6 +6,16 @@ questions they encode (hull membership, separation, optimality) are exact
 set statements.  Bland's rule keeps the pivot sequence finite, and all
 tie-breaking is by lowest index, so outputs are deterministic.
 
+The exact backend pivots fraction-free: each tableau row is a list of
+integers over one positive row denominator, reduced by a single gcd per
+updated row (see `_IntTableau`).  Scaling a row by a positive factor
+changes no sign and no ratio, so Bland's rule makes the same pivots as
+over rationals, and the vertex and certificates are those of a
+`Fraction` tableau.  Rationals appear only at the edges: converting the
+input rows, reading out the basic values and rays, and the duals, which
+are solved against the unpivoted rows.  The float backend pivots dense
+float rows with a tolerance.
+
 Certificates returned with each solution:
   * optimal    -> per-row duals plus the dual objective (weak-duality check)
   * infeasible -> Farkas multipliers: aggregating the rows with them yields
@@ -313,6 +323,133 @@ def _run_simplex(tab, rhs, z, basis, barred, cmp):
     raise RuntimeError("simplex pivot limit exceeded")
 
 
+class _FloatTableau:
+    """Float rows with a separate rhs column, pivoted by `_pivot`."""
+
+    def __init__(self, rows, rhs, cmp):
+        self.rows = rows
+        self.rhs = list(rhs)
+        self.cmp = cmp
+        self.z = None
+
+    def price(self, basis, costs):
+        self.z = _reduced_costs(self.rows, basis, costs)
+
+    def run(self, basis, barred):
+        return _run_simplex(self.rows, self.rhs, self.z, basis, barred, self.cmp)
+
+    def pivot(self, basis, row, col):
+        _pivot(self.rows, self.rhs, self.z, basis, row, col)
+
+    def nonzero(self, i, j) -> bool:
+        return not self.cmp.zero(self.rows[i][j])
+
+    def entry(self, i, j):
+        return self.rows[i][j]
+
+    def value(self, i):
+        return self.rhs[i]
+
+    def keep(self, alive):
+        self.rows = [self.rows[i] for i in alive]
+        self.rhs = [self.rhs[i] for i in alive]
+
+
+def _divide(values, g):
+    return values if g == 1 else [v // g for v in values]
+
+
+class _IntTableau:
+    """Fraction-free exact tableau (Edmonds 1967; Bareiss 1968).
+
+    Row i is a list of ints N_i, its rhs last, over a denominator
+    d_i > 0: the tableau row it stands for is N_i / d_i.  Each updated row
+    is divided by gcd(d_i, *N_i), one C-level gcd instead of one per
+    entry.  Positive row scaling changes no sign and no ratio, so Bland's
+    rule pivots exactly as it would over Fractions.  The reduced costs z
+    are kept up to a positive factor, since only their signs are read.
+    """
+
+    def __init__(self, rows, rhs):
+        self.rows = []
+        self.dens = []
+        for row, b in zip(rows, rhs):
+            values = row + [b]
+            den = math.lcm(*(v.denominator for v in values))
+            self.rows.append([v.numerator * (den // v.denominator) for v in values])
+            self.dens.append(den)
+        self.z = None
+
+    def price(self, basis, costs):
+        den = math.lcm(*(v.denominator for v in costs))
+        z = [v.numerator * (den // v.denominator) for v in costs]
+        for row, d, col in zip(self.rows, self.dens, basis):
+            f = z[col]
+            if f:
+                z = [d * u - f * v for u, v in zip(z, row)]
+        self.z = _divide(z, math.gcd(*z) or 1)
+
+    def run(self, basis, barred):
+        """Bland's rule as in `_run_simplex`; the ratio test compares
+        N_i[-1] / N_i[enter] by cross-multiplying, d_i cancels."""
+        rows = self.rows
+        for _ in range(_MAX_PIVOTS):
+            enter = next((j for j, v in enumerate(self.z) if v < 0 and j not in barred), None)
+            if enter is None:
+                return OPTIMAL, None
+            leave = None
+            for i, row in enumerate(rows):
+                t = row[enter]
+                if t <= 0:
+                    continue
+                if leave is None:
+                    leave = i
+                    continue
+                lhs, rhs = row[-1] * rows[leave][enter], rows[leave][-1] * t
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave = i
+            if leave is None:
+                return UNBOUNDED, enter
+            self.pivot(basis, leave, enter)
+        raise RuntimeError("simplex pivot limit exceeded")
+
+    def pivot(self, basis, row, col):
+        prow = self.rows[row]
+        if prow[col] < 0:  # artificial removal may pivot on a negative entry
+            prow = [-v for v in prow]
+        prow = _divide(prow, math.gcd(*prow))
+        p = prow[col]
+        self.rows[row] = prow
+        self.dens[row] = p
+        for i, other in enumerate(self.rows):
+            f = other[col]
+            if f == 0 or i == row:
+                continue
+            new = [p * u - f * v for u, v in zip(other, prow)]
+            d = self.dens[i] * p
+            g = math.gcd(d, *new)
+            self.rows[i] = _divide(new, g)
+            self.dens[i] = d // g
+        f = self.z[col]
+        if f:
+            z = [p * u - f * v for u, v in zip(self.z, prow)]
+            self.z = _divide(z, math.gcd(*z) or 1)
+        basis[row] = col
+
+    def nonzero(self, i, j) -> bool:
+        return self.rows[i][j] != 0
+
+    def entry(self, i, j) -> Fraction:
+        return Fraction(self.rows[i][j], self.dens[i])
+
+    def value(self, i) -> Fraction:
+        return Fraction(self.rows[i][-1], self.dens[i])
+
+    def keep(self, alive):
+        self.rows = [self.rows[i] for i in alive]
+        self.dens = [self.dens[i] for i in alive]
+
+
 def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
     """Two-phase simplex.  Deterministic for identical inputs."""
     _validate(lp)
@@ -348,29 +485,29 @@ def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
             art_of_row[i] = ncols
             ncols += 1
 
-    tab = []
+    rows = []
     for i in range(m):
         row = list(std.rows[i]) + [zero] * (ncols - n_struct)
         if i in slack_of_row:
             row[slack_of_row[i]] = zero + (1 if std.senses[i] == LE else -1)
         if i in art_of_row:
             row[art_of_row[i]] = zero + 1
-        tab.append(row)
-    rhs = list(std.rhs)
+        rows.append(row)
     basis = [art_of_row.get(i, slack_of_row.get(i)) for i in range(m)]
-    pristine = [row[:] for row in tab]
+    pristine = [row[:] for row in rows]
+    tab = _IntTableau(rows, std.rhs) if mode.exact else _FloatTableau(rows, std.rhs, cmp)
 
     # Phase 1: drive the artificial variables to zero.
     art_cols = set(art_of_row.values())
     costs1 = [zero] * ncols
     for jcol in art_cols:
         costs1[jcol] = zero + 1
-    z = _reduced_costs(tab, basis, costs1)
-    status, _ = _run_simplex(tab, rhs, z, basis, barred=frozenset(), cmp=cmp)
+    tab.price(basis, costs1)
+    status, _ = tab.run(basis, barred=frozenset())
     if status != OPTIMAL:  # pragma: no cover - phase 1 is always bounded
         raise RuntimeError("phase 1 cannot be unbounded")
     scale = 1 + sum(abs(v) for v in std.rhs)
-    phase1_value = sum(rhs[i] for i in range(m) if basis[i] in art_cols)
+    phase1_value = sum(tab.value(i) for i in range(m) if basis[i] in art_cols)
     infeasible = phase1_value > 0 if mode.exact else phase1_value > cmp.tol * scale
     if infeasible:
         y_std = _basis_duals(pristine, basis, costs1, mode)
@@ -388,30 +525,26 @@ def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
     for i in range(m):
         if basis[i] not in art_cols:
             continue
-        enter = next(
-            (j for j in range(art_first) if not cmp.zero(tab[i][j])),
-            None,
-        )
+        enter = next((j for j in range(art_first) if tab.nonzero(i, j)), None)
         if enter is None:
             dead[i] = row_of_art[basis[i]]
         else:
-            _pivot(tab, rhs, z, basis, i, enter)
+            tab.pivot(basis, i, enter)
     if dead:
         gone = set(dead.values())
-        tab = [row for i, row in enumerate(tab) if i not in dead]
-        rhs = [v for i, v in enumerate(rhs) if i not in dead]
+        tab.keep([i for i in range(m) if i not in dead])
         basis = [v for i, v in enumerate(basis) if i not in dead]
         pristine = [row for i, row in enumerate(pristine) if i not in gone]
         std.origin = [v for i, v in enumerate(std.origin) if i not in gone]
         std.negated = [v for i, v in enumerate(std.negated) if i not in gone]
-        m = len(tab)
+        m = len(basis)
 
     # Phase 2: the real objective over structural columns.
     costs2 = [zero] * ncols
     for col, (j, sign) in enumerate(std.cols):
         costs2[col] = c[j] if sign == 1 else -c[j]
-    z = _reduced_costs(tab, basis, costs2)
-    status, enter = _run_simplex(tab, rhs, z, basis, barred=frozenset(art_cols), cmp=cmp)
+    tab.price(basis, costs2)
+    status, enter = tab.run(basis, barred=frozenset(art_cols))
 
     if status == UNBOUNDED:
         direction_std = [zero] * n_struct
@@ -420,7 +553,7 @@ def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
         for i in range(m):
             bcol = basis[i]
             if bcol < n_struct:
-                direction_std[bcol] = -tab[i][enter]
+                direction_std[bcol] = -tab.entry(i, enter)
         ray = [zero] * lp.n_vars
         for j in range(lp.n_vars):
             for col, sign in var_cols[j]:
@@ -429,7 +562,7 @@ def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
 
     x_std = [zero] * ncols
     for i in range(m):
-        x_std[basis[i]] = rhs[i]
+        x_std[basis[i]] = tab.value(i)
     primal = []
     for j in range(lp.n_vars):
         value = std.shifts[j]

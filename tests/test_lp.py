@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -124,6 +125,40 @@ class TestExamples:
         assert sol.objective_value == 10
         assert_valid_optimal(program, sol, mode)
 
+    def test_negative_artificial_removal_pivot(self, monkeypatch):
+        # Row 2 = -row 1.  Phase 1 ends with an artificial basic at level
+        # zero whose first nonzero non-artificial entry is negative; the
+        # cleanup pivots on it, so the exact tableau flips that row's sign.
+        program = build(
+            [3, 3, 3],
+            [[-1, -2, -2], [0, -2, 1], [0, 2, -1]],
+            [-1, 0, 0],
+            ["eq"] * 3,
+        )
+        entries, shapes = [], []
+        pivot, basis_duals = lp._IntTableau.pivot, lp._basis_duals
+
+        def spy_pivot(tab, basis, row, col):
+            entries.append(tab.rows[row][col])
+            pivot(tab, basis, row, col)
+
+        def spy_duals(pristine, basis, costs, mode):
+            shapes.append((len(pristine), len(basis)))
+            return basis_duals(pristine, basis, costs, mode)
+
+        monkeypatch.setattr(lp._IntTableau, "pivot", spy_pivot)
+        monkeypatch.setattr(lp, "_basis_duals", spy_duals)
+        sol = lp.solve(program, EXACT)
+        assert any(entry < 0 for entry in entries)
+        assert shapes == [(2, 2)]  # the redundant row is dropped
+        assert sol.primal == (0, F(1, 6), F(1, 3))
+        assert sol.objective_value == F(3, 2)
+        assert_valid_optimal(program, sol)
+        fsol = lp.solve(program, FLOAT)
+        assert fsol.status == lp.OPTIMAL
+        assert fsol.primal == pytest.approx([float(v) for v in sol.primal], abs=1e-9)
+        assert fsol.objective_value == pytest.approx(1.5, abs=1e-9)
+
     def test_empty_variable_box(self):
         program = build([0], [[1]], [0], ["<="], bounds=[(1, 0)])
         sol = lp.solve(program, EXACT)
@@ -172,6 +207,22 @@ class TestDeterminism:
             assert first == second
 
 
+class TestPinnedExactAnswers:
+    # SHA-256 over the exact answers to 200 seeded random LPs, recorded
+    # with the Fraction tableau.  Any change to the pivot sequence, the
+    # vertex reached, the duals or the Farkas multipliers changes it.
+    DIGEST = "1feea8daafb5a63b9440cdc035025ebde1e436ea40716c2b80f9f9db8773ebda"
+
+    def test_random_lp_answers_unchanged(self):
+        rng = random.Random(20260418)
+        digest = hashlib.sha256()
+        for _ in range(200):
+            sol = lp.solve(random_lp(rng), EXACT)
+            answer = (sol.status, sol.primal, sol.objective_value, sol.certificate)
+            digest.update(repr(answer).encode() + b"\n")
+        assert digest.hexdigest() == self.DIGEST
+
+
 class TestOracleAgreement:
     def test_random_lps_against_vertex_enumeration(self):
         rng = random.Random(2024)
@@ -216,6 +267,67 @@ class TestOracleAgreement:
         assert sol.status == want_status
         if want_status == lp.OPTIMAL:
             assert sol.objective_value == want_obj
+
+
+def _linprog(program):
+    """The program in `scipy.optimize.linprog` form, solved by HiGHS."""
+    from scipy.optimize import linprog
+
+    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    for row, b, sense in zip(program.matrix, program.rhs, program.senses):
+        row, b = [float(v) for v in row], float(b)
+        if sense == lp.LE:
+            a_ub.append(row)
+            b_ub.append(b)
+        elif sense == lp.GE:
+            a_ub.append([-v for v in row])
+            b_ub.append(-b)
+        else:
+            a_eq.append(row)
+            b_eq.append(b)
+    return linprog(
+        [float(v) for v in program.objective],
+        A_ub=a_ub or None,
+        b_ub=b_ub or None,
+        A_eq=a_eq or None,
+        b_eq=b_eq or None,
+        bounds=list(program.bounds),
+        method="highs",
+    )
+
+
+def boxed_lp(rng):
+    """Larger integer LP with every variable in a finite box."""
+    n = rng.randint(2, 7)
+    m = rng.randint(2, 8)
+    return build(
+        [rng.randint(-5, 5) for _ in range(n)],
+        [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)],
+        [rng.randint(-8, 8) for _ in range(m)],
+        [rng.choice(["le", "ge", "eq"]) for _ in range(m)],
+        [(rng.randint(-3, 0), rng.randint(1, 4)) for _ in range(n)],
+    )
+
+
+class TestHighsAgreement:
+    HIGHS_STATUS = {0: lp.OPTIMAL, 2: lp.INFEASIBLE, 3: lp.UNBOUNDED}
+
+    @pytest.mark.parametrize("generate", [random_lp, boxed_lp], ids=["random", "boxed"])
+    def test_exact_solve_matches_highs(self, generate):
+        pytest.importorskip("scipy")
+        rng = random.Random(11)
+        statuses = set()
+        for _ in range(200):
+            program = generate(rng)
+            sol = lp.solve(program, EXACT)
+            ref = _linprog(program)
+            assert sol.status == self.HIGHS_STATUS[ref.status]
+            statuses.add(sol.status)
+            if sol.status == lp.OPTIMAL:
+                assert float(sol.objective_value) == pytest.approx(ref.fun, abs=1e-7)
+            elif sol.status == lp.INFEASIBLE:
+                assert_valid_farkas(program, sol)
+        assert {lp.OPTIMAL, lp.INFEASIBLE} <= statuses
 
 
 class TestModeAgreement:
