@@ -1,4 +1,10 @@
-"""Dense linear solves shared by the visitation and LP machinery."""
+"""Dense linear solves shared by the visitation and LP machinery.
+
+Exact solves are fraction-free (Bareiss 1968): each row of [A | b] is
+scaled to integers by the lcm of its denominators, eliminated with exact
+integer division, and back-substituted to y / det in integers, so the
+only rationals formed are the returned x_i = y_i / det.
+"""
 
 from __future__ import annotations
 
@@ -6,18 +12,25 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numeric import NumericMode
+from .numeric import ZERO, NumericMode, over_common_denominator
 
 
 class SingularSystemError(ValueError):
     pass
 
 
+def _integer_row(values) -> list:
+    """The row scaled by the lcm of its denominators: a list of ints."""
+    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    return over_common_denominator(values)[0]
+
+
 def solve_square(rows, rhs, mode: NumericMode) -> list:
     """Solve A x = b for square A.
 
-    Exact mode runs Gaussian elimination over rationals (pivot = first
-    nonzero entry, deterministic); float mode defers to numpy.
+    Exact mode runs Bareiss elimination on the integer-scaled rows (pivot
+    = first nonzero entry at or below the diagonal, deterministic); float
+    mode defers to numpy.
     """
     n = len(rows)
     if any(len(r) != n for r in rows) or len(rhs) != n:
@@ -30,27 +43,31 @@ def solve_square(rows, rhs, mode: NumericMode) -> list:
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(str(exc)) from exc
 
-    a = [[Fraction(v) for v in row] for row in rows]
-    b = [Fraction(v) for v in rhs]
+    # m[r] = [A_r | b_r] in integers.  After step col, every entry right of
+    # the diagonal is a minor of the scaled matrix, so the division by the
+    # previous pivot is exact, and entries are zero exactly where the
+    # rational elimination has zeros: the same pivot rows and singular column.
+    m = [_integer_row(list(row) + [b]) for row, b in zip(rows, rhs)]
+    prev = 1
     for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
+        pivot_row = next((r for r in range(col, n) if m[r][col]), None)
         if pivot_row is None:
             raise SingularSystemError(f"singular system at column {col}")
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            b[col], b[pivot_row] = b[pivot_row], b[col]
-        piv = a[col][col]
+        m[col], m[pivot_row] = m[pivot_row], m[col]
+        prow = m[col]
+        p = prow[col]
         for r in range(col + 1, n):
-            factor = a[r][col] / piv
-            if factor == 0:
-                continue
-            b[r] -= factor * b[col]
-            for c in range(col, n):
-                a[r][c] -= factor * a[col][c]
-    x = [Fraction(0)] * n
+            row = m[r]
+            f = row[col]
+            m[r] = row[:col + 1] + [
+                (p * u - f * v) // prev for u, v in zip(row[col + 1:], prow[col + 1:])
+            ]
+        prev = p
+    # Back substitution for y = det * x, integral by Cramer's rule.
+    det = prev
+    y = [0] * n
     for r in range(n - 1, -1, -1):
-        acc = b[r]
-        for c in range(r + 1, n):
-            acc -= a[r][c] * x[c]
-        x[r] = acc / a[r][r]
-    return x
+        row = m[r]
+        acc = det * row[n] - sum(row[c] * y[c] for c in range(r + 1, n))
+        y[r] = acc // row[r]
+    return [Fraction(v, det) if v else ZERO for v in y]

@@ -13,8 +13,9 @@ changes no sign and no ratio, so Bland's rule makes the same pivots as
 over rationals, and the vertex and certificates are those of a
 `Fraction` tableau.  Rationals appear only at the edges: converting the
 input rows, reading out the basic values and rays, and the duals, which
-are solved against the unpivoted rows.  The float backend pivots dense
-float rows with a tolerance.
+`linalg.solve_square` solves fraction-free against the unpivoted rows.
+Every zero in an exact answer is the shared `numeric.ZERO`.  The float
+backend pivots dense float rows with a tolerance.
 
 Certificates returned with each solution:
   * optimal    -> per-row duals plus the dual objective (weak-duality check)
@@ -32,7 +33,15 @@ from fractions import Fraction
 from typing import Optional
 
 from . import linalg
-from .numeric import EXACT, NumericMode, as_exact, as_float
+from .numeric import (
+    EXACT,
+    ZERO,
+    NumericMode,
+    as_exact,
+    as_float,
+    over_common_denominator,
+    share_zero,
+)
 
 log = logging.getLogger(__name__)
 
@@ -159,7 +168,7 @@ class _Cmp:
 
     def __init__(self, mode: NumericMode):
         self.exact = mode.exact
-        self.tol = Fraction(0) if mode.exact else mode.tolerance
+        self.tol = ZERO if mode.exact else mode.tolerance
 
     def neg(self, x) -> bool:
         return x < -self.tol
@@ -374,15 +383,13 @@ class _IntTableau:
         self.rows = []
         self.dens = []
         for row, b in zip(rows, rhs):
-            values = row + [b]
-            den = math.lcm(*(v.denominator for v in values))
-            self.rows.append([v.numerator * (den // v.denominator) for v in values])
+            ints, den = over_common_denominator(row + [b])
+            self.rows.append(ints)
             self.dens.append(den)
         self.z = None
 
     def price(self, basis, costs):
-        den = math.lcm(*(v.denominator for v in costs))
-        z = [v.numerator * (den // v.denominator) for v in costs]
+        z, _ = over_common_denominator(costs)
         for row, d, col in zip(self.rows, self.dens, basis):
             f = z[col]
             if f:
@@ -457,7 +464,7 @@ def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
         log.debug("solving LP:\n%s", format_lp(lp))
     c, a, b, bounds = _coerce_lp(lp, mode)
     cmp = _Cmp(mode)
-    zero = Fraction(0) if mode.exact else 0.0
+    zero = ZERO if mode.exact else 0.0
 
     for lo, hi in bounds:
         if lo is not None and hi is not None and lo > hi:
@@ -511,10 +518,8 @@ def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
     infeasible = phase1_value > 0 if mode.exact else phase1_value > cmp.tol * scale
     if infeasible:
         y_std = _basis_duals(pristine, basis, costs1, mode)
-        return LpSolution(
-            status=INFEASIBLE,
-            certificate=FarkasCertificate(_map_duals(y_std, std, len(lp.matrix))),
-        )
+        y = share_zero(_map_duals(y_std, std, len(lp.matrix)), mode)
+        return LpSolution(status=INFEASIBLE, certificate=FarkasCertificate(y))
 
     # Remove artificial variables from the basis.  A tableau row that is
     # zero outside the artificial columns is redundant: drop it, and with
@@ -571,11 +576,12 @@ def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
         primal.append(value)
     objective = sum((cj * xj for cj, xj in zip(c, primal)), zero)
     y_std = _basis_duals(pristine, basis, costs2, mode)
-    duals = _map_duals(y_std, std, len(lp.matrix))
-    dual_obj = dual_objective(lp, duals, mode)
+    duals = share_zero(_map_duals(y_std, std, len(lp.matrix)), mode)
+    y = _multipliers(lp, duals, mode)
+    dual_obj = _support(c, a, b, bounds, y, cmp, with_objective=True)
     return LpSolution(
         status=OPTIMAL,
-        primal=tuple(primal),
+        primal=share_zero(primal, mode),
         objective_value=objective,
         certificate=DualCertificate(duals, dual_obj),
     )
@@ -624,28 +630,41 @@ def check_feasible(lp: LinearProgram, mode: NumericMode = EXACT):
     return False, sol.certificate
 
 
-def aggregate_row(lp: LinearProgram, multipliers, mode: NumericMode = EXACT):
-    """Combine rows with the given multipliers: returns (w, beta) with
-    w = yᵀA and beta = yᵀb."""
-    c, a, b, _ = _coerce_lp(lp, mode)
+def _multipliers(lp: LinearProgram, multipliers, mode: NumericMode) -> list:
     conv = as_exact if mode.exact else as_float
     y = [conv(v) for v in multipliers]
     if len(y) != lp.n_rows:
         raise LpInputError("multiplier count does not match the row count")
-    w = [sum((y[i] * a[i][j] for i in range(lp.n_rows)), 0 * conv(0)) for j in range(lp.n_vars)]
-    beta = sum((y[i] * b[i] for i in range(lp.n_rows)), 0 * conv(0))
+    return y
+
+
+def _aggregate(a, b, y, n_vars, zero):
+    """(yᵀA, yᵀb) over the converted rows, skipping zero multipliers."""
+    w = [zero] * n_vars
+    beta = zero
+    for yi, row, bi in zip(y, a, b):
+        if not yi:
+            continue
+        w = [wj + yi * aij for wj, aij in zip(w, row)]
+        beta += yi * bi
     return w, beta
 
 
-def _support_value(lp, multipliers, mode, with_objective):
-    """yᵀb plus the box-infimum of (c − yᵀA)·x; None when the infimum
-    diverges."""
-    c, _, _, bounds = _coerce_lp(lp, mode)
-    w, beta = aggregate_row(lp, multipliers, mode)
-    cmp = _Cmp(mode)
+def aggregate_row(lp: LinearProgram, multipliers, mode: NumericMode = EXACT):
+    """Combine rows with the given multipliers: returns (w, beta) with
+    w = yᵀA and beta = yᵀb."""
+    _, a, b, _ = _coerce_lp(lp, mode)
+    y = _multipliers(lp, multipliers, mode)
+    return _aggregate(a, b, y, lp.n_vars, ZERO if mode.exact else 0.0)
+
+
+def _support(c, a, b, bounds, y, cmp, with_objective):
+    """yᵀb plus the box-infimum of (c − yᵀA)·x over the converted LP; None
+    when the infimum diverges."""
+    w, beta = _aggregate(a, b, y, len(c), ZERO if cmp.exact else 0.0)
     total = beta
-    for j in range(lp.n_vars):
-        coeff = (c[j] - w[j]) if with_objective else -w[j]
+    for j, (cj, wj) in enumerate(zip(c, w)):
+        coeff = (cj - wj) if with_objective else -wj
         if cmp.zero(coeff):
             continue
         lo, hi = bounds[j]
@@ -658,6 +677,12 @@ def _support_value(lp, multipliers, mode, with_objective):
                 return None
             total += coeff * hi
     return total
+
+
+def _support_value(lp, multipliers, mode, with_objective):
+    c, a, b, bounds = _coerce_lp(lp, mode)
+    y = _multipliers(lp, multipliers, mode)
+    return _support(c, a, b, bounds, y, _Cmp(mode), with_objective)
 
 
 def dual_objective(lp: LinearProgram, multipliers, mode: NumericMode = EXACT):

@@ -7,7 +7,11 @@ The central quantity is the discounted expected state-action visitation
 whose state marginal d solves the flow system d = e_start + gamma * P_pi^T d.
 For gamma < 1 the matrix I - gamma * P_pi^T is strictly column diagonally
 dominant (column slack exactly 1 - gamma), hence invertible, so rho is
-computed by direct elimination (exact in rational mode), never iteratively.
+computed by direct elimination, never iteratively.  Exact mode scales the
+system to integers (kernel, gamma and policy over common denominators)
+and solves it fraction-free; the self-check every visitation passes
+(normalisation and per-state flow) is an integer identity with rho over
+one common denominator, computed independently of the solve.
 Every value question reduces to inner products with rho: V_i = r_i . rho.
 
 All types are immutable after construction and all operations are pure.
@@ -25,7 +29,17 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .numeric import EXACT, Number, NumericMode, as_exact, as_float, coerce
+from .numeric import (
+    EXACT,
+    ZERO,
+    Number,
+    NumericMode,
+    as_exact,
+    as_float,
+    coerce,
+    over_common_denominator,
+    share_zero,
+)
 
 _VALIDATION_TOL = 1e-9
 
@@ -340,7 +354,16 @@ def compute_visitation(env: MarkovEnv, policy: Policy, mode: NumericMode = EXACT
 def _visitation(env: MarkovEnv, policy: Policy, mode: NumericMode) -> Visitation:
     """`compute_visitation` on an environment already validated."""
     policy.validate_for(env, mode)
-    conv = as_exact if mode.exact else as_float
+    if mode.exact:
+        rho = _exact_visitation(env, policy)
+    else:
+        rho = _float_visitation(env, policy, mode)
+    _self_check(env, rho, mode)
+    return rho
+
+
+def _float_visitation(env: MarkovEnv, policy: Policy, mode: NumericMode) -> Visitation:
+    conv = as_float
     n_s, n_a = env.n_states, env.n_actions
     gamma = conv(env.gamma)
     pol = _policy_matrix(env, policy, conv)
@@ -362,11 +385,59 @@ def _visitation(env: MarkovEnv, policy: Policy, mode: NumericMode) -> Visitation
     ]
     rhs = [one if s == env.state_index(env.start) else zero for s in range(n_s)]
     d = linalg.solve_square(system, rhs, mode)
+    return Visitation(tuple(d[s] * pol[s][a] for s in range(n_s) for a in range(n_a)))
 
-    entries = tuple(d[s] * pol[s][a] for s in range(n_s) for a in range(n_a))
-    rho = Visitation(entries)
-    _self_check(env, rho, gamma, mode)
-    return rho
+
+def _over_common_denominator(values):
+    """`over_common_denominator` of the values read by `as_exact`."""
+    return over_common_denominator(
+        [v if type(v) in (int, Fraction) else as_exact(v) for v in values]
+    )
+
+
+def _integer_kernel(env: MarkovEnv):
+    """(K, D_T): K[k][s2] == D_T * T(k, s2) in integers, k in (s, a) order."""
+    flat, den = _over_common_denominator([p for row in env.kernel for p in row])
+    n_s = env.n_states
+    return [flat[k * n_s:(k + 1) * n_s] for k in range(env.n_sa)], den
+
+
+def _exact_visitation(env: MarkovEnv, policy: Policy) -> Visitation:
+    """The flow system scaled to integers: with gamma = g_n / g_d, T = K / D_T
+    and pi = Q_pi / Q, (g_d D I - g_n (D P_pi)^T) d = g_d D e_start for
+    D = D_T Q, where D P_pi = Q_pi K row by row."""
+    n_s, n_a = env.n_states, env.n_actions
+    g = as_exact(env.gamma)
+    g_n, g_d = g.numerator, g.denominator
+    kernel, d_t = _integer_kernel(env)
+    flat, q = _over_common_denominator(
+        [p for s in env.states for p in policy.distribution_row(env, s)]
+    )
+    pol = [flat[s * n_a:(s + 1) * n_a] for s in range(n_s)]
+    scale = g_d * d_t * q
+    system = [[scale if s == s2 else 0 for s2 in range(n_s)] for s in range(n_s)]
+    for s in range(n_s):
+        for a, p in enumerate(pol[s]):
+            if p:
+                for s2, t in enumerate(kernel[s * n_a + a]):
+                    if t:
+                        system[s2][s] -= g_n * p * t
+    start = env.state_index(env.start)
+    rhs = [scale if s == start else 0 for s in range(n_s)]
+    d = linalg.solve_square(system, rhs, EXACT)
+
+    # rho(s, a) = d(s) * Q_pi(s, a) / Q
+    entries = []
+    for s in range(n_s):
+        ds = d[s]
+        for p in pol[s]:
+            if not p or not ds:
+                entries.append(ZERO)
+            elif p == q:
+                entries.append(ds)
+            else:
+                entries.append(Fraction(ds.numerator * p, ds.denominator * q))
+    return Visitation(tuple(entries))
 
 
 class VisitationTable:
@@ -392,16 +463,32 @@ class VisitationTable:
         return rho
 
 
-def _self_check(env, rho, gamma, mode):
-    tol = 0 if mode.exact else max(_VALIDATION_TOL, 10 * mode.tolerance)
-    total = sum(rho.entries)
-    expected = (1 if mode.exact else 1.0) / (1 - gamma)
-    if abs(total - expected) > tol * abs(expected):
-        raise RuntimeError(
-            f"visitation normalization violated: sum={total}, expected={expected}"
-        )
+def _self_check(env, rho, mode):
+    """Refuse a visitation that breaks normalisation or flow conservation.
+
+    Exact mode tests sum(rho) == 1 / (1 - gamma) in integers, as
+    sum(R) * (g_d - g_n) == g_d * q for rho = R / q, gamma = g_n / g_d."""
+    if mode.exact:
+        g = as_exact(env.gamma)
+        ints, q = _over_common_denominator(rho.entries)
+        if sum(ints) * (g.denominator - g.numerator) != g.denominator * q:
+            total = Fraction(sum(ints), q)
+            expected = Fraction(g.denominator, g.denominator - g.numerator)
+            raise RuntimeError(
+                f"visitation normalization violated: sum={total}, expected={expected}"
+            )
+        tol = scale = 0
+    else:
+        gamma = as_float(env.gamma)
+        tol = max(_VALIDATION_TOL, 10 * mode.tolerance)
+        total = sum(rho.entries)
+        expected = 1.0 / (1 - gamma)
+        if abs(total - expected) > tol * abs(expected):
+            raise RuntimeError(
+                f"visitation normalization violated: sum={total}, expected={expected}"
+            )
+        scale = abs(expected)
     residuals = flow_residuals(env, rho, mode)
-    scale = abs(expected)
     for s, r in zip(env.states, residuals):
         if abs(r) > tol * scale:
             raise RuntimeError(f"Bellman flow violated at state {s}: residual {r}")
@@ -409,8 +496,14 @@ def _self_check(env, rho, gamma, mode):
 
 def flow_residuals(env: MarkovEnv, rho: Visitation, mode: NumericMode = EXACT):
     """Per-state residual of
-    sum_a rho(s, a) - 1[s = start] - gamma * sum_{s', a'} T(s', a', s) rho(s', a')."""
-    conv = as_exact if mode.exact else as_float
+    sum_a rho(s, a) - 1[s = start] - gamma * sum_{s', a'} T(s', a', s) rho(s', a').
+
+    Exact mode computes it in integers, independently of the solve: with
+    rho = R / q, T = K / D_T and gamma = g_n / g_d, the residual times
+    g_d D_T q is g_d D_T (sum_a R(s, a) - q 1[s = start]) - g_n sum K R."""
+    if mode.exact:
+        return _exact_flow_residuals(env, rho)
+    conv = as_float
     n_s, n_a = env.n_states, env.n_actions
     gamma = conv(env.gamma)
     entries = [conv(v) for v in rho.entries]
@@ -426,6 +519,27 @@ def flow_residuals(env: MarkovEnv, rho: Visitation, mode: NumericMode = EXACT):
         )
         source = conv(1) if s == start else conv(0)
         out.append(outflow - source - gamma * inflow)
+    return tuple(out)
+
+
+def _exact_flow_residuals(env: MarkovEnv, rho: Visitation) -> tuple:
+    n_s, n_a = env.n_states, env.n_actions
+    g = as_exact(env.gamma)
+    g_n, g_d = g.numerator, g.denominator
+    kernel, d_t = _integer_kernel(env)
+    ints, q = _over_common_denominator(rho.entries)
+    inflow = [0] * n_s
+    for row, r in zip(kernel, ints):
+        if r:
+            for s2, t in enumerate(row):
+                if t:
+                    inflow[s2] += t * r
+    start = env.state_index(env.start)
+    out = []
+    for s in range(n_s):
+        outflow = sum(ints[s * n_a:(s + 1) * n_a]) - (q if s == start else 0)
+        residual = g_d * d_t * outflow - g_n * inflow[s]
+        out.append(Fraction(residual, g_d * d_t * q) if residual else ZERO)
     return tuple(out)
 
 
@@ -449,7 +563,7 @@ def value_of_visitation(rho: Visitation, reward: RewardSpec,
         if len(row) != len(entries):
             raise ValueError("reward row width does not match the visitation")
         out.append(sum((conv(r) * e for r, e in zip(row, entries)), conv(0)))
-    return tuple(out)
+    return share_zero(out, mode)
 
 
 def enumerate_deterministic_policies(env: MarkovEnv, limit: int = 4096):

@@ -8,10 +8,15 @@ for speed and is tolerance-based throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 Number = int | float | Fraction
+
+# The one exact zero that results share: solvers return it for every zero
+# entry, so a result holds no separate Fraction(0) objects.
+ZERO = Fraction(0)
 
 
 class ExactInputError(ValueError):
@@ -86,6 +91,19 @@ def as_float(value) -> float:
     if isinstance(value, str):
         return float(parse_rational(value))
     return float(value)
+
+
+def over_common_denominator(values) -> tuple:
+    """(ints, den) with values[i] == ints[i] / den, where den is the lcm of
+    the denominators of `values` (ints and Fractions)."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*[d for _, d in ratios])
+    return [n * (den // d) for n, d in ratios], den
+
+
+def share_zero(values, mode: NumericMode) -> tuple:
+    """`values` as a tuple; in exact mode every zero entry is `ZERO`."""
+    return tuple(v if v or not mode.exact else ZERO for v in values)
 
 
 def coerce(value, mode: NumericMode):

@@ -36,7 +36,7 @@ from .mdp import (
     VisitationTable,
     enumerate_deterministic_policies,
 )
-from .numeric import EXACT, NumericMode, as_exact, as_float
+from .numeric import EXACT, NumericMode, as_exact, as_float, share_zero
 from .soap import ConsistencyReport, Soap, _consistency
 from .verify import RealizationReport, _verify
 
@@ -184,7 +184,7 @@ def _separate(keep, exclude, dim, mode):
         return separator, None
     lam = witness.row_multipliers[:len(keep)]
     total = sum(lam)
-    return None, tuple(v / total for v in lam)
+    return None, share_zero((v / total for v in lam), mode)
 
 
 def in_convex_hull(target, hull: PointSet, mode: NumericMode = EXACT) -> HullMembership:
@@ -236,9 +236,12 @@ def hulls_intersect(a: PointSet, b: PointSet, mode: NumericMode = EXACT) -> Hull
     conv = as_exact if mode.exact else as_float
     lam = witness[:ka]
     mu = witness[ka:]
-    point = tuple(
-        sum((conv(l) * conv(_entries(p)[row]) for l, p in zip(lam, a.points)), conv(0))
-        for row in range(dim)
+    point = share_zero(
+        (
+            sum((conv(l) * conv(_entries(p)[row]) for l, p in zip(lam, a.points)), conv(0))
+            for row in range(dim)
+        ),
+        mode,
     )
     return HullIntersection(
         intersects=True,

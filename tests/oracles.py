@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to pin expected values.
 
 These deliberately avoid the library's solution paths: the LP oracle
-enumerates candidate vertices from constraint subsets, and the visitation
-oracle propagates the state distribution forward for a truncated horizon.
+enumerates candidate vertices from constraint subsets with its own
+rational Gaussian elimination, and the visitation oracle propagates the
+state distribution forward for a truncated horizon.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import random
 from fractions import Fraction
 
 from rewardsep import lp
-from rewardsep.linalg import SingularSystemError, solve_square
-from rewardsep.numeric import EXACT, as_exact
+from rewardsep.linalg import SingularSystemError
+from rewardsep.numeric import as_exact
 
 LE, EQ, GE = lp.LE, lp.EQ, lp.GE
 
@@ -30,6 +31,37 @@ def _feasible_point(rows, senses, rhs, point) -> bool:
     return True
 
 
+def gaussian_solve(rows, rhs):
+    """Solve A x = b over rationals (pivot = first nonzero entry at or
+    below the diagonal); raises SingularSystemError naming the column
+    without a pivot, as `linalg.solve_square` does."""
+    n = len(rows)
+    a = [[Fraction(v) for v in row] for row in rows]
+    b = [Fraction(v) for v in rhs]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot_row is None:
+            raise SingularSystemError(f"singular system at column {col}")
+        if pivot_row != col:
+            a[col], a[pivot_row] = a[pivot_row], a[col]
+            b[col], b[pivot_row] = b[pivot_row], b[col]
+        piv = a[col][col]
+        for r in range(col + 1, n):
+            factor = a[r][col] / piv
+            if factor == 0:
+                continue
+            b[r] -= factor * b[col]
+            for c in range(col, n):
+                a[r][c] -= factor * a[col][c]
+    x = [Fraction(0)] * n
+    for r in range(n - 1, -1, -1):
+        acc = b[r]
+        for c in range(r + 1, n):
+            acc -= a[r][c] * x[c]
+        x[r] = acc / a[r][r]
+    return x
+
+
 def _vertices(rows, senses, rhs, n):
     """All basic feasible points of the row system (exact arithmetic)."""
     vertices = []
@@ -38,7 +70,7 @@ def _vertices(rows, senses, rhs, n):
         a = [rows[i] for i in subset]
         b = [rhs[i] for i in subset]
         try:
-            point = solve_square(a, b, EXACT)
+            point = gaussian_solve(a, b)
         except SingularSystemError:
             continue
         if _feasible_point(rows, senses, rhs, point):
