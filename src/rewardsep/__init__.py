@@ -20,7 +20,6 @@ from .mdp import (
     Visitation,
     compute_visitation,
     enumerate_deterministic_policies,
-    estimate_visitation_monte_carlo,
     flow_residuals,
     policy_value,
     validate_env,
@@ -38,7 +37,7 @@ from .separability import (
     in_convex_hull,
 )
 from .soap import ConsistencyReport, Soap, SoapError, check_consistency
-from .verify import RealizationReport, brute_force_feasible_set, verify_realization
+from .verify import RealizationReport, verify_realization
 
 __version__ = "0.1.0"
 
@@ -66,7 +65,6 @@ __all__ = [
     "Soap",
     "SoapError",
     "Visitation",
-    "brute_force_feasible_set",
     "check_consistency",
     "check_feasible",
     "check_scalar_optimality",
@@ -74,7 +72,6 @@ __all__ = [
     "design_multi",
     "design_scalar",
     "enumerate_deterministic_policies",
-    "estimate_visitation_monte_carlo",
     "fixture_path",
     "flow_residuals",
     "hulls_intersect",

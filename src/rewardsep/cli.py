@@ -363,11 +363,9 @@ def _cmd_export_plot(args) -> _Report:
 
 def _add_common(parser, soap=False, reward=False):
     parser.add_argument("bundle", help="problem bundle JSON (bundled fixture names work)")
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--exact", action="store_true",
-                       help="exact rational arithmetic (the default)")
-    group.add_argument("--tol", type=float, default=None,
-                       help="switch to the float backend with this tolerance")
+    parser.add_argument("--tol", type=float, default=None,
+                        help="use the float backend with this tolerance "
+                        "(exact rational arithmetic otherwise)")
     parser.add_argument("--json", action="store_true", help="machine-readable report")
     parser.add_argument("--out", default=None, help="also write the report here")
     if soap:

@@ -19,12 +19,6 @@ class SingularSystemError(ValueError):
     pass
 
 
-def _integer_row(values) -> list:
-    """The row scaled by the lcm of its denominators: a list of ints."""
-    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
-    return over_common_denominator(values)[0]
-
-
 def solve_square(rows, rhs, mode: NumericMode) -> list:
     """Solve A x = b for square A.
 
@@ -47,7 +41,7 @@ def solve_square(rows, rhs, mode: NumericMode) -> list:
     # the diagonal is a minor of the scaled matrix, so the division by the
     # previous pivot is exact, and entries are zero exactly where the
     # rational elimination has zeros: the same pivot rows and singular column.
-    m = [_integer_row(list(row) + [b]) for row, b in zip(rows, rhs)]
+    m = [over_common_denominator(list(row) + [b])[0] for row, b in zip(rows, rhs)]
     prev = 1
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if m[r][col]), None)

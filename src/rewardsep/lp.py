@@ -3,19 +3,24 @@
 The solver is small and dense on purpose: every decision procedure in the
 package reduces to LPs with at most a few dozen rows and columns, and the
 questions they encode (hull membership, separation, optimality) are exact
-set statements.  Bland's rule keeps the pivot sequence finite, and all
-tie-breaking is by lowest index, so outputs are deterministic.
+set statements.  One Bland's-rule driver (`_bland`) runs both phases over
+either of two tableaux, which supply only their arithmetic: pricing,
+pivoting and the sign and ratio tests.  Bland's rule keeps the pivot
+sequence finite, and all tie-breaking is by lowest index, so outputs are
+deterministic.
 
-The exact backend pivots fraction-free: each tableau row is a list of
-integers over one positive row denominator, reduced by a single gcd per
-updated row (see `_IntTableau`).  Scaling a row by a positive factor
-changes no sign and no ratio, so Bland's rule makes the same pivots as
-over rationals, and the vertex and certificates are those of a
-`Fraction` tableau.  Rationals appear only at the edges: converting the
-input rows, reading out the basic values and rays, and the duals, which
+The exact tableau pivots fraction-free: each row is a list of integers
+over one positive row denominator, reduced by a single gcd per updated
+row (see `_IntTableau`).  Scaling a row by a positive factor changes no
+sign and no ratio, so Bland's rule makes the same pivots as over
+rationals, and the vertex and certificates are those of a `Fraction`
+tableau.  Rationals appear only at the edges: converting the input rows,
+reading out the basic values and rays, and the duals, which
 `linalg.solve_square` solves fraction-free against the unpivoted rows.
 Every zero in an exact answer is the shared `numeric.ZERO`.  The float
-backend pivots dense float rows with a tolerance.
+tableau pivots dense float rows with a tolerance.
+
+A `LinearProgram` is validated once, when it is constructed.
 
 Certificates returned with each solution:
   * optimal    -> per-row duals plus the dual objective (weak-duality check)
@@ -92,9 +97,10 @@ class LinearProgram:
             bounds = tuple((0, None) for _ in range(n))
         else:
             bounds = tuple((lo, hi) for lo, hi in bounds)
-        lp = LinearProgram(objective, matrix, rhs, senses, bounds)
-        _validate(lp)
-        return lp
+        return LinearProgram(objective, matrix, rhs, senses, bounds)
+
+    def __post_init__(self):
+        _validate(self)
 
     @property
     def n_vars(self) -> int:
@@ -161,23 +167,9 @@ class LpSolution:
     certificate: object = None
 
 
-class _Cmp:
-    """Sign tests: exact or within the mode tolerance."""
-
-    __slots__ = ("exact", "tol")
-
-    def __init__(self, mode: NumericMode):
-        self.exact = mode.exact
-        self.tol = ZERO if mode.exact else mode.tolerance
-
-    def neg(self, x) -> bool:
-        return x < -self.tol
-
-    def pos(self, x) -> bool:
-        return x > self.tol
-
-    def zero(self, x) -> bool:
-        return -self.tol <= x <= self.tol
+def _tol(mode: NumericMode):
+    """Sign tests are exact in exact mode, within the tolerance otherwise."""
+    return 0 if mode.exact else mode.tolerance
 
 
 def _coerce_lp(lp: LinearProgram, mode: NumericMode):
@@ -270,98 +262,82 @@ def _standardize(c, a, b, senses, bounds, zero):
     return std, var_cols
 
 
-def _pivot(tab, rhs, z, basis, row, col):
-    piv = tab[row][col]
-    prow = tab[row] = [v / piv for v in tab[row]]
-    rhs[row] = rhs[row] / piv
-    for r, other in enumerate(tab):
-        if r == row:
-            continue
-        factor = other[col]
-        if factor == 0:
-            continue
-        tab[r] = [u - factor * v for u, v in zip(other, prow)]
-        tab[r][col] = 0 * factor
-        rhs[r] -= factor * rhs[row]
-    factor = z[col]
-    if factor != 0:
-        for j, v in enumerate(prow):
-            z[j] -= factor * v
-        z[col] = 0 * factor
-    basis[row] = col
-
-
-def _reduced_costs(tab, basis, costs):
-    z = list(costs)
-    for i, bcol in enumerate(basis):
-        cb = costs[bcol]
-        if cb == 0:
-            continue
-        row = tab[i]
-        for j in range(len(z)):
-            z[j] -= cb * row[j]
-    return z
-
-
-def _run_simplex(tab, rhs, z, basis, barred, cmp):
-    """Bland's rule: lowest-index entering column, lowest-index basis
-    variable among minimum-ratio rows."""
-    ncols = len(z)
+def _bland(tab, basis, barred):
+    """Bland's rule (Bland 1977), the one pivot loop of both phases and
+    both tableaux: the lowest-index column with a negative reduced cost
+    enters, and of the rows at the minimum ratio the one whose basic
+    variable has the lowest index leaves.  Returns (OPTIMAL, None) or
+    (UNBOUNDED, entering column)."""
+    neg = -tab.tol
     for _ in range(_MAX_PIVOTS):
-        enter = None
-        for j in range(ncols):
-            if j in barred:
-                continue
-            if cmp.neg(z[j]):
-                enter = j
-                break
+        enter = next((j for j, v in enumerate(tab.z) if v < neg and j not in barred), None)
         if enter is None:
             return OPTIMAL, None
-        leave = None
-        best = None
-        for i, row in enumerate(tab):
-            t = row[enter]
-            if cmp.pos(t):
-                ratio = rhs[i] / t
-                if leave is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave is None:
+        ties = tab.ratio_ties(enter)
+        if not ties:
             return UNBOUNDED, enter
-        _pivot(tab, rhs, z, basis, leave, enter)
+        tab.pivot(basis, min(ties, key=basis.__getitem__), enter)
     raise RuntimeError("simplex pivot limit exceeded")
 
 
 class _FloatTableau:
-    """Float rows with a separate rhs column, pivoted by `_pivot`."""
+    """Dense float rows, rhs last; entries within `tol` of zero count as
+    zero."""
 
-    def __init__(self, rows, rhs, cmp):
-        self.rows = rows
-        self.rhs = list(rhs)
-        self.cmp = cmp
+    def __init__(self, rows, rhs, tol):
+        self.rows = [row + [b] for row, b in zip(rows, rhs)]
+        self.tol = tol
         self.z = None
 
     def price(self, basis, costs):
-        self.z = _reduced_costs(self.rows, basis, costs)
+        z = list(costs)
+        for row, col in zip(self.rows, basis):
+            cb = costs[col]
+            if cb != 0:
+                z = [u - cb * v for u, v in zip(z, row)]
+        self.z = z
 
-    def run(self, basis, barred):
-        return _run_simplex(self.rows, self.rhs, self.z, basis, barred, self.cmp)
+    def ratio_ties(self, enter):
+        """The rows at the minimum ratio rhs / t over entries t > tol."""
+        tol = self.tol
+        best, ties = None, []
+        for i, row in enumerate(self.rows):
+            t = row[enter]
+            if t > tol:
+                ratio = row[-1] / t
+                if not ties or ratio < best:
+                    best, ties = ratio, [i]
+                elif ratio == best:
+                    ties.append(i)
+        return ties
 
     def pivot(self, basis, row, col):
-        _pivot(self.rows, self.rhs, self.z, basis, row, col)
+        rows = self.rows
+        piv = rows[row][col]
+        prow = rows[row] = [v / piv for v in rows[row]]
+        for i, other in enumerate(rows):
+            f = other[col]
+            if f == 0 or i == row:
+                continue
+            new = rows[i] = [u - f * v for u, v in zip(other, prow)]
+            new[col] = 0 * f
+        f = self.z[col]
+        if f != 0:
+            z = self.z = [u - f * v for u, v in zip(self.z, prow)]
+            z[col] = 0 * f
+        basis[row] = col
 
     def nonzero(self, i, j) -> bool:
-        return not self.cmp.zero(self.rows[i][j])
+        return not -self.tol <= self.rows[i][j] <= self.tol
 
     def entry(self, i, j):
         return self.rows[i][j]
 
     def value(self, i):
-        return self.rhs[i]
+        return self.rows[i][-1]
 
     def keep(self, alive):
         self.rows = [self.rows[i] for i in alive]
-        self.rhs = [self.rhs[i] for i in alive]
 
 
 def _divide(values, g):
@@ -378,6 +354,8 @@ class _IntTableau:
     rule pivots exactly as it would over Fractions.  The reduced costs z
     are kept up to a positive factor, since only their signs are read.
     """
+
+    tol = 0  # every sign test is exact
 
     def __init__(self, rows, rhs):
         self.rows = []
@@ -396,29 +374,25 @@ class _IntTableau:
                 z = [d * u - f * v for u, v in zip(z, row)]
         self.z = _divide(z, math.gcd(*z) or 1)
 
-    def run(self, basis, barred):
-        """Bland's rule as in `_run_simplex`; the ratio test compares
-        N_i[-1] / N_i[enter] by cross-multiplying, d_i cancels."""
+    def ratio_ties(self, enter):
+        """The rows at the minimum ratio N_i[-1] / N_i[enter] over positive
+        entries, compared by cross-multiplying: d_i cancels."""
         rows = self.rows
-        for _ in range(_MAX_PIVOTS):
-            enter = next((j for j, v in enumerate(self.z) if v < 0 and j not in barred), None)
-            if enter is None:
-                return OPTIMAL, None
-            leave = None
-            for i, row in enumerate(rows):
-                t = row[enter]
-                if t <= 0:
+        ties = []
+        for i, row in enumerate(rows):
+            t = row[enter]
+            if t <= 0:
+                continue
+            if ties:
+                lead = rows[ties[0]]
+                lhs, rhs = row[-1] * lead[enter], lead[-1] * t
+                if lhs > rhs:
                     continue
-                if leave is None:
-                    leave = i
+                if lhs == rhs:
+                    ties.append(i)
                     continue
-                lhs, rhs = row[-1] * rows[leave][enter], rows[leave][-1] * t
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    leave = i
-            if leave is None:
-                return UNBOUNDED, enter
-            self.pivot(basis, leave, enter)
-        raise RuntimeError("simplex pivot limit exceeded")
+            ties = [i]
+        return ties
 
     def pivot(self, basis, row, col):
         prow = self.rows[row]
@@ -459,11 +433,10 @@ class _IntTableau:
 
 def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
     """Two-phase simplex.  Deterministic for identical inputs."""
-    _validate(lp)
     if log.isEnabledFor(logging.DEBUG):
         log.debug("solving LP:\n%s", format_lp(lp))
     c, a, b, bounds = _coerce_lp(lp, mode)
-    cmp = _Cmp(mode)
+    tol = _tol(mode)
     zero = ZERO if mode.exact else 0.0
 
     for lo, hi in bounds:
@@ -492,17 +465,20 @@ def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
             art_of_row[i] = ncols
             ncols += 1
 
-    rows = []
+    # The tableaux copy these rows; the duals are solved against them.
+    pristine = []
     for i in range(m):
         row = list(std.rows[i]) + [zero] * (ncols - n_struct)
         if i in slack_of_row:
             row[slack_of_row[i]] = zero + (1 if std.senses[i] == LE else -1)
         if i in art_of_row:
             row[art_of_row[i]] = zero + 1
-        rows.append(row)
+        pristine.append(row)
     basis = [art_of_row.get(i, slack_of_row.get(i)) for i in range(m)]
-    pristine = [row[:] for row in rows]
-    tab = _IntTableau(rows, std.rhs) if mode.exact else _FloatTableau(rows, std.rhs, cmp)
+    if mode.exact:
+        tab = _IntTableau(pristine, std.rhs)
+    else:
+        tab = _FloatTableau(pristine, std.rhs, tol)
 
     # Phase 1: drive the artificial variables to zero.
     art_cols = set(art_of_row.values())
@@ -510,13 +486,12 @@ def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
     for jcol in art_cols:
         costs1[jcol] = zero + 1
     tab.price(basis, costs1)
-    status, _ = tab.run(basis, barred=frozenset())
+    status, _ = _bland(tab, basis, barred=frozenset())
     if status != OPTIMAL:  # pragma: no cover - phase 1 is always bounded
         raise RuntimeError("phase 1 cannot be unbounded")
     scale = 1 + sum(abs(v) for v in std.rhs)
     phase1_value = sum(tab.value(i) for i in range(m) if basis[i] in art_cols)
-    infeasible = phase1_value > 0 if mode.exact else phase1_value > cmp.tol * scale
-    if infeasible:
+    if phase1_value > tol * scale:
         y_std = _basis_duals(pristine, basis, costs1, mode)
         y = share_zero(_map_duals(y_std, std, len(lp.matrix)), mode)
         return LpSolution(status=INFEASIBLE, certificate=FarkasCertificate(y))
@@ -549,7 +524,7 @@ def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
     for col, (j, sign) in enumerate(std.cols):
         costs2[col] = c[j] if sign == 1 else -c[j]
     tab.price(basis, costs2)
-    status, enter = tab.run(basis, barred=frozenset(art_cols))
+    status, enter = _bland(tab, basis, barred=frozenset(art_cols))
 
     if status == UNBOUNDED:
         direction_std = [zero] * n_struct
@@ -578,7 +553,7 @@ def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
     y_std = _basis_duals(pristine, basis, costs2, mode)
     duals = share_zero(_map_duals(y_std, std, len(lp.matrix)), mode)
     y = _multipliers(lp, duals, mode)
-    dual_obj = _support(c, a, b, bounds, y, cmp, with_objective=True)
+    dual_obj = _support(c, a, b, bounds, y, mode, with_objective=True)
     return LpSolution(
         status=OPTIMAL,
         primal=share_zero(primal, mode),
@@ -613,16 +588,13 @@ def check_feasible(lp: LinearProgram, mode: NumericMode = EXACT):
 
     Returns (True, witness point) or (False, Farkas certificate).  An
     unbounded zero-objective solve cannot report a vertex and is treated
-    as feasible without a witness.
+    as feasible without a witness.  An LP whose objective is already zero
+    is solved as it is.
     """
-    zero_obj = LinearProgram(
-        objective=tuple(0 for _ in lp.objective),
-        matrix=lp.matrix,
-        rhs=lp.rhs,
-        senses=lp.senses,
-        bounds=lp.bounds,
-    )
-    sol = solve(zero_obj, mode)
+    if any(lp.objective):
+        lp = LinearProgram(tuple(0 for _ in lp.objective), lp.matrix, lp.rhs,
+                           lp.senses, lp.bounds)
+    sol = solve(lp, mode)
     if sol.status == OPTIMAL:
         return True, sol.primal
     if sol.status == UNBOUNDED:  # pragma: no cover - zero objective never is
@@ -638,34 +610,20 @@ def _multipliers(lp: LinearProgram, multipliers, mode: NumericMode) -> list:
     return y
 
 
-def _aggregate(a, b, y, n_vars, zero):
-    """(yᵀA, yᵀb) over the converted rows, skipping zero multipliers."""
-    w = [zero] * n_vars
-    beta = zero
+def _support(c, a, b, bounds, y, mode, with_objective):
+    """yᵀb plus the box-infimum of (c − yᵀA)·x over the converted LP,
+    skipping zero multipliers; None when the infimum diverges."""
+    tol = _tol(mode)
+    zero = ZERO if mode.exact else 0.0
+    w = [zero] * len(c)
+    total = zero
     for yi, row, bi in zip(y, a, b):
-        if not yi:
-            continue
-        w = [wj + yi * aij for wj, aij in zip(w, row)]
-        beta += yi * bi
-    return w, beta
-
-
-def aggregate_row(lp: LinearProgram, multipliers, mode: NumericMode = EXACT):
-    """Combine rows with the given multipliers: returns (w, beta) with
-    w = yᵀA and beta = yᵀb."""
-    _, a, b, _ = _coerce_lp(lp, mode)
-    y = _multipliers(lp, multipliers, mode)
-    return _aggregate(a, b, y, lp.n_vars, ZERO if mode.exact else 0.0)
-
-
-def _support(c, a, b, bounds, y, cmp, with_objective):
-    """yᵀb plus the box-infimum of (c − yᵀA)·x over the converted LP; None
-    when the infimum diverges."""
-    w, beta = _aggregate(a, b, y, len(c), ZERO if cmp.exact else 0.0)
-    total = beta
+        if yi:
+            w = [wj + yi * aij for wj, aij in zip(w, row)]
+            total += yi * bi
     for j, (cj, wj) in enumerate(zip(c, w)):
         coeff = (cj - wj) if with_objective else -wj
-        if cmp.zero(coeff):
+        if -tol <= coeff <= tol:
             continue
         lo, hi = bounds[j]
         if coeff > 0:
@@ -679,22 +637,12 @@ def _support(c, a, b, bounds, y, cmp, with_objective):
     return total
 
 
-def _support_value(lp, multipliers, mode, with_objective):
-    c, a, b, bounds = _coerce_lp(lp, mode)
-    y = _multipliers(lp, multipliers, mode)
-    return _support(c, a, b, bounds, y, _Cmp(mode), with_objective)
-
-
-def dual_objective(lp: LinearProgram, multipliers, mode: NumericMode = EXACT):
-    """Lagrangian dual value of the row duals; equals the primal objective
-    at optimality (weak duality gives <= everywhere)."""
-    return _support_value(lp, multipliers, mode, with_objective=True)
-
-
 def farkas_gap(lp: LinearProgram, multipliers, mode: NumericMode = EXACT):
     """Positive gap == valid infeasibility witness: every x in the box
     violates the aggregated row by at least this amount."""
-    return _support_value(lp, multipliers, mode, with_objective=False)
+    c, a, b, bounds = _coerce_lp(lp, mode)
+    y = _multipliers(lp, multipliers, mode)
+    return _support(c, a, b, bounds, y, mode, with_objective=False)
 
 
 def farkas_signs_ok(lp: LinearProgram, multipliers) -> bool:
@@ -721,21 +669,21 @@ def constraint_residuals(lp: LinearProgram, point, mode: NumericMode = EXACT):
 
 def satisfies(lp: LinearProgram, point, mode: NumericMode = EXACT) -> bool:
     """Whole-program feasibility of a point (rows and bounds)."""
-    cmp = _Cmp(mode)
+    tol = _tol(mode)
     res = constraint_residuals(lp, point, mode)
     for r, sense in zip(res, lp.senses):
-        if sense == LE and cmp.pos(r):
+        if sense == LE and r > tol:
             return False
-        if sense == GE and cmp.neg(r):
+        if sense == GE and r < -tol:
             return False
-        if sense == EQ and not cmp.zero(r):
+        if sense == EQ and not -tol <= r <= tol:
             return False
     conv = as_exact if mode.exact else as_float
     for v, (lo, hi) in zip(point, lp.bounds):
         x = conv(v)
-        if lo is not None and cmp.neg(x - conv(lo)):
+        if lo is not None and x - conv(lo) < -tol:
             return False
-        if hi is not None and cmp.pos(x - conv(hi)):
+        if hi is not None and x - conv(hi) > tol:
             return False
     return True
 

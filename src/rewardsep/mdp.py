@@ -388,16 +388,9 @@ def _float_visitation(env: MarkovEnv, policy: Policy, mode: NumericMode) -> Visi
     return Visitation(tuple(d[s] * pol[s][a] for s in range(n_s) for a in range(n_a)))
 
 
-def _over_common_denominator(values):
-    """`over_common_denominator` of the values read by `as_exact`."""
-    return over_common_denominator(
-        [v if type(v) in (int, Fraction) else as_exact(v) for v in values]
-    )
-
-
 def _integer_kernel(env: MarkovEnv):
     """(K, D_T): K[k][s2] == D_T * T(k, s2) in integers, k in (s, a) order."""
-    flat, den = _over_common_denominator([p for row in env.kernel for p in row])
+    flat, den = over_common_denominator([p for row in env.kernel for p in row])
     n_s = env.n_states
     return [flat[k * n_s:(k + 1) * n_s] for k in range(env.n_sa)], den
 
@@ -410,7 +403,7 @@ def _exact_visitation(env: MarkovEnv, policy: Policy) -> Visitation:
     g = as_exact(env.gamma)
     g_n, g_d = g.numerator, g.denominator
     kernel, d_t = _integer_kernel(env)
-    flat, q = _over_common_denominator(
+    flat, q = over_common_denominator(
         [p for s in env.states for p in policy.distribution_row(env, s)]
     )
     pol = [flat[s * n_a:(s + 1) * n_a] for s in range(n_s)]
@@ -470,7 +463,7 @@ def _self_check(env, rho, mode):
     sum(R) * (g_d - g_n) == g_d * q for rho = R / q, gamma = g_n / g_d."""
     if mode.exact:
         g = as_exact(env.gamma)
-        ints, q = _over_common_denominator(rho.entries)
+        ints, q = over_common_denominator(rho.entries)
         if sum(ints) * (g.denominator - g.numerator) != g.denominator * q:
             total = Fraction(sum(ints), q)
             expected = Fraction(g.denominator, g.denominator - g.numerator)
@@ -527,7 +520,7 @@ def _exact_flow_residuals(env: MarkovEnv, rho: Visitation) -> tuple:
     g = as_exact(env.gamma)
     g_n, g_d = g.numerator, g.denominator
     kernel, d_t = _integer_kernel(env)
-    ints, q = _over_common_denominator(rho.entries)
+    ints, q = over_common_denominator(rho.entries)
     inflow = [0] * n_s
     for row, r in zip(kernel, ints):
         if r:
@@ -579,45 +572,3 @@ def enumerate_deterministic_policies(env: MarkovEnv, limit: int = 4096):
         name = "pi[" + ",".join(str(a) for a in choice) + "]"
         out.append(Policy.deterministic(name, dict(zip(env.states, choice))))
     return out
-
-
-def estimate_visitation_monte_carlo(env: MarkovEnv, policy: Policy,
-                                    n_rollouts: int = 100_000,
-                                    rng: Optional[np.random.Generator] = None,
-                                    cutoff: float = 1e-8):
-    """Trajectory-sampling estimate of rho with per-entry standard errors.
-
-    Rollouts are truncated at the horizon where the discounted tail drops
-    below `cutoff`; the induced bias is below cutoff/(1-gamma) per entry.
-    Float-only; used to cross-check the linear solve.
-    """
-    require_valid_env(env, NumericMode.floating())
-    policy.validate_for(env, NumericMode.floating())
-    if rng is None:
-        rng = np.random.default_rng(0)
-    gamma = as_float(env.gamma)
-    n_s, n_a = env.n_states, env.n_actions
-    horizon = 1 if gamma == 0 else max(1, math.ceil(math.log(cutoff) / math.log(gamma)))
-
-    pol = np.array(
-        [[as_float(p) for p in policy.distribution_row(env, s)] for s in env.states]
-    )
-    kernel = np.array([[as_float(p) for p in row] for row in env.kernel])
-    pol_cdf = np.cumsum(pol, axis=1)
-    ker_cdf = np.cumsum(kernel, axis=1)
-
-    acc = np.zeros((n_rollouts, n_s * n_a))
-    states = np.full(n_rollouts, env.state_index(env.start), dtype=np.int64)
-    rows = np.arange(n_rollouts)
-    weight = 1.0
-    for _ in range(horizon):
-        u = rng.random(n_rollouts)
-        actions = (u[:, None] < pol_cdf[states]).argmax(axis=1)
-        sa = states * n_a + actions
-        acc[rows, sa] += weight
-        u2 = rng.random(n_rollouts)
-        states = (u2[:, None] < ker_cdf[sa]).argmax(axis=1)
-        weight *= gamma
-    mean = acc.mean(axis=0)
-    stderr = acc.std(axis=0, ddof=1) / math.sqrt(n_rollouts)
-    return mean, stderr

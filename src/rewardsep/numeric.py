@@ -95,8 +95,9 @@ def as_float(value) -> float:
 
 def over_common_denominator(values) -> tuple:
     """(ints, den) with values[i] == ints[i] / den, where den is the lcm of
-    the denominators of `values` (ints and Fractions)."""
-    ratios = [v.as_integer_ratio() for v in values]
+    the denominators of the values read by `as_exact`."""
+    ratios = [(v if type(v) in (int, Fraction) else as_exact(v)).as_integer_ratio()
+              for v in values]
     den = math.lcm(*[d for _, d in ratios])
     return [n * (den // d) for n, d in ratios], den
 

@@ -16,7 +16,6 @@ from .mdp import (
     MarkovEnv,
     RewardSpec,
     VisitationTable,
-    enumerate_deterministic_policies,
     value_of_visitation,
 )
 from .numeric import EXACT, NumericMode, as_float
@@ -67,11 +66,6 @@ def _judge(values, bounds, mode: NumericMode):
     return tuple(violated), tuple(boundary)
 
 
-def is_feasible(values, spec: RewardSpec, mode: NumericMode = EXACT) -> bool:
-    violated, _ = _judge(values, spec.lower_bounds, mode)
-    return not violated
-
-
 def verify_realization(env: MarkovEnv, soap: Soap, spec: RewardSpec,
                        mode: NumericMode = EXACT) -> RealizationReport:
     """Per-policy values and verdicts; realized iff the good/bad pattern
@@ -103,20 +97,3 @@ def _verify(table: VisitationTable, soap: Soap, spec: RewardSpec) -> Realization
             )
     return RealizationReport(realized=realized, verdicts=tuple(verdicts))
 
-
-def brute_force_feasible_set(env: MarkovEnv, spec: RewardSpec,
-                             limit: int = 4096,
-                             mode: NumericMode = EXACT) -> tuple:
-    """All deterministic policies that are feasible under the spec.
-
-    The exhaustive oracle against which synthesized rewards are checked;
-    refuses when |A|^|S| exceeds `limit`.
-    """
-    _check_spec_dims(env, spec)
-    feasible = []
-    table = VisitationTable(env, mode)
-    for policy in enumerate_deterministic_policies(env, limit):
-        values = value_of_visitation(table(policy), spec, mode)
-        if is_feasible(values, spec, mode):
-            feasible.append(policy)
-    return tuple(feasible)

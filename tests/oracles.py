@@ -2,19 +2,34 @@
 
 These deliberately avoid the library's solution paths: the LP oracle
 enumerates candidate vertices from constraint subsets with its own
-rational Gaussian elimination, and the visitation oracle propagates the
-state distribution forward for a truncated horizon.
+rational Gaussian elimination, the visitation oracles propagate the
+state distribution forward for a truncated horizon or sample
+trajectories, and the feasible-set oracle enumerates every deterministic
+policy.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
+from typing import Optional
+
+import numpy as np
 
 from rewardsep import lp
 from rewardsep.linalg import SingularSystemError
-from rewardsep.numeric import as_exact
+from rewardsep.mdp import (
+    MarkovEnv,
+    Policy,
+    RewardSpec,
+    VisitationTable,
+    enumerate_deterministic_policies,
+    require_valid_env,
+    value_of_visitation,
+)
+from rewardsep.numeric import EXACT, NumericMode, as_exact, as_float, coerce
 
 LE, EQ, GE = lp.LE, lp.EQ, lp.GE
 
@@ -168,3 +183,68 @@ def truncated_visitation(env, policy, horizon: int):
         dist = nxt
         weight *= gamma
     return rho
+
+
+def estimate_visitation_monte_carlo(env: MarkovEnv, policy: Policy,
+                                    n_rollouts: int = 100_000,
+                                    rng: Optional[np.random.Generator] = None,
+                                    cutoff: float = 1e-8):
+    """Trajectory-sampling estimate of rho with per-entry standard errors.
+
+    Rollouts are truncated at the horizon where the discounted tail drops
+    below `cutoff`; the induced bias is below cutoff/(1-gamma) per entry.
+    Float-only; used to cross-check the linear solve.
+    """
+    require_valid_env(env, NumericMode.floating())
+    policy.validate_for(env, NumericMode.floating())
+    if rng is None:
+        rng = np.random.default_rng(0)
+    gamma = as_float(env.gamma)
+    n_s, n_a = env.n_states, env.n_actions
+    horizon = 1 if gamma == 0 else max(1, math.ceil(math.log(cutoff) / math.log(gamma)))
+
+    pol = np.array(
+        [[as_float(p) for p in policy.distribution_row(env, s)] for s in env.states]
+    )
+    kernel = np.array([[as_float(p) for p in row] for row in env.kernel])
+    pol_cdf = np.cumsum(pol, axis=1)
+    ker_cdf = np.cumsum(kernel, axis=1)
+
+    acc = np.zeros((n_rollouts, n_s * n_a))
+    states = np.full(n_rollouts, env.state_index(env.start), dtype=np.int64)
+    rows = np.arange(n_rollouts)
+    weight = 1.0
+    for _ in range(horizon):
+        u = rng.random(n_rollouts)
+        actions = (u[:, None] < pol_cdf[states]).argmax(axis=1)
+        sa = states * n_a + actions
+        acc[rows, sa] += weight
+        u2 = rng.random(n_rollouts)
+        states = (u2[:, None] < ker_cdf[sa]).argmax(axis=1)
+        weight *= gamma
+    mean = acc.mean(axis=0)
+    stderr = acc.std(axis=0, ddof=1) / math.sqrt(n_rollouts)
+    return mean, stderr
+
+
+def brute_force_feasible_set(env: MarkovEnv, spec: RewardSpec,
+                             limit: int = 4096,
+                             mode: NumericMode = EXACT) -> tuple:
+    """All deterministic policies that are feasible under the spec: every
+    value component at or above its lower bound (less the tolerance in
+    float mode).
+
+    The exhaustive oracle against which synthesized rewards are checked;
+    refuses when |A|^|S| exceeds `limit`.
+    """
+    if any(len(row) != env.n_sa for row in spec.rows):
+        raise ValueError(f"reward rows do not have the environment's width {env.n_sa}")
+    tol = 0 if mode.exact else mode.tolerance
+    bounds = [coerce(c, mode) - tol for c in spec.lower_bounds]
+    table = VisitationTable(env, mode)
+    feasible = []
+    for policy in enumerate_deterministic_policies(env, limit):
+        values = value_of_visitation(table(policy), spec, mode)
+        if all(v >= c for v, c in zip(values, bounds)):
+            feasible.append(policy)
+    return tuple(feasible)

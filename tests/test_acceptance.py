@@ -18,7 +18,6 @@ from rewardsep.bundles import load_reward, load_soap, parse_bundle
 from rewardsep.mdp import (
     compute_visitation,
     enumerate_deterministic_policies,
-    estimate_visitation_monte_carlo,
     flow_residuals,
 )
 from rewardsep.numeric import EXACT, FLOAT
@@ -34,7 +33,7 @@ from rewardsep.separability import (
 from rewardsep.soap import Soap, check_consistency
 from rewardsep.verify import verify_realization
 
-from oracles import brute_force_lp, random_lp
+from oracles import brute_force_lp, estimate_visitation_monte_carlo, random_lp
 from test_separability import random_consistent_soap, random_env
 
 F = Fraction

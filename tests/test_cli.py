@@ -17,7 +17,7 @@ class TestDesignCommands:
     def test_design_multi_realizable(self, capsys):
         code, out, _ = run(
             capsys, "design-multi", "entailment.json", "--soap", "xor_soap.json",
-            "--exact", "--reduce",
+            "--reduce",
         )
         assert code == 0
         assert "d = 2" in out
@@ -26,7 +26,7 @@ class TestDesignCommands:
     def test_design_scalar_obstruction(self, capsys):
         code, out, _ = run(
             capsys, "design-scalar", "entailment.json", "--soap", "xor_soap.json",
-            "--exact", "--json",
+            "--json",
         )
         assert code == 1
         payload = json.loads(out)
@@ -39,7 +39,7 @@ class TestDesignCommands:
     def test_design_scalar_single_good(self, capsys):
         code, out, _ = run(
             capsys, "design-scalar", "entailment.json",
-            "--soap", "always_a2_soap.json", "--exact", "--json",
+            "--soap", "always_a2_soap.json", "--json",
         )
         assert code == 0
         payload = json.loads(out)
@@ -49,7 +49,7 @@ class TestDesignCommands:
     def test_design_multi_reduce_single_plane(self, capsys):
         code, out, _ = run(
             capsys, "design-multi", "entailment.json",
-            "--soap", "always_a2_soap.json", "--exact", "--reduce", "--json",
+            "--soap", "always_a2_soap.json", "--reduce", "--json",
         )
         assert code == 0
         assert json.loads(out)["dimension"] == 1
@@ -57,7 +57,7 @@ class TestDesignCommands:
     def test_design_multi_max_dim_cap(self, capsys):
         code, out, _ = run(
             capsys, "design-multi", "entailment.json", "--soap", "xor_soap.json",
-            "--exact", "--max-dim", "1",
+            "--max-dim", "1",
         )
         assert code == 1
         assert "exceeds --max-dim" in out
@@ -65,19 +65,19 @@ class TestDesignCommands:
     def test_design_scalar_optimal(self, capsys):
         code, out, _ = run(
             capsys, "design-scalar-optimal", "entailment.json",
-            "--soap", "optimal_a1_soap.json", "--exact",
+            "--soap", "optimal_a1_soap.json",
         )
         assert code == 0
         code, _, _ = run(
             capsys, "design-scalar-optimal", "entailment.json",
-            "--soap", "xor_soap.json", "--exact",
+            "--soap", "xor_soap.json",
         )
         assert code == 1
 
     def test_inconsistent_soap_refusal(self, capsys):
         code, out, _ = run(
             capsys, "design-multi", "steady_state.json",
-            "--soap", "degenerate_soap.json", "--exact", "--json",
+            "--soap", "degenerate_soap.json", "--json",
         )
         assert code == 1
         payload = json.loads(out)
@@ -104,7 +104,7 @@ class TestOtherCommands:
     def test_verify_realized(self, capsys):
         code, out, _ = run(
             capsys, "verify", "entailment.json", "--soap", "xor_soap.json",
-            "--reward", "entailment_reward.json", "--exact", "--json",
+            "--reward", "entailment_reward.json", "--json",
         )
         assert code == 0
         payload = json.loads(out)

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rewardsep import lp
+from rewardsep.bundles import fixture_path, load_soap, parse_bundle
 from rewardsep.numeric import EXACT, FLOAT, ExactInputError, NumericMode
+from rewardsep.separability import check_scalar_optimality, design_multi
 
 from oracles import brute_force_lp, random_lp
 
@@ -366,3 +368,35 @@ def test_format_lp_mentions_every_row():
     program = build([1, 2], [[1, 0], [0, 1]], [1, 2], ["<=", ">="])
     text = lp.format_lp(program)
     assert "r0" in text and "r1" in text and "min" in text
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT], ids=["exact", "float"])
+@pytest.mark.parametrize("soap_file", ["xor_soap.json", "always_a2_soap.json",
+                                       "optimal_a1_soap.json"])
+def test_each_lp_solved_is_validated_once(monkeypatch, soap_file, mode):
+    validated, solved = [], []
+    real_validate, real_solve = lp._validate, lp.solve
+
+    def counting_validate(program):
+        validated.append(program)
+        real_validate(program)
+
+    def counting_solve(program, mode=EXACT):
+        solved.append(program)
+        return real_solve(program, mode)
+
+    monkeypatch.setattr(lp, "_validate", counting_validate)
+    monkeypatch.setattr(lp, "solve", counting_solve)
+    bundle = parse_bundle(fixture_path("entailment.json"))
+    soap = load_soap(fixture_path(soap_file), bundle)
+    design_multi(bundle.env, soap, mode, reduce=True)
+    check_scalar_optimality(bundle.env, soap, mode)
+    assert solved
+    assert validated == solved
+
+
+def test_construction_validates():
+    with pytest.raises(lp.LpInputError, match="row 0 has 1 coefficients, expected 2"):
+        lp.LinearProgram((0, 0), ((1,),), (1,), (lp.LE,), ((0, None), (0, None)))
+    with pytest.raises(lp.LpInputError, match="non-finite"):
+        lp.LinearProgram((float("nan"),), ((1,),), (1,), (lp.LE,), ((0, None),))

@@ -13,7 +13,6 @@ from rewardsep.mdp import (
     RewardSpec,
     compute_visitation,
     enumerate_deterministic_policies,
-    estimate_visitation_monte_carlo,
     flow_residuals,
     policy_value,
     validate_env,
@@ -29,7 +28,7 @@ from envs import (
     entailment_env,
     steady_state_env,
 )
-from oracles import truncated_visitation
+from oracles import estimate_visitation_monte_carlo, truncated_visitation
 from strategies import env_and_policy
 
 F = Fraction

@@ -26,9 +26,10 @@ from rewardsep.separability import (
     in_convex_hull,
 )
 from rewardsep.soap import Soap
-from rewardsep.verify import brute_force_feasible_set, verify_realization
+from rewardsep.verify import verify_realization
 
 from envs import GAMMA, PI11, PI12, PI21, PI22, entailment_env, steady_state_env
+from oracles import brute_force_feasible_set
 
 F = Fraction
 

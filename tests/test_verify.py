@@ -6,9 +6,10 @@ from hypothesis import given, strategies as st
 from rewardsep.mdp import RewardSpec
 from rewardsep.numeric import EXACT, FLOAT
 from rewardsep.soap import Soap
-from rewardsep.verify import brute_force_feasible_set, verify_realization
+from rewardsep.verify import verify_realization
 
 from envs import PI11, PI12, PI21, PI22, TWO_DIM_REWARD, entailment_env
+from oracles import brute_force_feasible_set
 
 F = Fraction
 
