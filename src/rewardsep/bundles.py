@@ -98,6 +98,16 @@ def _expect(data, key, kind, where):
     return value
 
 
+def _names(data, key, where):
+    names = _expect(data, key, list, where)
+    for i, name in enumerate(names):
+        if not isinstance(name, str):
+            raise BundleError(
+                f"{where}.{key}[{i}]: expected str, got {type(name).__name__}"
+            )
+    return names
+
+
 def _number(value, where):
     if isinstance(value, bool) or isinstance(value, float):
         raise BundleError(
@@ -111,8 +121,8 @@ def _number(value, where):
 
 
 def _parse_env(data, where):
-    states = _expect(data, "states", list, where)
-    actions = _expect(data, "actions", list, where)
+    states = _names(data, "states", where)
+    actions = _names(data, "actions", where)
     gamma = _number(_expect(data, "gamma", None, where), f"{where}.gamma")
     start = _expect(data, "start", str, where)
     rows = _expect(data, "transitions", list, where)
@@ -157,8 +167,11 @@ def _parse_policy(data, where):
         return Policy.deterministic(name, mapping)
     table = _expect(data, "stochastic", dict, where)
     parsed = {
-        s: {a: _number(p, f"{where}.stochastic.{s}.{a}") for a, p in row.items()}
-        for s, row in table.items()
+        s: {
+            a: _number(p, f"{where}.stochastic.{s}.{a}")
+            for a, p in _expect(table, s, dict, f"{where}.stochastic").items()
+        }
+        for s in table
     }
     return Policy.stochastic(name, parsed)
 
@@ -174,8 +187,8 @@ def _parse_soap(data, policies, where):
             out.append(by_name[n])
         return out
 
-    good = resolve(_expect(data, "good", list, where), "good")
-    bad = resolve(_expect(data, "bad", list, where), "bad")
+    good = resolve(_names(data, "good", where), "good")
+    bad = resolve(_names(data, "bad", where), "bad")
     try:
         return Soap.build(good=good, bad=bad)
     except SoapError as exc:
@@ -211,7 +224,8 @@ def parse_bundle_text(text: str, source: str = "<string>") -> ProblemBundle:
     env = _parse_env(_expect(data, "env", dict, source), f"{source}.env")
     policies = []
     names = set()
-    for i, pdata in enumerate(data.get("policies", [])):
+    policies_data = _expect(data, "policies", list, source) if "policies" in data else []
+    for i, pdata in enumerate(policies_data):
         policy = _parse_policy(pdata, f"{source}.policies[{i}]")
         if policy.name in names:
             raise BundleError(

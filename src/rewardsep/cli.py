@@ -11,13 +11,13 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 
 from .bundles import (
     BundleError,
     ProblemBundle,
-    reward_dict,
     load_reward,
     load_soap,
     parse_bundle,
@@ -47,6 +47,28 @@ def _mode_from_args(args) -> NumericMode:
     return EXACT
 
 
+def _tolerance(text) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite positive number, got {text!r}"
+        )
+    return value
+
+
+def _dimension(text) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _num(value, mode: NumericMode):
     """JSON-friendly number: canonical string in exact mode, float otherwise."""
     if mode.exact:
@@ -68,17 +90,9 @@ def _entries_by_sa(env, entries, mode):
 
 
 def _reward_json(env, spec: RewardSpec, mode):
-    if mode.exact:
-        return reward_dict(spec, env)
     return {
-        "rows": [
-            {
-                s: {a: as_float(row[env.sa_index(s, a)]) for a in env.actions}
-                for s in env.states
-            }
-            for row in spec.rows
-        ],
-        "lower_bounds": [as_float(b) for b in spec.lower_bounds],
+        "rows": [_entries_by_sa(env, row, mode) for row in spec.rows],
+        "lower_bounds": _vec(spec.lower_bounds, mode),
     }
 
 
@@ -363,7 +377,7 @@ def _cmd_export_plot(args) -> _Report:
 
 def _add_common(parser, soap=False, reward=False):
     parser.add_argument("bundle", help="problem bundle JSON (bundled fixture names work)")
-    parser.add_argument("--tol", type=float, default=None,
+    parser.add_argument("--tol", type=_tolerance, default=None,
                         help="use the float backend with this tolerance "
                         "(exact rational arithmetic otherwise)")
     parser.add_argument("--json", action="store_true", help="machine-readable report")
@@ -400,7 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p, soap=True)
     p.add_argument("--reduce", action="store_true",
                    help="greedily merge hyperplanes to lower the dimension")
-    p.add_argument("--max-dim", type=int, default=None,
+    p.add_argument("--max-dim", type=_dimension, default=None,
                    help="fail (exit 1) if the synthesized dimension exceeds this")
     p.set_defaults(func=_cmd_design_multi)
 

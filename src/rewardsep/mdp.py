@@ -7,11 +7,12 @@ The central quantity is the discounted expected state-action visitation
 whose state marginal d solves the flow system d = e_start + gamma * P_pi^T d.
 For gamma < 1 the matrix I - gamma * P_pi^T is strictly column diagonally
 dominant (column slack exactly 1 - gamma), hence invertible, so rho is
-computed by direct elimination, never iteratively.  Exact mode scales the
-system to integers (kernel, gamma and policy over common denominators)
-and solves it fraction-free; the self-check every visitation passes
-(normalisation and per-state flow) is an integer identity with rho over
-one common denominator, computed independently of the solve.
+computed by direct elimination, never iteratively.  Both backends build
+one flow system and one residual over the kernel, gamma and policy over
+common denominators: exact mode over integers, solved fraction-free, and
+float mode over the float values with unit denominators.  The self-check
+every visitation passes (normalisation and per-state flow) is computed
+independently of the solve; in exact mode it is an integer identity.
 Every value question reduces to inner products with rho: V_i = r_i . rho.
 
 All types are immutable after construction and all operations are pure.
@@ -275,13 +276,22 @@ class Policy:
         return tuple(row.get(a, 0) for a in env.actions)
 
     def canonical_table(self):
-        """Kind-independent functional form, for duplicate detection."""
+        """Kind-independent functional form, for duplicate detection.  A
+        float probability stands for its exact binary value."""
         if self.is_deterministic:
             return {s: {a: Fraction(1)} for s, a in self.action_map.items()}
         table = {}
         for s, row in self.table.items():
-            table[s] = {a: as_exact(p) for a, p in row.items() if as_exact(p) != 0}
+            exact = {a: self._exact_probability(p) for a, p in row.items()}
+            table[s] = {a: p for a, p in exact.items() if p}
         return table
+
+    def _exact_probability(self, p) -> Fraction:
+        if not isinstance(p, float):
+            return as_exact(p)
+        if not math.isfinite(p):
+            raise PolicyError(f"policy {self.name!r} has a non-finite probability {p!r}")
+        return Fraction(p)
 
 
 @dataclass(frozen=True)
@@ -332,13 +342,6 @@ class RewardSpec:
         return len(self.rows)
 
 
-def _policy_matrix(env: MarkovEnv, policy: Policy, conv):
-    return [
-        [conv(p) for p in policy.distribution_row(env, s)]
-        for s in env.states
-    ]
-
-
 def compute_visitation(env: MarkovEnv, policy: Policy, mode: NumericMode = EXACT) -> Visitation:
     """Solve the state flow system and multiply in the action choices.
 
@@ -352,85 +355,69 @@ def compute_visitation(env: MarkovEnv, policy: Policy, mode: NumericMode = EXACT
 
 
 def _visitation(env: MarkovEnv, policy: Policy, mode: NumericMode) -> Visitation:
-    """`compute_visitation` on an environment already validated."""
+    """`compute_visitation` on an environment already validated.
+
+    With gamma = g_n / g_d, T = K / D_T and pi = Q_pi / Q (see `_scaled`),
+    d solves (g_d D I - g_n (D P_pi)^T) d = g_d D e_start for D = D_T Q,
+    where D P_pi = Q_pi K row by row."""
     policy.validate_for(env, mode)
-    if mode.exact:
-        rho = _exact_visitation(env, policy)
-    else:
-        rho = _float_visitation(env, policy, mode)
-    _self_check(env, rho, mode)
-    return rho
-
-
-def _float_visitation(env: MarkovEnv, policy: Policy, mode: NumericMode) -> Visitation:
-    conv = as_float
     n_s, n_a = env.n_states, env.n_actions
-    gamma = conv(env.gamma)
-    pol = _policy_matrix(env, policy, conv)
-    kernel = [[conv(p) for p in row] for row in env.kernel]
-
-    # P_pi[s][s2] = sum_a pi(a|s) T(s, a, s2); solve (I - gamma P_pi^T) d = e_start.
-    p_pi = [
-        [
-            sum(pol[s][a] * kernel[s * n_a + a][s2] for a in range(n_a))
-            for s2 in range(n_s)
-        ]
-        for s in range(n_s)
-    ]
-    zero = conv(0)
-    one = conv(1)
-    system = [
-        [(one if s == s2 else zero) - gamma * p_pi[s2][s] for s2 in range(n_s)]
-        for s in range(n_s)
-    ]
-    rhs = [one if s == env.state_index(env.start) else zero for s in range(n_s)]
-    d = linalg.solve_square(system, rhs, mode)
-    return Visitation(tuple(d[s] * pol[s][a] for s in range(n_s) for a in range(n_a)))
-
-
-def _integer_kernel(env: MarkovEnv):
-    """(K, D_T): K[k][s2] == D_T * T(k, s2) in integers, k in (s, a) order."""
-    flat, den = over_common_denominator([p for row in env.kernel for p in row])
-    n_s = env.n_states
-    return [flat[k * n_s:(k + 1) * n_s] for k in range(env.n_sa)], den
-
-
-def _exact_visitation(env: MarkovEnv, policy: Policy) -> Visitation:
-    """The flow system scaled to integers: with gamma = g_n / g_d, T = K / D_T
-    and pi = Q_pi / Q, (g_d D I - g_n (D P_pi)^T) d = g_d D e_start for
-    D = D_T Q, where D P_pi = Q_pi K row by row."""
-    n_s, n_a = env.n_states, env.n_actions
-    g = as_exact(env.gamma)
-    g_n, g_d = g.numerator, g.denominator
-    kernel, d_t = _integer_kernel(env)
-    flat, q = over_common_denominator(
-        [p for s in env.states for p in policy.distribution_row(env, s)]
-    )
+    (g_n,), g_d = _scaled([env.gamma], mode)
+    kernel, d_t = _scaled_kernel(env, mode)
+    flat, q = _scaled([p for s in env.states for p in policy.distribution_row(env, s)], mode)
     pol = [flat[s * n_a:(s + 1) * n_a] for s in range(n_s)]
-    scale = g_d * d_t * q
-    system = [[scale if s == s2 else 0 for s2 in range(n_s)] for s in range(n_s)]
+    p_pi = [[0] * n_s for _ in range(n_s)]  # D P_pi, summed over actions in order
     for s in range(n_s):
         for a, p in enumerate(pol[s]):
             if p:
                 for s2, t in enumerate(kernel[s * n_a + a]):
                     if t:
-                        system[s2][s] -= g_n * p * t
+                        p_pi[s][s2] += p * t
+    scale = g_d * d_t * q
+    system = [
+        [(scale if s == s2 else 0) - g_n * p_pi[s2][s] for s2 in range(n_s)]
+        for s in range(n_s)
+    ]
     start = env.state_index(env.start)
     rhs = [scale if s == start else 0 for s in range(n_s)]
-    d = linalg.solve_square(system, rhs, EXACT)
+    d = linalg.solve_square(system, rhs, mode)
 
     # rho(s, a) = d(s) * Q_pi(s, a) / Q
-    entries = []
-    for s in range(n_s):
-        ds = d[s]
-        for p in pol[s]:
-            if not p or not ds:
-                entries.append(ZERO)
-            elif p == q:
-                entries.append(ds)
-            else:
-                entries.append(Fraction(ds.numerator * p, ds.denominator * q))
-    return Visitation(tuple(entries))
+    if mode.exact:
+        entries = [
+            ZERO if not p or not ds
+            else ds if p == q
+            else Fraction(ds.numerator * p, ds.denominator * q)
+            for ds, row in zip(d, pol) for p in row
+        ]
+    else:
+        entries = [ds * p for ds, row in zip(d, pol) for p in row]
+    rho = Visitation(tuple(entries))
+    _self_check(env, rho, mode)
+    return rho
+
+
+def _scaled(values, mode: NumericMode):
+    """(nums, den) with values[i] == nums[i] / den: integers over the lcm of
+    the denominators in exact mode, the float values over 1 in float mode."""
+    if mode.exact:
+        return over_common_denominator(values)
+    return [as_float(v) for v in values], 1
+
+
+def _unscaled(value, den, mode: NumericMode):
+    """value / den as a result entry: a Fraction (`ZERO` for 0) in exact
+    mode, a float in float mode."""
+    if not mode.exact:
+        return value / den
+    return Fraction(value, den) if value else ZERO
+
+
+def _scaled_kernel(env: MarkovEnv, mode: NumericMode):
+    """(K, D_T): T(k, s2) == K[k][s2] / D_T, k in (s, a) order."""
+    flat, den = _scaled([p for row in env.kernel for p in row], mode)
+    n_s = env.n_states
+    return [flat[k * n_s:(k + 1) * n_s] for k in range(env.n_sa)], den
 
 
 class VisitationTable:
@@ -459,28 +446,23 @@ class VisitationTable:
 def _self_check(env, rho, mode):
     """Refuse a visitation that breaks normalisation or flow conservation.
 
-    Exact mode tests sum(rho) == 1 / (1 - gamma) in integers, as
-    sum(R) * (g_d - g_n) == g_d * q for rho = R / q, gamma = g_n / g_d."""
+    sum(rho) == 1 / (1 - gamma) reads sum(R) * (g_d - g_n) == g_d * q for
+    rho = R / q, gamma = g_n / g_d; exact mode tests it in integers."""
+    (g_n,), g_d = _scaled([env.gamma], mode)
+    nums, q = _scaled(rho.entries, mode)
+    total = sum(nums)
     if mode.exact:
-        g = as_exact(env.gamma)
-        ints, q = over_common_denominator(rho.entries)
-        if sum(ints) * (g.denominator - g.numerator) != g.denominator * q:
-            total = Fraction(sum(ints), q)
-            expected = Fraction(g.denominator, g.denominator - g.numerator)
-            raise RuntimeError(
-                f"visitation normalization violated: sum={total}, expected={expected}"
-            )
         tol = scale = 0
+        broken = total * (g_d - g_n) != g_d * q
     else:
-        gamma = as_float(env.gamma)
         tol = max(_VALIDATION_TOL, 10 * mode.tolerance)
-        total = sum(rho.entries)
-        expected = 1.0 / (1 - gamma)
-        if abs(total - expected) > tol * abs(expected):
-            raise RuntimeError(
-                f"visitation normalization violated: sum={total}, expected={expected}"
-            )
-        scale = abs(expected)
+        scale = abs(g_d / (g_d - g_n))
+        broken = abs(total - scale) > tol * scale
+    if broken:
+        raise RuntimeError(
+            f"visitation normalization violated: sum={_unscaled(total, q, mode)}, "
+            f"expected={_unscaled(g_d, g_d - g_n, mode)}"
+        )
     residuals = flow_residuals(env, rho, mode)
     for s, r in zip(env.states, residuals):
         if abs(r) > tol * scale:
@@ -491,48 +473,25 @@ def flow_residuals(env: MarkovEnv, rho: Visitation, mode: NumericMode = EXACT):
     """Per-state residual of
     sum_a rho(s, a) - 1[s = start] - gamma * sum_{s', a'} T(s', a', s) rho(s', a').
 
-    Exact mode computes it in integers, independently of the solve: with
-    rho = R / q, T = K / D_T and gamma = g_n / g_d, the residual times
-    g_d D_T q is g_d D_T (sum_a R(s, a) - q 1[s = start]) - g_n sum K R."""
-    if mode.exact:
-        return _exact_flow_residuals(env, rho)
-    conv = as_float
+    It is computed independently of the solve: with rho = R / q, T = K / D_T
+    and gamma = g_n / g_d (see `_scaled`), the residual times g_d D_T q is
+    g_d D_T (sum_a R(s, a) - q 1[s = start]) - g_n sum K R."""
     n_s, n_a = env.n_states, env.n_actions
-    gamma = conv(env.gamma)
-    entries = [conv(v) for v in rho.entries]
-    kernel = [[conv(p) for p in row] for row in env.kernel]
-    start = env.state_index(env.start)
-    out = []
-    for s in range(n_s):
-        outflow = sum(entries[s * n_a + a] for a in range(n_a))
-        inflow = sum(
-            kernel[s2 * n_a + a2][s] * entries[s2 * n_a + a2]
-            for s2 in range(n_s)
-            for a2 in range(n_a)
-        )
-        source = conv(1) if s == start else conv(0)
-        out.append(outflow - source - gamma * inflow)
-    return tuple(out)
-
-
-def _exact_flow_residuals(env: MarkovEnv, rho: Visitation) -> tuple:
-    n_s, n_a = env.n_states, env.n_actions
-    g = as_exact(env.gamma)
-    g_n, g_d = g.numerator, g.denominator
-    kernel, d_t = _integer_kernel(env)
-    ints, q = over_common_denominator(rho.entries)
+    (g_n,), g_d = _scaled([env.gamma], mode)
+    kernel, d_t = _scaled_kernel(env, mode)
+    nums, q = _scaled(rho.entries, mode)
     inflow = [0] * n_s
-    for row, r in zip(kernel, ints):
+    for row, r in zip(kernel, nums):
         if r:
             for s2, t in enumerate(row):
                 if t:
                     inflow[s2] += t * r
     start = env.state_index(env.start)
+    scale = g_d * d_t
     out = []
     for s in range(n_s):
-        outflow = sum(ints[s * n_a:(s + 1) * n_a]) - (q if s == start else 0)
-        residual = g_d * d_t * outflow - g_n * inflow[s]
-        out.append(Fraction(residual, g_d * d_t * q) if residual else ZERO)
+        outflow = sum(nums[s * n_a:(s + 1) * n_a]) - (q if s == start else 0)
+        out.append(_unscaled(scale * outflow - g_n * inflow[s], scale * q, mode))
     return tuple(out)
 
 

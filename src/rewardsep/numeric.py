@@ -35,8 +35,8 @@ class NumericMode:
     tolerance: float = 1e-9
 
     def __post_init__(self):
-        if not self.exact and not self.tolerance > 0:
-            raise ValueError("float mode requires a positive tolerance")
+        if not self.exact and not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError("float mode requires a finite positive tolerance")
 
     @staticmethod
     def exact_rational() -> "NumericMode":

@@ -1,7 +1,10 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from rewardsep import linalg, lp, mdp
+from rewardsep.numeric import NumericMode
 from rewardsep.cli import run_command
 
 F = Fraction
@@ -202,6 +205,95 @@ class TestErrorPaths:
         )
         capsys.readouterr()
         assert plain == as_json == 1
+
+
+def _bundle_doc():
+    return {
+        "env": {
+            "states": ["s0", "s1"],
+            "actions": ["a1", "a2"],
+            "gamma": "0.9",
+            "start": "s0",
+            "transitions": [
+                {"from": s, "action": a, "to": {"s1" if s == "s0" else "s0": "1"}}
+                for s in ("s0", "s1") for a in ("a1", "a2")
+            ],
+        },
+        "policies": [
+            {"name": "pi11", "deterministic": {"s0": "a1", "s1": "a1"}},
+            {"name": "pi12", "stochastic": {"s0": {"a1": "1"}, "s1": {"a2": "1"}}},
+        ],
+        "soap": {"good": ["pi12"], "bad": ["pi11"]},
+    }
+
+
+def _stochastic_row_not_object(doc):
+    doc["policies"][1]["stochastic"]["s0"] = ["a1"]
+
+
+def _state_name_not_string(doc):
+    doc["env"]["states"] = [["s0"], "s1"]
+
+
+def _action_name_not_string(doc):
+    doc["env"]["actions"] = ["a1", 2]
+
+
+def _soap_name_not_string(doc):
+    doc["soap"]["good"] = [["pi12"]]
+
+
+def _policies_not_list(doc):
+    doc["policies"] = {"a": 1}
+
+
+class TestMalformedBundles:
+    """Malformed bundles exit 2 with the field path, never a traceback."""
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (_stochastic_row_not_object, ".policies[1].stochastic.s0: expected dict, got list"),
+        (_state_name_not_string, ".env.states[0]: expected str, got list"),
+        (_action_name_not_string, ".env.actions[1]: expected str, got int"),
+        (_soap_name_not_string, ".soap.good[0]: expected str, got list"),
+        (_policies_not_list, ".policies: expected list, got dict"),
+    ], ids=["stochastic-row", "state-name", "action-name", "soap-name", "policies"])
+    def test_exit_2_with_field_path(self, capsys, tmp_path, corrupt, message):
+        doc = _bundle_doc()
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "design-multi", str(path))[0] == 0
+        corrupt(doc)
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "design-multi", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}{message}\n"
+
+
+class TestMeaninglessValues:
+    """Flag values that mean nothing exit 2, naming the flag."""
+
+    @pytest.mark.parametrize("flag, value, wanted", [
+        ("--max-dim", "-1", "an integer >= 1"),
+        ("--max-dim", "0", "an integer >= 1"),
+        ("--tol", "inf", "a finite positive number"),
+        ("--tol", "nan", "a finite positive number"),
+        ("--tol", "0", "a finite positive number"),
+        ("--tol", "-1e-9", "a finite positive number"),
+    ])
+    def test_exit_2(self, capsys, flag, value, wanted):
+        code, out, err = run(
+            capsys, "design-multi", "entailment.json", "--soap", "xor_soap.json",
+            f"{flag}={value}",
+        )
+        assert code == 2
+        assert out == ""
+        assert f"argument {flag}: expected {wanted}, got {value!r}" in err
+
+    @pytest.mark.parametrize("tolerance", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_numeric_mode_refuses_meaningless_tolerance(self, tolerance):
+        with pytest.raises(ValueError, match="finite positive tolerance"):
+            NumericMode.floating(tolerance)
 
 
 class TestInternalFaults:

@@ -1,4 +1,4 @@
-"""Exact visitations: pinned answers and the flow self-check."""
+"""Exact and float visitations: pinned answers and the flow self-check."""
 
 import hashlib
 import random
@@ -8,7 +8,7 @@ import pytest
 
 from rewardsep import mdp
 from rewardsep.mdp import MarkovEnv, Policy, Visitation, compute_visitation, flow_residuals
-from rewardsep.numeric import EXACT, ZERO
+from rewardsep.numeric import EXACT, FLOAT, ZERO
 from rewardsep.separability import design_multi, design_scalar
 from rewardsep.soap import Soap
 
@@ -74,6 +74,64 @@ class TestPinnedExactVisitations:
             for name in ("p", "q"):
                 rho = compute_visitation(env, random_policy(rng, env, name), EXACT)
                 digest.update(repr(rho.entries).encode() + b"\n")
+        assert digest.hexdigest() == self.DIGEST
+
+
+def _float_distribution(rng, n):
+    """A probability row of Python floats (w / total), exact zeros kept."""
+    weights = [rng.choice([0, 0, 1, 2, 3, 5, 7]) for _ in range(n)]
+    if sum(weights) == 0:
+        weights[rng.randrange(n)] = 1
+    total = sum(weights)
+    return tuple(w / total for w in weights)
+
+
+def random_float_env(rng):
+    """`random_env` with about half of the kernel rows, and sometimes gamma,
+    replaced by Python floats."""
+    env = random_env(rng)
+    kernel = tuple(
+        _float_distribution(rng, env.n_states) if rng.random() < 0.5 else row
+        for row in env.kernel
+    )
+    gamma = rng.choice([env.gamma, 0.9, 0.99, round(rng.random() * 0.98, 6)])
+    return MarkovEnv(env.states, env.actions, kernel, gamma, env.start)
+
+
+def random_float_policy(rng, env, name):
+    if rng.random() < 0.5:
+        return random_policy(rng, env, name)
+    return Policy.stochastic(
+        name,
+        {s: dict(zip(env.actions, _float_distribution(rng, env.n_actions)))
+         for s in env.states},
+    )
+
+
+class TestPinnedFloatVisitations:
+    # SHA-256 over float.hex() of the float visitations of 150 seeded random
+    # environments (ints, Fractions, strings and Python floats in the kernel,
+    # gamma and policies), with the flow residuals of each visitation and of
+    # a perturbed copy.  float.hex, not repr, so numpy's scalar repr cannot
+    # move it.  Any change to a float bit changes it.
+    DIGEST = "45ad7fbcdf38cd50431e04e0b2829539e8c3643bface803b4cc0ee6731a57002"
+
+    def test_random_float_visitations_unchanged(self):
+        rng = random.Random(20261019)
+        digest = hashlib.sha256()
+
+        def update(values):
+            digest.update(",".join(float(v).hex() for v in values).encode() + b"\n")
+
+        for _ in range(150):
+            env = random_float_env(rng)
+            for name in ("p", "q"):
+                rho = compute_visitation(env, random_float_policy(rng, env, name), FLOAT)
+                update(rho.entries)
+                update(flow_residuals(env, rho, FLOAT))
+                entries = list(rho.entries)
+                entries[rng.randrange(env.n_sa)] += rng.choice([0.5, -0.25, 1e-3])
+                update(flow_residuals(env, Visitation(tuple(entries)), FLOAT))
         assert digest.hexdigest() == self.DIGEST
 
 

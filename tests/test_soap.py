@@ -5,6 +5,7 @@ from hypothesis import given
 
 from rewardsep.mdp import Policy, compute_visitation
 from rewardsep.numeric import EXACT, FLOAT
+from rewardsep.separability import design_multi
 from rewardsep.soap import Soap, SoapError, check_consistency
 
 from envs import PI11, PI12, PI21, PI22, entailment_env, steady_state_env
@@ -36,6 +37,42 @@ class TestConstruction:
         soap = Soap.build(good=[PI11], bad=[])
         with pytest.raises(SoapError, match="nonempty"):
             soap.require_nonempty()
+
+
+class TestFloatPolicies:
+    """Python-float probabilities stand for their exact binary values."""
+
+    def test_float_stochastic_soap_builds_and_answers(self):
+        mix = Policy.stochastic(
+            "m", {"s0": {"a1": 0.5, "a2": 0.5}, "s1": {"a1": 0.5, "a2": 0.5}}
+        )
+        soap = Soap.build(good=[mix], bad=[PI11, PI22])
+        outcome = design_multi(entailment_env(), soap, FLOAT)
+        assert outcome.realizable and outcome.verification.realized
+        assert outcome.spec.dimension == 2
+
+    def test_equal_float_tables_are_the_same_function(self):
+        a = Policy.stochastic(
+            "a", {"s0": {"a1": 0.1, "a2": 0.9}, "s1": {"a1": 1.0}}
+        )
+        b = Policy.stochastic(
+            "b", {"s0": {"a2": 0.9, "a1": 0.1}, "s1": {"a1": 1.0, "a2": 0.0}}
+        )
+        with pytest.raises(SoapError, match="same function"):
+            Soap.build(good=[a], bad=[b])
+        half = Policy.stochastic(
+            "half", {"s0": {"a1": F(1, 2), "a2": "0.5"}, "s1": {"a1": 1}}
+        )
+        halves = Policy.stochastic(
+            "halves", {"s0": {"a1": 0.5, "a2": 0.5}, "s1": {"a1": 1.0}}
+        )
+        with pytest.raises(SoapError, match="same function"):
+            Soap.build(good=[half], bad=[halves])
+
+    def test_non_finite_probability_refused(self):
+        bad = Policy.stochastic("inf", {"s0": {"a1": float("inf")}, "s1": {"a1": 1.0}})
+        with pytest.raises(ValueError, match="non-finite probability"):
+            Soap.build(good=[PI11], bad=[bad])
 
 
 class TestConsistency:
