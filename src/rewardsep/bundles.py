@@ -38,7 +38,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .mdp import MarkovEnv, Policy, RewardSpec
+from .mdp import MarkovEnv, Policy, PolicyError, RewardSpec
 from .numeric import ExactInputError, format_number, parse_rational
 from .soap import Soap, SoapError
 
@@ -98,13 +98,15 @@ def _expect(data, key, kind, where):
     return value
 
 
-def _names(data, key, where):
+def _names(data, key, where, unique=False):
     names = _expect(data, key, list, where)
     for i, name in enumerate(names):
         if not isinstance(name, str):
             raise BundleError(
                 f"{where}.{key}[{i}]: expected str, got {type(name).__name__}"
             )
+        if unique and name in names[:i]:
+            raise BundleError(f"{where}.{key}[{i}]: duplicate name {name!r}")
     return names
 
 
@@ -121,10 +123,12 @@ def _number(value, where):
 
 
 def _parse_env(data, where):
-    states = _names(data, "states", where)
-    actions = _names(data, "actions", where)
+    states = _names(data, "states", where, unique=True)
+    actions = _names(data, "actions", where, unique=True)
     gamma = _number(_expect(data, "gamma", None, where), f"{where}.gamma")
     start = _expect(data, "start", str, where)
+    if start not in states:
+        raise BundleError(f"{where}.start: {start!r} is not a declared state")
     rows = _expect(data, "transitions", list, where)
     transitions = {}
     for i, row in enumerate(rows):
@@ -214,11 +218,17 @@ def _parse_reward(data, env, where):
     return RewardSpec.build(rows=rows, lower_bounds=bounds)
 
 
-def parse_bundle_text(text: str, source: str = "<string>") -> ProblemBundle:
+def _json(text: str, source) -> object:
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise BundleError(f"{source}: invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise BundleError(f"{source}: invalid JSON: nested too deeply") from None
+
+
+def parse_bundle_text(text: str, source: str = "<string>") -> ProblemBundle:
+    data = _json(text, source)
     if not isinstance(data, dict):
         raise BundleError(f"{source}: top level must be an object")
     env = _parse_env(_expect(data, "env", dict, source), f"{source}.env")
@@ -232,7 +242,10 @@ def parse_bundle_text(text: str, source: str = "<string>") -> ProblemBundle:
                 f"{source}.policies[{i}]: duplicate policy name {policy.name!r}"
             )
         names.add(policy.name)
-        policy.validate_for(env)
+        try:
+            policy.validate_for(env)
+        except PolicyError as exc:
+            raise BundleError(f"{source}.policies[{i}]: {exc}") from exc
         policies.append(policy)
     soap = None
     if "soap" in data:
@@ -250,20 +263,12 @@ def parse_bundle(path) -> ProblemBundle:
 
 def load_soap(path, bundle: ProblemBundle) -> Soap:
     p = resolve_input_path(str(path))
-    try:
-        data = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise BundleError(f"{p}: invalid JSON: {exc}") from exc
-    return _parse_soap(data, bundle.policies, str(p))
+    return _parse_soap(_json(p.read_text(), p), bundle.policies, str(p))
 
 
 def load_reward(path, env: MarkovEnv) -> RewardSpec:
     p = resolve_input_path(str(path))
-    try:
-        data = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise BundleError(f"{p}: invalid JSON: {exc}") from exc
-    return _parse_reward(data, env, str(p))
+    return _parse_reward(_json(p.read_text(), p), env, str(p))
 
 
 def _num_str(value) -> str:

@@ -38,15 +38,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import linalg
-from .numeric import (
-    EXACT,
-    ZERO,
-    NumericMode,
-    as_exact,
-    as_float,
-    over_common_denominator,
-    share_zero,
-)
+from .numeric import EXACT, NumericMode, over_common_denominator
 
 log = logging.getLogger(__name__)
 
@@ -167,13 +159,8 @@ class LpSolution:
     certificate: object = None
 
 
-def _tol(mode: NumericMode):
-    """Sign tests are exact in exact mode, within the tolerance otherwise."""
-    return 0 if mode.exact else mode.tolerance
-
-
 def _coerce_lp(lp: LinearProgram, mode: NumericMode):
-    conv = as_exact if mode.exact else as_float
+    conv = mode.convert
     c = [conv(v) for v in lp.objective]
     a = [[conv(v) for v in row] for row in lp.matrix]
     b = [conv(v) for v in lp.rhs]
@@ -436,8 +423,7 @@ def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
     if log.isEnabledFor(logging.DEBUG):
         log.debug("solving LP:\n%s", format_lp(lp))
     c, a, b, bounds = _coerce_lp(lp, mode)
-    tol = _tol(mode)
-    zero = ZERO if mode.exact else 0.0
+    tol, zero = mode.tolerance, mode.zero
 
     for lo, hi in bounds:
         if lo is not None and hi is not None and lo > hi:
@@ -493,7 +479,7 @@ def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
     phase1_value = sum(tab.value(i) for i in range(m) if basis[i] in art_cols)
     if phase1_value > tol * scale:
         y_std = _basis_duals(pristine, basis, costs1, mode)
-        y = share_zero(_map_duals(y_std, std, len(lp.matrix)), mode)
+        y = mode.share_zero(_map_duals(y_std, std, len(lp.matrix)))
         return LpSolution(status=INFEASIBLE, certificate=FarkasCertificate(y))
 
     # Remove artificial variables from the basis.  A tableau row that is
@@ -551,12 +537,11 @@ def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
         primal.append(value)
     objective = sum((cj * xj for cj, xj in zip(c, primal)), zero)
     y_std = _basis_duals(pristine, basis, costs2, mode)
-    duals = share_zero(_map_duals(y_std, std, len(lp.matrix)), mode)
-    y = _multipliers(lp, duals, mode)
-    dual_obj = _support(c, a, b, bounds, y, mode, with_objective=True)
+    duals = mode.share_zero(_map_duals(y_std, std, len(lp.matrix)))
+    dual_obj = _support(c, a, b, bounds, duals, mode, with_objective=True)
     return LpSolution(
         status=OPTIMAL,
-        primal=share_zero(primal, mode),
+        primal=mode.share_zero(primal),
         objective_value=objective,
         certificate=DualCertificate(duals, dual_obj),
     )
@@ -603,8 +588,7 @@ def check_feasible(lp: LinearProgram, mode: NumericMode = EXACT):
 
 
 def _multipliers(lp: LinearProgram, multipliers, mode: NumericMode) -> list:
-    conv = as_exact if mode.exact else as_float
-    y = [conv(v) for v in multipliers]
+    y = [mode.convert(v) for v in multipliers]
     if len(y) != lp.n_rows:
         raise LpInputError("multiplier count does not match the row count")
     return y
@@ -613,8 +597,7 @@ def _multipliers(lp: LinearProgram, multipliers, mode: NumericMode) -> list:
 def _support(c, a, b, bounds, y, mode, with_objective):
     """yᵀb plus the box-infimum of (c − yᵀA)·x over the converted LP,
     skipping zero multipliers; None when the infimum diverges."""
-    tol = _tol(mode)
-    zero = ZERO if mode.exact else 0.0
+    tol, zero = mode.tolerance, mode.zero
     w = [zero] * len(c)
     total = zero
     for yi, row, bi in zip(y, a, b):
@@ -657,19 +640,18 @@ def farkas_signs_ok(lp: LinearProgram, multipliers) -> bool:
 def constraint_residuals(lp: LinearProgram, point, mode: NumericMode = EXACT):
     """Per-row a·x − b."""
     _, a, b, _ = _coerce_lp(lp, mode)
-    conv = as_exact if mode.exact else as_float
-    x = [conv(v) for v in point]
+    x = [mode.convert(v) for v in point]
     if len(x) != lp.n_vars:
         raise LpInputError("point length does not match the variable count")
     return tuple(
-        sum((a[i][j] * x[j] for j in range(lp.n_vars)), 0 * conv(0)) - b[i]
+        sum((a[i][j] * x[j] for j in range(lp.n_vars)), mode.zero) - b[i]
         for i in range(lp.n_rows)
     )
 
 
 def satisfies(lp: LinearProgram, point, mode: NumericMode = EXACT) -> bool:
     """Whole-program feasibility of a point (rows and bounds)."""
-    tol = _tol(mode)
+    tol = mode.tolerance
     res = constraint_residuals(lp, point, mode)
     for r, sense in zip(res, lp.senses):
         if sense == LE and r > tol:
@@ -678,7 +660,7 @@ def satisfies(lp: LinearProgram, point, mode: NumericMode = EXACT) -> bool:
             return False
         if sense == EQ and not -tol <= r <= tol:
             return False
-    conv = as_exact if mode.exact else as_float
+    conv = mode.convert
     for v, (lo, hi) in zip(point, lp.bounds):
         x = conv(v)
         if lo is not None and x - conv(lo) < -tol:

@@ -30,18 +30,10 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .numeric import (
-    EXACT,
-    ZERO,
-    Number,
-    NumericMode,
-    as_exact,
-    as_float,
-    coerce,
-    over_common_denominator,
-    share_zero,
-)
+from .numeric import EXACT, ZERO, Number, NumericMode, as_exact, as_float
 
+# Float-mode validation tolerance: fixed, so that a looser comparison
+# tolerance accepts no other environments and policies.
 _VALIDATION_TOL = 1e-9
 
 
@@ -158,7 +150,7 @@ def validate_env(env: MarkovEnv, mode: NumericMode = EXACT) -> EnvReport:
         violations.append(f"start state {env.start!r} is not a declared state")
 
     try:
-        gamma = coerce(env.gamma, mode)
+        gamma = mode.convert(env.gamma)
         if not (0 <= gamma < 1):
             violations.append("gamma out of range [0, 1)")
     except ValueError as exc:
@@ -170,23 +162,20 @@ def validate_env(env: MarkovEnv, mode: NumericMode = EXACT) -> EnvReport:
             f"kernel has {len(env.kernel)} rows, expected {expected_rows}"
         )
     else:
-        tol = _VALIDATION_TOL if not mode.exact else 0
+        tol = 0 if mode.exact else _VALIDATION_TOL
         for (s, a), row in zip(env.sa_pairs(), env.kernel):
             if len(row) != env.n_states:
                 violations.append(f"transition row for ({s}, {a}) has wrong width")
                 continue
             try:
-                probs = [coerce(p, mode) for p in row]
+                probs = [mode.convert(p) for p in row]
             except ValueError as exc:
                 violations.append(f"transition row for ({s}, {a}) unusable: {exc}")
                 continue
             if any(p < -tol for p in probs):
                 violations.append(f"negative probability in row ({s}, {a})")
             total = sum(probs)
-            if mode.exact:
-                if total != 1:
-                    violations.append(f"transition row for ({s}, {a}) sums to {total}")
-            elif abs(total - 1) > tol:
+            if abs(total - 1) > tol:
                 violations.append(f"transition row for ({s}, {a}) sums to {total}")
     return EnvReport(ok=not violations, violations=tuple(violations))
 
@@ -251,12 +240,11 @@ class Policy:
                 raise PolicyError(
                     f"policy {self.name!r} mentions unknown actions {sorted(extra)}"
                 )
-            probs = [coerce(row.get(a, 0), mode) for a in env.actions]
+            probs = [mode.convert(row.get(a, 0)) for a in env.actions]
             if any(p < -tol for p in probs):
                 raise PolicyError(f"policy {self.name!r} has a negative probability at {s!r}")
             total = sum(probs)
-            bad = total != 1 if mode.exact else abs(total - 1) > tol
-            if bad:
+            if abs(total - 1) > tol:
                 raise PolicyError(
                     f"policy {self.name!r} row at {s!r} sums to {total}, expected 1"
                 )
@@ -357,14 +345,14 @@ def compute_visitation(env: MarkovEnv, policy: Policy, mode: NumericMode = EXACT
 def _visitation(env: MarkovEnv, policy: Policy, mode: NumericMode) -> Visitation:
     """`compute_visitation` on an environment already validated.
 
-    With gamma = g_n / g_d, T = K / D_T and pi = Q_pi / Q (see `_scaled`),
-    d solves (g_d D I - g_n (D P_pi)^T) d = g_d D e_start for D = D_T Q,
-    where D P_pi = Q_pi K row by row."""
+    With gamma = g_n / g_d, T = K / D_T and pi = Q_pi / Q (see
+    `NumericMode.scaled`), d solves (g_d D I - g_n (D P_pi)^T) d =
+    g_d D e_start for D = D_T Q, where D P_pi = Q_pi K row by row."""
     policy.validate_for(env, mode)
     n_s, n_a = env.n_states, env.n_actions
-    (g_n,), g_d = _scaled([env.gamma], mode)
+    (g_n,), g_d = mode.scaled([env.gamma])
     kernel, d_t = _scaled_kernel(env, mode)
-    flat, q = _scaled([p for s in env.states for p in policy.distribution_row(env, s)], mode)
+    flat, q = mode.scaled([p for s in env.states for p in policy.distribution_row(env, s)])
     pol = [flat[s * n_a:(s + 1) * n_a] for s in range(n_s)]
     p_pi = [[0] * n_s for _ in range(n_s)]  # D P_pi, summed over actions in order
     for s in range(n_s):
@@ -397,25 +385,9 @@ def _visitation(env: MarkovEnv, policy: Policy, mode: NumericMode) -> Visitation
     return rho
 
 
-def _scaled(values, mode: NumericMode):
-    """(nums, den) with values[i] == nums[i] / den: integers over the lcm of
-    the denominators in exact mode, the float values over 1 in float mode."""
-    if mode.exact:
-        return over_common_denominator(values)
-    return [as_float(v) for v in values], 1
-
-
-def _unscaled(value, den, mode: NumericMode):
-    """value / den as a result entry: a Fraction (`ZERO` for 0) in exact
-    mode, a float in float mode."""
-    if not mode.exact:
-        return value / den
-    return Fraction(value, den) if value else ZERO
-
-
 def _scaled_kernel(env: MarkovEnv, mode: NumericMode):
     """(K, D_T): T(k, s2) == K[k][s2] / D_T, k in (s, a) order."""
-    flat, den = _scaled([p for row in env.kernel for p in row], mode)
+    flat, den = mode.scaled([p for row in env.kernel for p in row])
     n_s = env.n_states
     return [flat[k * n_s:(k + 1) * n_s] for k in range(env.n_sa)], den
 
@@ -448,8 +420,8 @@ def _self_check(env, rho, mode):
 
     sum(rho) == 1 / (1 - gamma) reads sum(R) * (g_d - g_n) == g_d * q for
     rho = R / q, gamma = g_n / g_d; exact mode tests it in integers."""
-    (g_n,), g_d = _scaled([env.gamma], mode)
-    nums, q = _scaled(rho.entries, mode)
+    (g_n,), g_d = mode.scaled([env.gamma])
+    nums, q = mode.scaled(rho.entries)
     total = sum(nums)
     if mode.exact:
         tol = scale = 0
@@ -460,8 +432,8 @@ def _self_check(env, rho, mode):
         broken = abs(total - scale) > tol * scale
     if broken:
         raise RuntimeError(
-            f"visitation normalization violated: sum={_unscaled(total, q, mode)}, "
-            f"expected={_unscaled(g_d, g_d - g_n, mode)}"
+            f"visitation normalization violated: sum={mode.ratio(total, q)}, "
+            f"expected={mode.ratio(g_d, g_d - g_n)}"
         )
     residuals = flow_residuals(env, rho, mode)
     for s, r in zip(env.states, residuals):
@@ -474,12 +446,12 @@ def flow_residuals(env: MarkovEnv, rho: Visitation, mode: NumericMode = EXACT):
     sum_a rho(s, a) - 1[s = start] - gamma * sum_{s', a'} T(s', a', s) rho(s', a').
 
     It is computed independently of the solve: with rho = R / q, T = K / D_T
-    and gamma = g_n / g_d (see `_scaled`), the residual times g_d D_T q is
-    g_d D_T (sum_a R(s, a) - q 1[s = start]) - g_n sum K R."""
+    and gamma = g_n / g_d (see `NumericMode.scaled`), the residual times
+    g_d D_T q is g_d D_T (sum_a R(s, a) - q 1[s = start]) - g_n sum K R."""
     n_s, n_a = env.n_states, env.n_actions
-    (g_n,), g_d = _scaled([env.gamma], mode)
+    (g_n,), g_d = mode.scaled([env.gamma])
     kernel, d_t = _scaled_kernel(env, mode)
-    nums, q = _scaled(rho.entries, mode)
+    nums, q = mode.scaled(rho.entries)
     inflow = [0] * n_s
     for row, r in zip(kernel, nums):
         if r:
@@ -491,7 +463,7 @@ def flow_residuals(env: MarkovEnv, rho: Visitation, mode: NumericMode = EXACT):
     out = []
     for s in range(n_s):
         outflow = sum(nums[s * n_a:(s + 1) * n_a]) - (q if s == start else 0)
-        out.append(_unscaled(scale * outflow - g_n * inflow[s], scale * q, mode))
+        out.append(mode.ratio(scale * outflow - g_n * inflow[s], scale * q))
     return tuple(out)
 
 
@@ -508,14 +480,14 @@ def policy_value(env: MarkovEnv, policy: Policy, reward: RewardSpec,
 
 def value_of_visitation(rho: Visitation, reward: RewardSpec,
                         mode: NumericMode = EXACT) -> tuple:
-    conv = as_exact if mode.exact else as_float
+    conv = mode.convert
     entries = [conv(v) for v in rho.entries]
     out = []
     for row in reward.rows:
         if len(row) != len(entries):
             raise ValueError("reward row width does not match the visitation")
-        out.append(sum((conv(r) * e for r, e in zip(row, entries)), conv(0)))
-    return share_zero(out, mode)
+        out.append(sum((conv(r) * e for r, e in zip(row, entries)), mode.zero))
+    return mode.share_zero(out)
 
 
 def enumerate_deterministic_policies(env: MarkovEnv, limit: int = 4096):

@@ -1,15 +1,18 @@
-"""Numeric modes: exact rational arithmetic or tolerance-based floats.
+"""Numeric modes: one tolerance, where tolerance 0 is exact arithmetic.
 
 All decision procedures in this package answer exact set-membership
 questions, so the authoritative backend computes with arbitrary-precision
 rationals built from decimal strings.  The float backend trades exactness
-for speed and is tolerance-based throughout.
+for speed.  A `NumericMode` is its tolerance alone, and exact mode is
+tolerance 0: a test within the tolerance, written once, is the exact
+comparison there.  The mode also converts inputs, supplies the zero that
+results start from and share, and scales values to a common denominator.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 Number = int | float | Fraction
@@ -21,34 +24,6 @@ ZERO = Fraction(0)
 
 class ExactInputError(ValueError):
     """A value cannot be used in exact-rational mode."""
-
-
-@dataclass(frozen=True)
-class NumericMode:
-    """Arithmetic backend selector.
-
-    ``exact=True`` computes in rationals with exact comparisons;
-    otherwise floats are used and ``tolerance`` bounds every comparison.
-    """
-
-    exact: bool
-    tolerance: float = 1e-9
-
-    def __post_init__(self):
-        if not self.exact and not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError("float mode requires a finite positive tolerance")
-
-    @staticmethod
-    def exact_rational() -> "NumericMode":
-        return NumericMode(exact=True, tolerance=0.0)
-
-    @staticmethod
-    def floating(tolerance: float = 1e-9) -> "NumericMode":
-        return NumericMode(exact=False, tolerance=tolerance)
-
-
-EXACT = NumericMode.exact_rational()
-FLOAT = NumericMode.floating()
 
 
 def parse_rational(text) -> Fraction:
@@ -102,13 +77,60 @@ def over_common_denominator(values) -> tuple:
     return [n * (den // d) for n, d in ratios], den
 
 
-def share_zero(values, mode: NumericMode) -> tuple:
-    """`values` as a tuple; in exact mode every zero entry is `ZERO`."""
-    return tuple(v if v or not mode.exact else ZERO for v in values)
+@dataclass(frozen=True)
+class NumericMode:
+    """Arithmetic backend, set by its tolerance alone: rationals compared
+    exactly at tolerance 0 (exact mode), floats compared within a finite
+    positive tolerance otherwise.  A zero tolerance is stored as the int 0,
+    since a Fraction minus 0.0 is a float.  `exact`, `convert` (`as_exact`
+    or `as_float`) and `zero` (`ZERO` or 0.0) are derived from it once."""
+
+    tolerance: Number
+    exact: bool = field(init=False, repr=False, compare=False)
+    convert: object = field(init=False, repr=False, compare=False)
+    zero: Number = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        tol = self.tolerance
+        exact = tol == 0
+        if not exact and not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"float mode requires a finite positive tolerance, got {tol!r}")
+        # Frozen: the derived fields are set through __dict__.
+        if exact:
+            self.__dict__.update(tolerance=0, exact=True, convert=as_exact, zero=ZERO)
+        else:
+            self.__dict__.update(exact=False, convert=as_float, zero=0.0)
+
+    @staticmethod
+    def floating(tolerance: float = 1e-9) -> "NumericMode":
+        if not tolerance:
+            raise ValueError(f"float mode requires a finite positive tolerance, got {tolerance!r}")
+        return NumericMode(tolerance)
+
+    def share_zero(self, values) -> tuple:
+        """`values` as a tuple; in exact mode every zero entry is `ZERO`."""
+        if not self.exact:
+            return tuple(values)
+        return tuple(v if v else ZERO for v in values)
+
+    def scaled(self, values):
+        """(nums, den) with values[i] == nums[i] / den: integers over the lcm
+        of the denominators in exact mode, the float values over 1 in float
+        mode."""
+        if self.exact:
+            return over_common_denominator(values)
+        return [as_float(v) for v in values], 1
+
+    def ratio(self, num, den):
+        """num / den as a result entry: a Fraction (`ZERO` for 0) in exact
+        mode, a float in float mode."""
+        if not self.exact:
+            return num / den
+        return Fraction(num, den) if num else ZERO
 
 
-def coerce(value, mode: NumericMode):
-    return as_exact(value) if mode.exact else as_float(value)
+EXACT = NumericMode(0)
+FLOAT = NumericMode.floating()
 
 
 def format_number(value) -> str:

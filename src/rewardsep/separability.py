@@ -36,7 +36,7 @@ from .mdp import (
     VisitationTable,
     enumerate_deterministic_policies,
 )
-from .numeric import EXACT, NumericMode, as_exact, as_float, share_zero
+from .numeric import EXACT, NumericMode
 from .soap import ConsistencyReport, Soap, _consistency
 from .verify import RealizationReport, _verify
 
@@ -184,7 +184,7 @@ def _separate(keep, exclude, dim, mode):
         return separator, None
     lam = witness.row_multipliers[:len(keep)]
     total = sum(lam)
-    return None, share_zero((v / total for v in lam), mode)
+    return None, mode.share_zero(v / total for v in lam)
 
 
 def in_convex_hull(target, hull: PointSet, mode: NumericMode = EXACT) -> HullMembership:
@@ -233,15 +233,12 @@ def hulls_intersect(a: PointSet, b: PointSet, mode: NumericMode = EXACT) -> Hull
     feasible, witness = lp.check_feasible(program, mode)
     if not feasible:  # pragma: no cover - LP duality excludes this
         raise RuntimeError("margin LP and hull-intersection LP disagree")
-    conv = as_exact if mode.exact else as_float
+    conv = mode.convert
     lam = witness[:ka]
     mu = witness[ka:]
-    point = share_zero(
-        (
-            sum((conv(l) * conv(_entries(p)[row]) for l, p in zip(lam, a.points)), conv(0))
-            for row in range(dim)
-        ),
-        mode,
+    point = mode.share_zero(
+        sum((conv(l) * conv(_entries(p)[row]) for l, p in zip(lam, a.points)), mode.zero)
+        for row in range(dim)
     )
     return HullIntersection(
         intersects=True,
@@ -302,7 +299,7 @@ def _greedy_groups(good: PointSet, bad: PointSet, planes, mode: NumericMode):
     centroid in visitation distance, keeping additions whose single
     hyperplane still excludes the whole group.  `planes[i]` is the first
     pass's hyperplane for bad point i, which starts the group seeded there."""
-    conv = as_exact if mode.exact else as_float
+    conv = mode.convert
     dim = good.dimension
     remaining = list(range(len(bad.points)))
     merged = []
@@ -313,7 +310,7 @@ def _greedy_groups(good: PointSet, bad: PointSet, planes, mode: NumericMode):
         candidates = [i for i in remaining if i != seed]
         while candidates:
             centroid = [
-                sum((conv(_entries(bad.points[i])[k]) for i in group), conv(0))
+                sum((conv(_entries(bad.points[i])[k]) for i in group), mode.zero)
                 / len(group)
                 for k in range(dim)
             ]
@@ -343,7 +340,7 @@ def _greedy_groups(good: PointSet, bad: PointSet, planes, mode: NumericMode):
                 continue
             score = sum(
                 (conv(rk) * conv(pk) for rk, pk in zip(r, _entries(bad.points[i]))),
-                conv(0),
+                mode.zero,
             )
             if score <= conv(c) - 1:
                 covered.add(i)

@@ -52,17 +52,16 @@ def _check_spec_dims(env: MarkovEnv, spec: RewardSpec):
 
 
 def _judge(values, bounds, mode: NumericMode):
-    violated = []
-    boundary = []
+    """Dimensions short of their bound by more than the tolerance, and in
+    float mode those within it (exact ties are not flagged)."""
+    tol, near = mode.tolerance, not mode.exact
+    violated, boundary = [], []
     for i, (v, c) in enumerate(zip(values, bounds)):
-        if mode.exact:
-            if v < c:
-                violated.append(i)
-        else:
-            if as_float(v) < as_float(c) - mode.tolerance:
-                violated.append(i)
-            if abs(as_float(v) - as_float(c)) <= mode.tolerance:
-                boundary.append(i)
+        c = as_float(c) if near else c
+        if v < c - tol:
+            violated.append(i)
+        if near and abs(v - c) <= tol:
+            boundary.append(i)
     return tuple(violated), tuple(boundary)
 
 

@@ -29,7 +29,7 @@ from rewardsep.mdp import (
     require_valid_env,
     value_of_visitation,
 )
-from rewardsep.numeric import EXACT, NumericMode, as_exact, as_float, coerce
+from rewardsep.numeric import EXACT, NumericMode, as_exact, as_float
 
 LE, EQ, GE = lp.LE, lp.EQ, lp.GE
 
@@ -239,8 +239,7 @@ def brute_force_feasible_set(env: MarkovEnv, spec: RewardSpec,
     """
     if any(len(row) != env.n_sa for row in spec.rows):
         raise ValueError(f"reward rows do not have the environment's width {env.n_sa}")
-    tol = 0 if mode.exact else mode.tolerance
-    bounds = [coerce(c, mode) - tol for c in spec.lower_bounds]
+    bounds = [mode.convert(c) - mode.tolerance for c in spec.lower_bounds]
     table = VisitationTable(env, mode)
     feasible = []
     for policy in enumerate_deterministic_policies(env, limit):

@@ -247,6 +247,18 @@ def _policies_not_list(doc):
     doc["policies"] = {"a": 1}
 
 
+def _unknown_start(doc):
+    doc["env"]["start"] = "s9"
+
+
+def _repeated_state(doc):
+    doc["env"]["states"] = ["s0", "s1", "s1"]
+
+
+def _policy_picks_unknown_action(doc):
+    doc["policies"][0]["deterministic"]["s0"] = "a9"
+
+
 class TestMalformedBundles:
     """Malformed bundles exit 2 with the field path, never a traceback."""
 
@@ -256,7 +268,12 @@ class TestMalformedBundles:
         (_action_name_not_string, ".env.actions[1]: expected str, got int"),
         (_soap_name_not_string, ".soap.good[0]: expected str, got list"),
         (_policies_not_list, ".policies: expected list, got dict"),
-    ], ids=["stochastic-row", "state-name", "action-name", "soap-name", "policies"])
+        (_unknown_start, ".env.start: 's9' is not a declared state"),
+        (_repeated_state, ".env.states[2]: duplicate name 's1'"),
+        (_policy_picks_unknown_action,
+         ".policies[0]: policy 'pi11' picks unknown action 'a9' at state 's0'"),
+    ], ids=["stochastic-row", "state-name", "action-name", "soap-name", "policies",
+            "start", "repeated-state", "policy-action"])
     def test_exit_2_with_field_path(self, capsys, tmp_path, corrupt, message):
         doc = _bundle_doc()
         path = tmp_path / "bundle.json"
@@ -268,6 +285,20 @@ class TestMalformedBundles:
         assert code == 2
         assert out == ""
         assert err == f"error: {path}{message}\n"
+
+    @pytest.mark.parametrize("nested_soap", [False, True], ids=["bundle", "soap"])
+    def test_deeply_nested_json_exits_2(self, capsys, tmp_path, nested_soap):
+        nested = tmp_path / "nested.json"
+        nested.write_text("[" * 100_000)
+        argv = ["design-multi", str(nested)]
+        if nested_soap:
+            bundle = tmp_path / "bundle.json"
+            bundle.write_text(json.dumps(_bundle_doc()))
+            argv = ["design-multi", str(bundle), "--soap", str(nested)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {nested}: invalid JSON: nested too deeply\n"
 
 
 class TestMeaninglessValues:
