@@ -227,6 +227,17 @@ def _json(text: str, source) -> object:
         raise BundleError(f"{source}: invalid JSON: nested too deeply") from None
 
 
+def _read(path: Path) -> str:
+    """The text of an input file.  A path that cannot be read (a directory,
+    say) or whose bytes are not UTF-8 is a `BundleError` naming it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise BundleError(f"{path}: cannot read: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise BundleError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def parse_bundle_text(text: str, source: str = "<string>") -> ProblemBundle:
     data = _json(text, source)
     if not isinstance(data, dict):
@@ -258,17 +269,17 @@ def parse_bundle_text(text: str, source: str = "<string>") -> ProblemBundle:
 
 def parse_bundle(path) -> ProblemBundle:
     p = resolve_input_path(str(path))
-    return parse_bundle_text(p.read_text(), source=str(p))
+    return parse_bundle_text(_read(p), source=str(p))
 
 
 def load_soap(path, bundle: ProblemBundle) -> Soap:
     p = resolve_input_path(str(path))
-    return _parse_soap(_json(p.read_text(), p), bundle.policies, str(p))
+    return _parse_soap(_json(_read(p), p), bundle.policies, str(p))
 
 
 def load_reward(path, env: MarkovEnv) -> RewardSpec:
     p = resolve_input_path(str(path))
-    return _parse_reward(_json(p.read_text(), p), env, str(p))
+    return _parse_reward(_json(_read(p), p), env, str(p))
 
 
 def _num_str(value) -> str:

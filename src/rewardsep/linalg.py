@@ -33,7 +33,7 @@ def solve_square(rows, rhs, mode: NumericMode) -> list:
         a = np.array(rows, dtype=float)
         b = np.array(rhs, dtype=float)
         try:
-            return list(np.linalg.solve(a, b))
+            return np.linalg.solve(a, b).tolist()
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(str(exc)) from exc
 

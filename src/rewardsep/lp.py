@@ -18,7 +18,11 @@ tableau.  Rationals appear only at the edges: converting the input rows,
 reading out the basic values and rays, and the duals, which
 `linalg.solve_square` solves fraction-free against the unpivoted rows.
 Every zero in an exact answer is the shared `numeric.ZERO`.  The float
-tableau pivots dense float rows with a tolerance.
+tableau is one float64 array with the rhs as its last column, and its
+sign tests use a tolerance.  A float pivot is one masked rank-1 update of
+the rows with a nonzero in the pivot column: the same IEEE multiply and
+subtract per entry, in the same order, as a row-by-row update, so the
+answers are those of plain float rows, bit for bit.
 
 A `LinearProgram` is validated once, when it is constructed.
 
@@ -36,6 +40,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
+
+import numpy as np
 
 from . import linalg
 from .numeric import EXACT, NumericMode, over_common_denominator
@@ -268,63 +274,63 @@ def _bland(tab, basis, barred):
 
 
 class _FloatTableau:
-    """Dense float rows, rhs last; entries within `tol` of zero count as
-    zero."""
+    """One float64 array, a row per constraint and the rhs last; entries
+    within `tol` of zero count as zero.  A pivot divides the pivot row by
+    the pivot and applies one masked rank-1 update to the other rows with
+    a nonzero in the pivot column.  Each entry gets the same IEEE multiply
+    and subtract as in a row-by-row update, and rows with a zero of either
+    sign there are not touched, so every -0.0 keeps its sign.  The reduced
+    costs z are a list, like the exact tableau's."""
 
-    def __init__(self, rows, rhs, tol):
-        self.rows = [row + [b] for row, b in zip(rows, rhs)]
+    def __init__(self, rows, rhs, width, tol):
+        self.rows = np.array([row + [b] for row, b in zip(rows, rhs)],
+                             dtype=float).reshape(len(rhs), width + 1)
         self.tol = tol
         self.z = None
 
     def price(self, basis, costs):
-        z = list(costs)
+        z = np.array(costs, dtype=float)
         for row, col in zip(self.rows, basis):
             cb = costs[col]
             if cb != 0:
-                z = [u - cb * v for u, v in zip(z, row)]
-        self.z = z
+                z = z - cb * row[:-1]
+        self.z = z.tolist()
 
     def ratio_ties(self, enter):
-        """The rows at the minimum ratio rhs / t over entries t > tol."""
-        tol = self.tol
-        best, ties = None, []
-        for i, row in enumerate(self.rows):
-            t = row[enter]
-            if t > tol:
-                ratio = row[-1] / t
-                if not ties or ratio < best:
-                    best, ties = ratio, [i]
-                elif ratio == best:
-                    ties.append(i)
-        return ties
+        """The rows at the minimum ratio rhs / t over entries t > tol, in
+        ascending order."""
+        column = self.rows[:, enter]
+        live = np.flatnonzero(column > self.tol)
+        ratios = self.rows[live, -1] / column[live]
+        return live[ratios == ratios.min()].tolist() if live.size else []
 
     def pivot(self, basis, row, col):
         rows = self.rows
-        piv = rows[row][col]
-        prow = rows[row] = [v / piv for v in rows[row]]
-        for i, other in enumerate(rows):
-            f = other[col]
-            if f == 0 or i == row:
-                continue
-            new = rows[i] = [u - f * v for u, v in zip(other, prow)]
-            new[col] = 0 * f
+        prow = rows[row] = rows[row] / rows[row, col]
+        f = rows[:, col].copy()
+        f[row] = 0
+        idx = f.nonzero()[0]
+        f = f[idx]
+        rows[idx] -= f[:, None] * prow
+        rows[idx, col] = 0 * f
         f = self.z[col]
         if f != 0:
-            z = self.z = [u - f * v for u, v in zip(self.z, prow)]
+            z = np.array(self.z) - f * prow[:-1]
             z[col] = 0 * f
+            self.z = z.tolist()
         basis[row] = col
 
     def nonzero(self, i, j) -> bool:
-        return not -self.tol <= self.rows[i][j] <= self.tol
+        return not -self.tol <= self.rows[i, j] <= self.tol
 
-    def entry(self, i, j):
-        return self.rows[i][j]
+    def entry(self, i, j) -> float:
+        return float(self.rows[i, j])
 
-    def value(self, i):
-        return self.rows[i][-1]
+    def value(self, i) -> float:
+        return float(self.rows[i, -1])
 
     def keep(self, alive):
-        self.rows = [self.rows[i] for i in alive]
+        self.rows = self.rows[alive]
 
 
 def _divide(values, g):
@@ -464,7 +470,7 @@ def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
     if mode.exact:
         tab = _IntTableau(pristine, std.rhs)
     else:
-        tab = _FloatTableau(pristine, std.rhs, tol)
+        tab = _FloatTableau(pristine, std.rhs, ncols, tol)
 
     # Phase 1: drive the artificial variables to zero.
     art_cols = set(art_of_row.values())

@@ -10,9 +10,11 @@ dominant (column slack exactly 1 - gamma), hence invertible, so rho is
 computed by direct elimination, never iteratively.  Both backends build
 one flow system and one residual over the kernel, gamma and policy over
 common denominators: exact mode over integers, solved fraction-free, and
-float mode over the float values with unit denominators.  The self-check
-every visitation passes (normalisation and per-state flow) is computed
-independently of the solve; in exact mode it is an integer identity.
+float mode over the float values with unit denominators.  Gamma and the
+kernel are converted once per `VisitationTable` (see `_ScaledEnv`).  The
+self-check every visitation passes (normalisation and per-state flow) is
+computed independently of the solve, from the converted inputs alone; in
+exact mode it is an integer identity.
 Every value question reduces to inner products with rho: V_i = r_i . rho.
 
 All types are immutable after construction and all operations are pure.
@@ -349,9 +351,9 @@ def _visitation(env: MarkovEnv, policy: Policy, mode: NumericMode) -> Visitation
     `NumericMode.scaled`), d solves (g_d D I - g_n (D P_pi)^T) d =
     g_d D e_start for D = D_T Q, where D P_pi = Q_pi K row by row."""
     policy.validate_for(env, mode)
+    env = _scaled(env, mode)
     n_s, n_a = env.n_states, env.n_actions
-    (g_n,), g_d = mode.scaled([env.gamma])
-    kernel, d_t = _scaled_kernel(env, mode)
+    g_n, g_d, kernel, d_t = env.g_n, env.g_d, env.scaled_kernel, env.d_t
     flat, q = mode.scaled([p for s in env.states for p in policy.distribution_row(env, s)])
     pol = [flat[s * n_a:(s + 1) * n_a] for s in range(n_s)]
     p_pi = [[0] * n_s for _ in range(n_s)]  # D P_pi, summed over actions in order
@@ -392,17 +394,42 @@ def _scaled_kernel(env: MarkovEnv, mode: NumericMode):
     return [flat[k * n_s:(k + 1) * n_s] for k in range(env.n_sa)], den
 
 
+@dataclass(frozen=True, eq=False)
+class _ScaledEnv(MarkovEnv):
+    """An environment with gamma and its kernel converted for the one mode
+    it is solved in: gamma == g_n / g_d and T(k, s2) ==
+    scaled_kernel[k][s2] / d_t (see `NumericMode.scaled`).  The visitation
+    solve, its self-check and `flow_residuals` read these instead of
+    converting again."""
+
+    g_n: Number
+    g_d: Number
+    scaled_kernel: list
+    d_t: Number
+
+
+def _scaled(env: MarkovEnv, mode: NumericMode) -> _ScaledEnv:
+    """`env` converted for `mode`, unless it already is."""
+    if isinstance(env, _ScaledEnv):
+        return env
+    (g_n,), g_d = mode.scaled([env.gamma])
+    kernel, d_t = _scaled_kernel(env, mode)
+    return _ScaledEnv(env.states, env.actions, env.kernel, env.gamma, env.start,
+                      g_n, g_d, kernel, d_t)
+
+
 class VisitationTable:
     """The visitations of one query's policies, keyed by policy name: each
     is solved the first time it is asked for (a different policy under a
-    known name is solved afresh, not stored), and the environment is
-    validated once, before the first solve.  Build one per query; it is
-    never shared across calls."""
+    known name is solved afresh, not stored).  Before the first solve the
+    environment is validated, and gamma and the kernel are converted, once
+    per table.  Build one per query; it is never shared across calls."""
 
     def __init__(self, env: MarkovEnv, mode: NumericMode = EXACT):
         self.env = env
         self.mode = mode
         self._rows = {}
+        self._scaled = None
 
     def __call__(self, policy: Policy) -> Visitation:
         known = self._rows.get(policy.name)
@@ -410,7 +437,8 @@ class VisitationTable:
             return known[1]
         if not self._rows:  # nothing solved yet: this is the first solve
             require_valid_env(self.env, self.mode)
-        rho = _visitation(self.env, policy, self.mode)
+            self._scaled = _scaled(self.env, self.mode)
+        rho = _visitation(self._scaled, policy, self.mode)
         self._rows.setdefault(policy.name, (policy, rho))
         return rho
 
@@ -420,7 +448,8 @@ def _self_check(env, rho, mode):
 
     sum(rho) == 1 / (1 - gamma) reads sum(R) * (g_d - g_n) == g_d * q for
     rho = R / q, gamma = g_n / g_d; exact mode tests it in integers."""
-    (g_n,), g_d = mode.scaled([env.gamma])
+    env = _scaled(env, mode)
+    g_n, g_d = env.g_n, env.g_d
     nums, q = mode.scaled(rho.entries)
     total = sum(nums)
     if mode.exact:
@@ -448,9 +477,9 @@ def flow_residuals(env: MarkovEnv, rho: Visitation, mode: NumericMode = EXACT):
     It is computed independently of the solve: with rho = R / q, T = K / D_T
     and gamma = g_n / g_d (see `NumericMode.scaled`), the residual times
     g_d D_T q is g_d D_T (sum_a R(s, a) - q 1[s = start]) - g_n sum K R."""
+    env = _scaled(env, mode)
     n_s, n_a = env.n_states, env.n_actions
-    (g_n,), g_d = mode.scaled([env.gamma])
-    kernel, d_t = _scaled_kernel(env, mode)
+    g_n, g_d, kernel, d_t = env.g_n, env.g_d, env.scaled_kernel, env.d_t
     nums, q = mode.scaled(rho.entries)
     inflow = [0] * n_s
     for row, r in zip(kernel, nums):

@@ -300,6 +300,24 @@ class TestMalformedBundles:
         assert out == ""
         assert err == f"error: {nested}: invalid JSON: nested too deeply\n"
 
+    @pytest.mark.parametrize("as_soap", [False, True], ids=["bundle", "soap"])
+    @pytest.mark.parametrize("make, message", [
+        (lambda path: path.mkdir(), "cannot read: Is a directory"),
+        (lambda path: path.write_bytes(b"\xff{}"), "not UTF-8 text: invalid start byte at byte 0"),
+    ], ids=["directory", "not-utf-8"])
+    def test_unreadable_file_exits_2(self, capsys, tmp_path, make, message, as_soap):
+        unreadable = tmp_path / "adir.json"
+        make(unreadable)
+        argv = ["design-multi", str(unreadable)]
+        if as_soap:
+            bundle = tmp_path / "bundle.json"
+            bundle.write_text(json.dumps(_bundle_doc()))
+            argv = ["design-multi", str(bundle), "--soap", str(unreadable)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {unreadable}: {message}\n"
+
 
 class TestMeaninglessValues:
     """Flag values that mean nothing exit 2, naming the flag."""

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -222,6 +223,68 @@ class TestPinnedExactAnswers:
             sol = lp.solve(random_lp(rng), EXACT)
             answer = (sol.status, sol.primal, sol.objective_value, sol.certificate)
             digest.update(repr(answer).encode() + b"\n")
+        assert digest.hexdigest() == self.DIGEST
+
+
+def _hex(value) -> str:
+    """Every number of an answer as `float.hex`, through tuples and
+    dataclasses, so that a change in any bit changes the text."""
+    if value is None or isinstance(value, str):
+        return repr(value)
+    if isinstance(value, tuple):
+        return "(" + ",".join(_hex(v) for v in value) + ")"
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__ + _hex(dataclasses.astuple(value))
+    return float(value).hex()
+
+
+def sparse_lp(rng):
+    """Larger LP with free, boxed, upper- and lower-bounded variables,
+    sparse rows and coefficients that are not exact binary fractions."""
+    n = rng.randint(3, 9)
+    m = rng.randint(0, 10)
+
+    def coefficient():
+        return 0 if rng.random() < 0.55 else rng.randint(-21, 21) / 7
+
+    bounds = []
+    for _ in range(n):
+        kind = rng.choice(["lower", "free", "boxed", "upper"])
+        lo, hi = rng.randint(-3, 1), rng.randint(1, 5)
+        bounds.append({"lower": (lo, None), "free": (None, None),
+                       "boxed": (lo, hi), "upper": (None, hi)}[kind])
+    return build(
+        [coefficient() for _ in range(n)],
+        [[coefficient() for _ in range(n)] for _ in range(m)],
+        [rng.randint(-30, 30) / 9 for _ in range(m)],
+        [rng.choice(["le", "ge", "eq"]) for _ in range(m)],
+        bounds,
+    )
+
+
+class TestPinnedFloatAnswers:
+    # SHA-256 over the float.hex of every number in the float answers to
+    # seeded random LPs, larger sparse LPs and zero-row LPs, at two
+    # tolerances, recorded with the list-of-floats tableau.  Any change to
+    # a pivot, a rounding or the sign of a zero changes it.
+    DIGEST = "cce247543abfe9cb68dd16d56c686801d6e1fcd1cb2a8cca65213cf7b2ab15e1"
+
+    def test_float_answers_unchanged(self):
+        rng = random.Random(20261018)
+        programs = [random_lp(rng) for _ in range(300)]
+        programs += [sparse_lp(rng) for _ in range(150)]
+        programs += [build([1, 2], [], [], []), build([-1, 2], [], [], []),
+                     build([1, -1], [], [], [], [(None, 3), (-2, 4)])]
+        digest = hashlib.sha256()
+        statuses = set()
+        for tolerance in (1e-9, 1e-6):
+            mode = NumericMode.floating(tolerance)
+            for program in programs:
+                sol = lp.solve(program, mode)
+                statuses.add(sol.status)
+                answer = (sol.status, sol.primal, sol.objective_value, sol.certificate)
+                digest.update(_hex(answer).encode() + b"\n")
+        assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
         assert digest.hexdigest() == self.DIGEST
 
 

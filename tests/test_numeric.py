@@ -1,9 +1,11 @@
-"""NumericMode: exact mode is tolerance 0, and exact answers hold no float."""
+"""NumericMode: exact mode is tolerance 0, exact answers hold no float, and
+float answers hold no numpy scalar."""
 
 import dataclasses
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rewardsep import lp
@@ -134,3 +136,45 @@ def test_exact_tie_at_a_decimal_bound_is_feasible(mode):
     report = verify_realization(entailment_env(), soap, spec, mode)
     assert report.verdict_for("pi11").values == (Fraction(1, 10),)
     assert report.realized
+
+
+@pytest.mark.parametrize("tolerance", [1e-9, 1e-6])
+def test_float_answers_hold_no_numpy_scalar(tolerance, monkeypatch):
+    """Float answers hold Python floats only, never an `np.float64` beside
+    them, as the exact answers hold no float."""
+    mode = NumericMode.floating(tolerance)
+    solves = []
+    real_solve = lp.solve
+
+    def recording(program, solve_mode=EXACT):
+        solution = real_solve(program, solve_mode)
+        solves.append((program, solution))
+        return solution
+
+    monkeypatch.setattr(lp, "solve", recording)
+    results = []
+    for bundle_name, soap_name in itertools.product(BUNDLES, SOAPS):
+        bundle = parse_bundle(bundle_name)
+        env, soap = bundle.env, load_soap(soap_name, bundle)
+        for design in (design_scalar, check_scalar_optimality,
+                       lambda e, s, m: design_multi(e, s, m, reduce=True)):
+            try:
+                results.append(design(env, soap, mode))
+            except (InconsistentSoapError, DeterministicSoapRequired):
+                pass
+        if bundle_name == "entailment.json":
+            reward = load_reward("entailment_reward.json", env)
+            results.append(verify_realization(env, soap, reward, mode))
+    for program, _ in list(solves):
+        objective = [0] * (program.n_vars - 1) + [1]
+        program = lp.LinearProgram(tuple(objective), program.matrix, program.rhs,
+                                   program.senses, program.bounds)
+        recording(program, mode)
+    results += [solution for _, solution in solves]
+    statuses = {solution.status for _, solution in solves}
+    assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
+    assert len(results) > 40
+    numbers = [n for result in results for n in _numbers(result)]
+    assert any(isinstance(n, float) for n in numbers)
+    scalars = [n for n in numbers if isinstance(n, np.generic)]
+    assert not scalars, scalars[:5]

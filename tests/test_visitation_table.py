@@ -1,5 +1,5 @@
-"""Each query solves each policy's visitation exactly once and validates
-its environment once."""
+"""Each query solves each policy's visitation exactly once, validates its
+environment once and converts its kernel once."""
 
 import json
 from collections import Counter
@@ -46,6 +46,20 @@ def validations(monkeypatch):
         return real(env, mode)
 
     monkeypatch.setattr(mdp, "validate_env", counting)
+    return calls
+
+
+@pytest.fixture
+def conversions(monkeypatch):
+    """Number of `mdp._scaled_kernel` runs, the kernel conversion."""
+    calls = []
+    real = mdp._scaled_kernel
+
+    def counting(env, mode):
+        calls.append(env)
+        return real(env, mode)
+
+    monkeypatch.setattr(mdp, "_scaled_kernel", counting)
     return calls
 
 
@@ -150,3 +164,28 @@ def test_cli_command_validates_the_environment_once(validations, capsys, argv):
     assert run_command(argv) in (0, 1)
     capsys.readouterr()
     assert len(validations) == 1
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT], ids=["exact", "float"])
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda env, mode: design_multi(env, XOR_SOAP, mode, reduce=True),
+        lambda env, mode: check_scalar_optimality(
+            env, Soap.build(good=[PI11], bad=[PI12, PI21, PI22]), mode),
+    ],
+    ids=["multi-reduce", "optimality"],
+)
+def test_query_converts_the_kernel_once(conversions, query, mode):
+    query(entailment_env(), mode)
+    assert len(conversions) == 1
+
+
+@pytest.mark.parametrize("tol", [[], ["--tol", "1e-9"]], ids=["exact", "float"])
+def test_cli_design_multi_converts_the_kernel_once(conversions, capsys, tol):
+    code = run_command(
+        ["design-multi", "entailment.json", "--soap", "xor_soap.json", "--json"] + tol
+    )
+    capsys.readouterr()
+    assert code == 0
+    assert len(conversions) == 1
