@@ -26,20 +26,23 @@ optionally a SOAP (name references) and a reward spec:
 Numbers are decimal or fraction strings (integers may stay bare) so the
 exact-rational backend parses them losslessly; raw JSON floats are
 rejected.  Every (state, action) pair needs a transition row -- omission
-is an error, not an implicit self-loop.  Serialization is canonical:
-parsing and re-serializing a canonical document is byte-identical.
+is an error, not an implicit self-loop -- whose probabilities are
+nonnegative and sum to exactly 1, and gamma lies in [0, 1); each error
+names its field.  Serialization is canonical: parsing and re-serializing
+a canonical document is byte-identical.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from typing import Optional
 
 from .mdp import MarkovEnv, Policy, PolicyError, RewardSpec
-from .numeric import ExactInputError, format_number, parse_rational
+from .numeric import ExactInputError, format_number, over_common_denominator, parse_rational
 from .soap import Soap, SoapError
 
 
@@ -126,6 +129,8 @@ def _parse_env(data, where):
     states = _names(data, "states", where, unique=True)
     actions = _names(data, "actions", where, unique=True)
     gamma = _number(_expect(data, "gamma", None, where), f"{where}.gamma")
+    if not 0 <= gamma < 1:
+        raise BundleError(f"{where}.gamma: {format_number(gamma)} is out of range [0, 1)")
     start = _expect(data, "start", str, where)
     if start not in states:
         raise BundleError(f"{where}.start: {start!r} is not a declared state")
@@ -138,9 +143,17 @@ def _parse_env(data, where):
         to = _expect(row, "to", dict, rwhere)
         if (source, action) in transitions:
             raise BundleError(f"{rwhere}: duplicate row for ({source}, {action})")
-        transitions[(source, action)] = {
-            s2: _number(p, f"{rwhere}.to.{s2}") for s2, p in to.items()
-        }
+        dist = {s2: _number(p, f"{rwhere}.to.{s2}") for s2, p in to.items()}
+        nums, den = over_common_denominator(dist.values())
+        for s2, num in zip(dist, nums):
+            if num < 0:
+                raise BundleError(
+                    f"{rwhere}.to.{s2}: negative probability {format_number(dist[s2])}"
+                )
+        if sum(nums) != den:
+            total = format_number(Fraction(sum(nums), den))
+            raise BundleError(f"{rwhere}.to: probabilities sum to {total}, not 1")
+        transitions[(source, action)] = dist
     missing = [
         (s, a) for s in states for a in actions if (s, a) not in transitions
     ]

@@ -1,9 +1,11 @@
-"""Dense linear solves shared by the visitation and LP machinery.
+"""Dense square solves: every visitation, and the duals of a float LP.
 
-Exact solves are fraction-free (Bareiss 1968): each row of [A | b] is
-scaled to integers by the lcm of its denominators, eliminated with exact
-integer division, and back-substituted to y / det in integers, so the
-only rationals formed are the returned x_i = y_i / det.
+Exact solves serve the visitations only; exact LP multipliers are read off
+the simplex tableau instead (see `lp`).  They are fraction-free (Bareiss
+1968): each row of [A | b] is scaled to integers by the lcm of its
+denominators, eliminated with exact integer division, and back-substituted
+to y / det in integers, so the only rationals formed are the returned
+x_i = y_i / det.
 """
 
 from __future__ import annotations

@@ -14,15 +14,21 @@ over one positive row denominator, reduced by a single gcd per updated
 row (see `_IntTableau`).  Scaling a row by a positive factor changes no
 sign and no ratio, so Bland's rule makes the same pivots as over
 rationals, and the vertex and certificates are those of a `Fraction`
-tableau.  Rationals appear only at the edges: converting the input rows,
-reading out the basic values and rays, and the duals, which
-`linalg.solve_square` solves fraction-free against the unpivoted rows.
-Every zero in an exact answer is the shared `numeric.ZERO`.  The float
-tableau is one float64 array with the rhs as its last column, and its
-sign tests use a tolerance.  A float pivot is one masked rank-1 update of
-the rows with a nonzero in the pivot column: the same IEEE multiply and
-subtract per entry, in the same order, as a row-by-row update, so the
-answers are those of plain float rows, bit for bit.
+tableau.  Rationals appear only at the edges: converting the input rows
+and reading out the basic values, rays and multipliers.  The exact
+reduced costs are integers over one denominator, so the simplex
+multipliers are read off the final tableau (Chvátal 1983, ch. 10): at the
+optimum they are the duals, at an infeasible phase 1 the Farkas
+multipliers, and no basis is solved.  Every zero in an exact answer is the
+shared `numeric.ZERO`.
+
+The float tableau is one float64 array with the rhs as its last column,
+and its sign tests use a tolerance.  A float pivot is one masked rank-1
+update of the rows with a nonzero in the pivot column: the same IEEE
+multiply and subtract per entry, in the same order, as a row-by-row
+update, so the answers are those of plain float rows, bit for bit.  Its
+reduced costs carry rounding, so float multipliers are solved against
+the unpivoted rows with `linalg.solve_square`.
 
 A `LinearProgram` is validated once, when it is constructed.
 
@@ -44,7 +50,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .numeric import EXACT, NumericMode, over_common_denominator
+from .numeric import EXACT, FLOAT, NumericMode, over_common_denominator
 
 log = logging.getLogger(__name__)
 
@@ -221,18 +227,23 @@ def _standardize(c, a, b, senses, bounds, zero):
             bound_rows.append((len(std.cols), hi - lo))
             std.cols.append((j, 1))
 
+    # A zero shift adds nothing: v * 0 is skipped, which in float is
+    # bit-identical too, since shift_term starts at +0.0 and never becomes
+    # -0.0.
     width = len(std.cols)
+    shifts = std.shifts
     for i, row in enumerate(a):
         coeffs = [zero] * width
         shift_term = zero
         for j, v in enumerate(row):
-            if v == zero:
+            if not v:
                 continue
-            shift_term += v * std.shifts[j]
+            if shifts[j]:
+                shift_term += v * shifts[j]
             for col, sign in var_cols[j]:
                 coeffs[col] = v if sign == 1 else -v
         std.rows.append(coeffs)
-        std.rhs.append(b[i] - shift_term)
+        std.rhs.append(b[i] - shift_term if shift_term else b[i])
         std.senses.append(senses[i])
         std.origin.append(i)
         std.negated.append(False)
@@ -332,6 +343,9 @@ class _FloatTableau:
     def keep(self, alive):
         self.rows = self.rows[alive]
 
+    def duals(self, pristine, basis, costs, units):
+        return _basis_duals(pristine, basis, costs)
+
 
 def _divide(values, g):
     return values if g == 1 else [v // g for v in values]
@@ -344,8 +358,9 @@ class _IntTableau:
     d_i > 0: the tableau row it stands for is N_i / d_i.  Each updated row
     is divided by gcd(d_i, *N_i), one C-level gcd instead of one per
     entry.  Positive row scaling changes no sign and no ratio, so Bland's
-    rule pivots exactly as it would over Fractions.  The reduced costs z
-    are kept up to a positive factor, since only their signs are read.
+    rule pivots exactly as it would over Fractions.  The reduced costs are
+    the ints z over one denominator zd > 0, reduced by gcd(zd, *z), so the
+    simplex multipliers can be read off them (see `duals`).
     """
 
     tol = 0  # every sign test is exact
@@ -358,14 +373,20 @@ class _IntTableau:
             self.rows.append(ints)
             self.dens.append(den)
         self.z = None
+        self.zd = 1
+
+    def _set_z(self, z, zd):
+        g = math.gcd(zd, *z)
+        self.z, self.zd = _divide(z, g), zd // g
 
     def price(self, basis, costs):
-        z, _ = over_common_denominator(costs)
+        z, zd = over_common_denominator(costs)
         for row, d, col in zip(self.rows, self.dens, basis):
             f = z[col]
             if f:
                 z = [d * u - f * v for u, v in zip(z, row)]
-        self.z = _divide(z, math.gcd(*z) or 1)
+                zd *= d
+        self._set_z(z, zd)
 
     def ratio_ties(self, enter):
         """The rows at the minimum ratio N_i[-1] / N_i[enter] over positive
@@ -406,8 +427,7 @@ class _IntTableau:
             self.dens[i] = d // g
         f = self.z[col]
         if f:
-            z = [p * u - f * v for u, v in zip(self.z, prow)]
-            self.z = _divide(z, math.gcd(*z) or 1)
+            self._set_z([p * u - f * v for u, v in zip(self.z, prow)], self.zd * p)
         basis[row] = col
 
     def nonzero(self, i, j) -> bool:
@@ -422,6 +442,14 @@ class _IntTableau:
     def keep(self, alive):
         self.rows = [self.rows[i] for i in alive]
         self.dens = [self.dens[i] for i in alive]
+
+    def duals(self, pristine, basis, costs, units):
+        """The simplex multipliers y = B⁻ᵀ c_B, read off the reduced costs
+        (Chvátal 1983, ch. 10): column j = units[i] is a ±e_i in the
+        unpivoted rows, so its reduced cost is c_j − y_i a with a = ±1."""
+        zd = self.zd
+        return [(costs[j] - Fraction(self.z[j], zd)) / row[j]
+                for row, j in zip(pristine, units)]
 
 
 def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
@@ -457,7 +485,9 @@ def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
             art_of_row[i] = ncols
             ncols += 1
 
-    # The tableaux copy these rows; the duals are solved against them.
+    # The tableaux copy these rows.  Row i's multiplier is read off the
+    # column that is a unit vector there: its slack, or its artificial if
+    # it has none.
     pristine = []
     for i in range(m):
         row = list(std.rows[i]) + [zero] * (ncols - n_struct)
@@ -467,6 +497,7 @@ def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
             row[art_of_row[i]] = zero + 1
         pristine.append(row)
     basis = [art_of_row.get(i, slack_of_row.get(i)) for i in range(m)]
+    units = [slack_of_row.get(i, art_of_row.get(i)) for i in range(m)]
     if mode.exact:
         tab = _IntTableau(pristine, std.rhs)
     else:
@@ -481,17 +512,20 @@ def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
     status, _ = _bland(tab, basis, barred=frozenset())
     if status != OPTIMAL:  # pragma: no cover - phase 1 is always bounded
         raise RuntimeError("phase 1 cannot be unbounded")
-    scale = 1 + sum(abs(v) for v in std.rhs)
+    # The float tolerance grows with the rhs; the exact threshold is 0.
+    scale = 1 + sum(abs(v) for v in std.rhs) if tol else 1
     phase1_value = sum(tab.value(i) for i in range(m) if basis[i] in art_cols)
     if phase1_value > tol * scale:
-        y_std = _basis_duals(pristine, basis, costs1, mode)
+        y_std = tab.duals(pristine, basis, costs1, units)
         y = mode.share_zero(_map_duals(y_std, std, len(lp.matrix)))
         return LpSolution(status=INFEASIBLE, certificate=FarkasCertificate(y))
 
     # Remove artificial variables from the basis.  A tableau row that is
     # zero outside the artificial columns is redundant: drop it, and with
     # it the original row whose artificial is basic there, so the basis
-    # left for the duals stays square and nonsingular.
+    # left for the duals stays square and nonsingular.  The rows left are
+    # B'⁻¹ times the kept rows, so the multipliers read off them are those
+    # of the kept rows.
     row_of_art = {col: i for i, col in art_of_row.items()}
     dead = {}  # tableau row -> original row
     for i in range(m):
@@ -507,6 +541,7 @@ def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
         tab.keep([i for i in range(m) if i not in dead])
         basis = [v for i, v in enumerate(basis) if i not in dead]
         pristine = [row for i, row in enumerate(pristine) if i not in gone]
+        units = [v for i, v in enumerate(units) if i not in gone]
         std.origin = [v for i, v in enumerate(std.origin) if i not in gone]
         std.negated = [v for i, v in enumerate(std.negated) if i not in gone]
         m = len(basis)
@@ -542,7 +577,7 @@ def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
             value = value + (x_std[col] if sign == 1 else -x_std[col])
         primal.append(value)
     objective = sum((cj * xj for cj, xj in zip(c, primal)), zero)
-    y_std = _basis_duals(pristine, basis, costs2, mode)
+    y_std = tab.duals(pristine, basis, costs2, units)
     duals = mode.share_zero(_map_duals(y_std, std, len(lp.matrix)))
     dual_obj = _support(c, a, b, bounds, duals, mode, with_objective=True)
     return LpSolution(
@@ -553,14 +588,14 @@ def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
     )
 
 
-def _basis_duals(pristine, basis, costs, mode):
-    """Solve Bᵀ y = c_B against the unpivoted column data."""
+def _basis_duals(pristine, basis, costs):
+    """Solve Bᵀ y = c_B in floats against the unpivoted column data."""
     m = len(basis)
     rows = [[pristine[i][basis[k]] for i in range(m)] for k in range(m)]
     rhs = [costs[basis[k]] for k in range(m)]
     if m == 0:
         return []
-    return linalg.solve_square(rows, rhs, mode)
+    return linalg.solve_square(rows, rhs, FLOAT)
 
 
 def _map_duals(y_std, std, n_orig_rows):

@@ -509,14 +509,20 @@ def policy_value(env: MarkovEnv, policy: Policy, reward: RewardSpec,
 
 def value_of_visitation(rho: Visitation, reward: RewardSpec,
                         mode: NumericMode = EXACT) -> tuple:
-    conv = mode.convert
-    entries = [conv(v) for v in rho.entries]
+    """r_i . rho per reward row: over integers in exact mode, with one
+    division per row.  Only the terms where rho is nonzero are summed, from
+    0; in float mode that adds as +0.0, so the sum never becomes -0.0 and
+    its bits are those of the full sum."""
+    entries, den = mode.scaled(rho.entries)
+    support = [(k, e) for k, e in enumerate(entries) if e]
     out = []
     for row in reward.rows:
         if len(row) != len(entries):
             raise ValueError("reward row width does not match the visitation")
-        out.append(sum((conv(r) * e for r, e in zip(row, entries)), mode.zero))
-    return mode.share_zero(out)
+        nums, row_den = mode.scaled(row)
+        total = sum(nums[k] * e for k, e in support)
+        out.append(mode.ratio(total, den * row_den))
+    return tuple(out)
 
 
 def enumerate_deterministic_policies(env: MarkovEnv, limit: int = 4096):

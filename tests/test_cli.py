@@ -259,6 +259,18 @@ def _policy_picks_unknown_action(doc):
     doc["policies"][0]["deterministic"]["s0"] = "a9"
 
 
+def _gamma_out_of_range(doc):
+    doc["env"]["gamma"] = "1.5"
+
+
+def _row_sums_to_two(doc):
+    doc["env"]["transitions"][1]["to"] = {"s1": "2"}
+
+
+def _negative_probability(doc):
+    doc["env"]["transitions"][1]["to"] = {"s0": "-1/2", "s1": "3/2"}
+
+
 class TestMalformedBundles:
     """Malformed bundles exit 2 with the field path, never a traceback."""
 
@@ -272,8 +284,12 @@ class TestMalformedBundles:
         (_repeated_state, ".env.states[2]: duplicate name 's1'"),
         (_policy_picks_unknown_action,
          ".policies[0]: policy 'pi11' picks unknown action 'a9' at state 's0'"),
+        (_gamma_out_of_range, ".env.gamma: 1.5 is out of range [0, 1)"),
+        (_row_sums_to_two, ".env.transitions[1].to: probabilities sum to 2, not 1"),
+        (_negative_probability, ".env.transitions[1].to.s0: negative probability -0.5"),
     ], ids=["stochastic-row", "state-name", "action-name", "soap-name", "policies",
-            "start", "repeated-state", "policy-action"])
+            "start", "repeated-state", "policy-action", "gamma", "row-sum",
+            "negative-probability"])
     def test_exit_2_with_field_path(self, capsys, tmp_path, corrupt, message):
         doc = _bundle_doc()
         path = tmp_path / "bundle.json"

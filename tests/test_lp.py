@@ -1,14 +1,15 @@
 import dataclasses
 import hashlib
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from rewardsep import lp
+from rewardsep import linalg, lp, mdp
 from rewardsep.bundles import fixture_path, load_soap, parse_bundle
-from rewardsep.numeric import EXACT, FLOAT, ExactInputError, NumericMode
+from rewardsep.numeric import EXACT, FLOAT, ZERO, ExactInputError, NumericMode
 from rewardsep.separability import check_scalar_optimality, design_multi
 
 from oracles import brute_force_lp, random_lp
@@ -145,19 +146,21 @@ class TestExamples:
             entries.append(tab.rows[row][col])
             pivot(tab, basis, row, col)
 
-        def spy_duals(pristine, basis, costs, mode):
+        def spy_duals(pristine, basis, costs):
             shapes.append((len(pristine), len(basis)))
-            return basis_duals(pristine, basis, costs, mode)
+            return basis_duals(pristine, basis, costs)
 
         monkeypatch.setattr(lp._IntTableau, "pivot", spy_pivot)
         monkeypatch.setattr(lp, "_basis_duals", spy_duals)
         sol = lp.solve(program, EXACT)
         assert any(entry < 0 for entry in entries)
-        assert shapes == [(2, 2)]  # the redundant row is dropped
+        assert shapes == []  # exact duals are read off the tableau
         assert sol.primal == (0, F(1, 6), F(1, 3))
         assert sol.objective_value == F(3, 2)
+        assert sol.certificate.row_duals[2] is ZERO  # the dropped row
         assert_valid_optimal(program, sol)
         fsol = lp.solve(program, FLOAT)
+        assert shapes == [(2, 2)]  # the redundant row is dropped
         assert fsol.status == lp.OPTIMAL
         assert fsol.primal == pytest.approx([float(v) for v in sol.primal], abs=1e-9)
         assert fsol.objective_value == pytest.approx(1.5, abs=1e-9)
@@ -224,6 +227,92 @@ class TestPinnedExactAnswers:
             answer = (sol.status, sol.primal, sol.objective_value, sol.certificate)
             digest.update(repr(answer).encode() + b"\n")
         assert digest.hexdigest() == self.DIGEST
+
+    # The same over tall LPs, recorded with the duals solved against the
+    # unpivoted basis columns.
+    TALL_DIGEST = "d8f8cd5e022b385399681a48a6b74f7da286004dbaab2127b69f41ab71608fbf"
+
+    def test_tall_lp_answers_unchanged(self, monkeypatch):
+        drops = []
+        keep = lp._IntTableau.keep
+
+        def counting_keep(tab, alive):
+            drops.append(len(alive))
+            keep(tab, alive)
+
+        monkeypatch.setattr(lp._IntTableau, "keep", counting_keep)
+        rng = random.Random(20261019)
+        digest = hashlib.sha256()
+        statuses = []
+        for _ in range(100):
+            sol = lp.solve(tall_lp(rng), EXACT)
+            statuses.append(sol.status)
+            answer = (sol.status, sol.primal, sol.objective_value, sol.certificate)
+            digest.update(repr(answer).encode() + b"\n")
+        assert statuses.count(lp.OPTIMAL) >= 30
+        assert statuses.count(lp.INFEASIBLE) >= 10
+        assert statuses.count(lp.UNBOUNDED) >= 5
+        assert len(drops) >= 20  # redundant rows were dropped
+        assert digest.hexdigest() == self.TALL_DIGEST
+
+
+def tall_lp(rng):
+    """Tall exact LP: 20-40 eq, le and ge rows over up to 9 variables, some
+    free or boxed.  The rows hold at a hidden point, and some are copies,
+    multiples or negations of others, so the redundant-row drop runs; a
+    shifted copy of an eq row makes about a fifth of them infeasible.  In
+    about a fifth, every row and the box admit a direction along which the
+    objective falls, so those that are feasible are unbounded."""
+    n = rng.randint(2, 9)
+    point = [Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3])) for _ in range(n)]
+    bounds = []
+    for x in point:
+        kind = rng.choice(["free", "free", "lower", "boxed"])
+        lo, hi = math.floor(x) - rng.randint(0, 2), math.ceil(x) + rng.randint(0, 2)
+        bounds.append({"free": (None, None), "lower": (lo, None), "boxed": (lo, hi)}[kind])
+    # The recession direction, if any, and the index of its first nonzero.
+    direction = [0 if lo is not None and hi is not None else
+                 rng.choice([1, -1]) if lo is None else rng.choice([0, 1])
+                 for lo, hi in bounds]
+    lead = next((j for j, d in enumerate(direction) if d), None)
+    if rng.random() >= 0.2:
+        lead = None
+
+    def open_along_direction(row, sense):
+        """Zero or flip row . direction where the sense would cut the ray."""
+        if lead is not None:
+            s = sum(a * d for a, d in zip(row, direction))
+            if s and (sense == lp.EQ or (s > 0) == (sense == lp.LE)):
+                row[lead] -= s * direction[lead]
+
+    def coefficient():
+        return 0 if rng.random() < 0.4 else Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 7]))
+
+    matrix, rhs, senses = [], [], []
+    for _ in range(rng.randint(20, 40)):
+        if matrix and rng.random() < 0.25:
+            k = rng.randrange(len(matrix))
+            scale = rng.choice([1, -1, 2, Fraction(-1, 3)])
+            row, b = [scale * v for v in matrix[k]], scale * rhs[k]
+            sense = senses[k] if scale > 0 else {lp.LE: lp.GE, lp.GE: lp.LE, lp.EQ: lp.EQ}[senses[k]]
+        else:
+            row = [coefficient() for _ in range(n)]
+            sense = rng.choice([lp.EQ, lp.EQ, lp.LE, lp.GE])
+            open_along_direction(row, sense)
+            b = sum(a * x for a, x in zip(row, point))
+            b += {lp.EQ: 0, lp.LE: rng.randint(0, 3), lp.GE: -rng.randint(0, 3)}[sense]
+        matrix.append(row)
+        rhs.append(b)
+        senses.append(sense)
+    if rng.random() < 0.2:
+        k = next((i for i, s in enumerate(senses) if s == lp.EQ), 0)
+        matrix.append(list(matrix[k]))
+        rhs.append(rhs[k] + 1)
+        senses.append(lp.EQ)
+    objective = [rng.randint(-5, 5) for _ in range(n)]
+    if lead is not None:  # objective . direction == -1
+        objective[lead] -= (sum(c * d for c, d in zip(objective, direction)) + 1) * direction[lead]
+    return build(objective, matrix, rhs, senses, bounds)
 
 
 def _hex(value) -> str:
@@ -456,6 +545,38 @@ def test_each_lp_solved_is_validated_once(monkeypatch, soap_file, mode):
     check_scalar_optimality(bundle.env, soap, mode)
     assert solved
     assert validated == solved
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT], ids=["exact", "float"])
+@pytest.mark.parametrize("soap_file", ["xor_soap.json", "always_a2_soap.json",
+                                       "optimal_a1_soap.json"])
+def test_square_solves_are_the_visitations_and_float_duals(monkeypatch, soap_file, mode):
+    # Exact LP certificates are read off the tableau; only float LPs solve
+    # their basis for the duals.
+    squares, visitations, solved = [], [], []
+    real_square, real_visitation, real_solve = linalg.solve_square, mdp._visitation, lp.solve
+
+    def counting_square(rows, rhs, mode):
+        squares.append(len(rows))
+        return real_square(rows, rhs, mode)
+
+    def counting_visitation(env, policy, mode):
+        visitations.append(policy)
+        return real_visitation(env, policy, mode)
+
+    def counting_solve(program, mode=EXACT):
+        solved.append(program)
+        return real_solve(program, mode)
+
+    monkeypatch.setattr(linalg, "solve_square", counting_square)
+    monkeypatch.setattr(mdp, "_visitation", counting_visitation)
+    monkeypatch.setattr(lp, "solve", counting_solve)
+    bundle = parse_bundle(fixture_path("entailment.json"))
+    soap = load_soap(fixture_path(soap_file), bundle)
+    design_multi(bundle.env, soap, mode, reduce=True)
+    check_scalar_optimality(bundle.env, soap, mode)
+    assert visitations and solved
+    assert len(squares) == len(visitations) + (0 if mode.exact else len(solved))
 
 
 def test_construction_validates():
