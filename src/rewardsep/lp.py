@@ -14,8 +14,10 @@ over one positive row denominator, reduced by a single gcd per updated
 row (see `_IntTableau`).  Scaling a row by a positive factor changes no
 sign and no ratio, so Bland's rule makes the same pivots as over
 rationals, and the vertex and certificates are those of a `Fraction`
-tableau.  Rationals appear only at the edges: converting the input rows
-and reading out the basic values, rays and multipliers.  The exact
+tableau.  Each row and its rhs are converted once, by `NumericMode.scaled`
+in `_standardize`, into the tableau's own numbers: ints over one row
+denominator.  Rationals appear only at the edges: the objective and
+bounds, and the basic values, rays and multipliers read out.  The exact
 reduced costs are integers over one denominator, so the simplex
 multipliers are read off the final tableau (Chvátal 1983, ch. 10): at the
 optimum they are the duals, at an infeasible phase 1 the Farkas
@@ -27,8 +29,9 @@ and its sign tests use a tolerance.  A float pivot is one masked rank-1
 update of the rows with a nonzero in the pivot column: the same IEEE
 multiply and subtract per entry, in the same order, as a row-by-row
 update, so the answers are those of plain float rows, bit for bit.  Its
-reduced costs carry rounding, so float multipliers are solved against
-the unpivoted rows with `linalg.solve_square`.
+reduced costs carry rounding, so the tableau keeps a copy of its
+unpivoted array, and the float multipliers solve Bᵀy = c_B on its basis
+columns with `linalg.solve_square`.
 
 A `LinearProgram` is validated once, when it is constructed.
 
@@ -50,7 +53,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .numeric import EXACT, FLOAT, NumericMode, over_common_denominator
+from .numeric import EXACT, FLOAT, NumericMode, parse_rational
 
 log = logging.getLogger(__name__)
 
@@ -115,9 +118,12 @@ class LinearProgram:
         return len(self.matrix)
 
 
-def _check_finite(value, where: str):
-    if isinstance(value, float) and not math.isfinite(value):
-        raise LpInputError(f"non-finite coefficient in {where}: {value!r}")
+def _check_finite(values, where):
+    """Raise LpInputError at the first float NaN or infinity in `values`;
+    `where(k)` names the place of entry k."""
+    for k, v in enumerate(values):
+        if isinstance(v, float) and not math.isfinite(v):
+            raise LpInputError(f"non-finite coefficient in {where(k)}: {v!r}")
 
 
 def _validate(lp: LinearProgram):
@@ -127,18 +133,21 @@ def _validate(lp: LinearProgram):
     for i, row in enumerate(lp.matrix):
         if len(row) != n:
             raise LpInputError(f"constraint row {i} has {len(row)} coefficients, expected {n}")
-        for v in row:
-            _check_finite(v, f"row {i}")
-    for v in lp.objective:
-        _check_finite(v, "objective")
-    for v in lp.rhs:
-        _check_finite(v, "rhs")
+        _check_finite(row, lambda k: f"row {i}")
+    _check_finite(lp.objective, lambda k: "objective")
+    _check_finite(lp.rhs, lambda k: "rhs")
     if len(lp.bounds) != n:
         raise LpInputError("bounds length does not match the variable count")
+    _check_finite([v for box in lp.bounds for v in box],
+                  lambda k: f"bounds of variable {k // 2}")
     for j, (lo, hi) in enumerate(lp.bounds):
-        for v in (lo, hi):
-            if v is not None:
-                _check_finite(v, f"bounds of variable {j}")
+        if lo is not None and hi is not None and _rational(lo) > _rational(hi):
+            raise LpInputError(f"empty box for variable {j}: lower bound {lo} > upper bound {hi}")
+
+
+def _rational(value):
+    """A bound as a number that compares exactly: strings are parsed."""
+    return parse_rational(value) if isinstance(value, str) else value
 
 
 @dataclass(frozen=True)
@@ -151,7 +160,8 @@ class DualCertificate:
 
 @dataclass(frozen=True)
 class FarkasCertificate:
-    """Row multipliers witnessing infeasibility (see `farkas_gap`)."""
+    """Row multipliers y witnessing infeasibility: y ≤ 0 on le rows, y ≥ 0
+    on ge rows, and yᵀb above the supremum of yᵀA·x over the variable box."""
 
     row_multipliers: tuple
 
@@ -171,42 +181,30 @@ class LpSolution:
     certificate: object = None
 
 
-def _coerce_lp(lp: LinearProgram, mode: NumericMode):
-    conv = mode.convert
-    c = [conv(v) for v in lp.objective]
-    a = [[conv(v) for v in row] for row in lp.matrix]
-    b = [conv(v) for v in lp.rhs]
-    bounds = [
-        (None if lo is None else conv(lo), None if hi is None else conv(hi))
-        for lo, hi in lp.bounds
-    ]
-    return c, a, b, bounds
-
-
 class _Std:
-    """Standardized form: nonnegative variables, equality rows.
+    """Standard form in the tableau's own numbers: nonnegative columns, and
+    equality rows with their slack and artificial columns.
 
     Free variables split into nonnegative pairs; finite lower/upper bounds
-    become shifts/reflections, two-sided bounds add an explicit row.
+    become shifts/reflections, two-sided bounds add an explicit row.  Row
+    i holds ints over dens[i] in exact mode and floats over 1 in float
+    mode, rhs last, and is negated if that rhs is negative.  Its slack
+    enters as ±dens[i] and its artificial as dens[i]; units[i] is the
+    (column, ±1) of its slack, or of its artificial if it has none, and
+    basis[i] starts at its artificial, or at its slack if it has none.
     """
 
-    __slots__ = ("cols", "shifts", "rows", "rhs", "senses", "origin", "negated")
-
-    def __init__(self):
-        self.cols = []      # (orig var index, +1 | -1)
-        self.shifts = []    # per orig var
-        self.rows = []      # structural coefficients per std row
-        self.rhs = []
-        self.senses = []
-        self.origin = []    # original row index, or None for bound rows
-        self.negated = []
+    __slots__ = ("cols", "var_cols", "shifts", "rows", "dens", "origin", "negated",
+                 "basis", "units", "art_first", "width")
 
 
-def _standardize(c, a, b, senses, bounds, zero):
+def _standardize(lp: LinearProgram, bounds, mode: NumericMode) -> _Std:
     std = _Std()
-    n = len(c)
-    var_cols = [[] for _ in range(n)]
-    bound_rows = []  # (col index, width)
+    zero = mode.zero
+    std.cols = []       # (orig var index, +1 | -1)
+    std.shifts = []     # per orig var
+    var_cols = std.var_cols = [[] for _ in bounds]
+    boxes = []  # (var, upper bound) of the two-sided boxes
     for j, (lo, hi) in enumerate(bounds):
         if lo is None and hi is None:
             std.shifts.append(zero)
@@ -224,46 +222,57 @@ def _standardize(c, a, b, senses, bounds, zero):
         else:
             std.shifts.append(lo)
             var_cols[j].append((len(std.cols), 1))
-            bound_rows.append((len(std.cols), hi - lo))
+            boxes.append((j, hi))
             std.cols.append((j, 1))
 
-    # A zero shift adds nothing: v * 0 is skipped, which in float is
-    # bit-identical too, since shift_term starts at +0.0 and never becomes
+    # Each row, a box x_j <= hi among them, is converted once with its rhs.
+    # The shifts move the rhs first.  A zero term is skipped, which in
+    # float is bit-identical too: the sum starts at +0 and never becomes
     # -0.0.
-    width = len(std.cols)
-    shifts = std.shifts
-    for i, row in enumerate(a):
-        coeffs = [zero] * width
-        shift_term = zero
-        for j, v in enumerate(row):
-            if not v:
-                continue
-            if shifts[j]:
-                shift_term += v * shifts[j]
-            for col, sign in var_cols[j]:
-                coeffs[col] = v if sign == 1 else -v
-        std.rows.append(coeffs)
-        std.rhs.append(b[i] - shift_term if shift_term else b[i])
-        std.senses.append(senses[i])
-        std.origin.append(i)
-        std.negated.append(False)
-    for col, width_val in bound_rows:
-        coeffs = [zero] * width
-        coeffs[col] = zero + 1
-        std.rows.append(coeffs)
-        std.rhs.append(width_val)
-        std.senses.append(LE)
-        std.origin.append(None)
-        std.negated.append(False)
-
+    n, n_struct = len(bounds), len(std.cols)
+    conv = mode.convert
+    shifted = [j for j, s in enumerate(std.shifts) if s]
+    blank = 0 if mode.exact else zero
     flip = {LE: GE, GE: LE, EQ: EQ}
-    for i in range(len(std.rows)):
-        if std.rhs[i] < zero:
-            std.rows[i] = [-v for v in std.rows[i]]
-            std.rhs[i] = -std.rhs[i]
-            std.senses[i] = flip[std.senses[i]]
-            std.negated[i] = True
-    return std, var_cols
+    staged = []
+    for row, b, sense in [*zip(lp.matrix, lp.rhs, lp.senses),
+                          *(([int(k == j) for k in range(n)], hi, LE) for j, hi in boxes)]:
+        term = sum(v * std.shifts[j] for j in shifted if (v := conv(row[j])))
+        nums, den = mode.scaled([*row, conv(b) - term if term else b])
+        b = nums.pop()
+        coeffs = [blank] * n_struct
+        for j, v in enumerate(nums):
+            if v:
+                for col, sign in var_cols[j]:
+                    coeffs[col] = v if sign == 1 else -v
+        negated = b < 0
+        if negated:
+            coeffs, b, sense = [-v for v in coeffs], -b, flip[sense]
+        staged.append((coeffs, b, den, sense, negated))
+
+    n_slack = sum(sense != EQ for *_, sense, _ in staged)
+    std.art_first = n_struct + n_slack
+    std.width = std.art_first + sum(sense != LE for *_, sense, _ in staged)
+    std.rows, std.dens, std.negated, std.basis, std.units = [], [], [], [], []
+    std.origin = list(range(lp.n_rows)) + [None] * len(boxes)
+    slack, art = n_struct, std.art_first
+    for coeffs, b, den, sense, negated in staged:
+        added = []  # (column, sign) of the slack, then of the artificial
+        if sense != EQ:
+            added.append((slack, 1 if sense == LE else -1))
+            slack += 1
+        if sense != LE:
+            added.append((art, 1))
+            art += 1
+        row = coeffs + [0] * (std.width - n_struct) + [b]
+        for col, sign in added:
+            row[col] = sign * den
+        std.rows.append(row)
+        std.dens.append(den)
+        std.negated.append(negated)
+        std.basis.append(added[-1][0])
+        std.units.append(added[0])
+    return std
 
 
 def _bland(tab, basis, barred):
@@ -291,11 +300,12 @@ class _FloatTableau:
     a nonzero in the pivot column.  Each entry gets the same IEEE multiply
     and subtract as in a row-by-row update, and rows with a zero of either
     sign there are not touched, so every -0.0 keeps its sign.  The reduced
-    costs z are a list, like the exact tableau's."""
+    costs z are a list, like the exact tableau's.  A copy of the unpivoted
+    array is kept for the multipliers (see `duals`)."""
 
-    def __init__(self, rows, rhs, width, tol):
-        self.rows = np.array([row + [b] for row, b in zip(rows, rhs)],
-                             dtype=float).reshape(len(rhs), width + 1)
+    def __init__(self, rows, width, tol):
+        self.rows = np.array(rows, dtype=float).reshape(len(rows), width + 1)
+        self.unpivoted = self.rows.copy()
         self.tol = tol
         self.z = None
 
@@ -340,11 +350,18 @@ class _FloatTableau:
     def value(self, i) -> float:
         return float(self.rows[i, -1])
 
-    def keep(self, alive):
-        self.rows = self.rows[alive]
+    def keep(self, dead):
+        """Drop the tableau rows `dead`, and from the unpivoted copy the
+        original rows whose artificials were basic there."""
+        self.rows = np.delete(self.rows, list(dead), axis=0)
+        self.unpivoted = np.delete(self.unpivoted, list(dead.values()), axis=0)
 
-    def duals(self, pristine, basis, costs, units):
-        return _basis_duals(pristine, basis, costs)
+    def duals(self, basis, costs, units):
+        """Solve Bᵀy = c_B on the basis columns of the unpivoted rows."""
+        if not basis:
+            return []
+        return linalg.solve_square(self.unpivoted[:, basis].T,
+                                   [costs[j] for j in basis], FLOAT)
 
 
 def _divide(values, g):
@@ -365,13 +382,9 @@ class _IntTableau:
 
     tol = 0  # every sign test is exact
 
-    def __init__(self, rows, rhs):
-        self.rows = []
-        self.dens = []
-        for row, b in zip(rows, rhs):
-            ints, den = over_common_denominator(row + [b])
-            self.rows.append(ints)
-            self.dens.append(den)
+    def __init__(self, rows, dens):
+        self.rows = rows
+        self.dens = dens
         self.z = None
         self.zd = 1
 
@@ -380,7 +393,7 @@ class _IntTableau:
         self.z, self.zd = _divide(z, g), zd // g
 
     def price(self, basis, costs):
-        z, zd = over_common_denominator(costs)
+        z, zd = EXACT.scaled(costs)
         for row, d, col in zip(self.rows, self.dens, basis):
             f = z[col]
             if f:
@@ -439,72 +452,39 @@ class _IntTableau:
     def value(self, i) -> Fraction:
         return Fraction(self.rows[i][-1], self.dens[i])
 
-    def keep(self, alive):
-        self.rows = [self.rows[i] for i in alive]
-        self.dens = [self.dens[i] for i in alive]
+    def keep(self, dead):
+        """Drop the tableau rows `dead`."""
+        self.rows = [row for i, row in enumerate(self.rows) if i not in dead]
+        self.dens = [d for i, d in enumerate(self.dens) if i not in dead]
 
-    def duals(self, pristine, basis, costs, units):
+    def duals(self, basis, costs, units):
         """The simplex multipliers y = B⁻ᵀ c_B, read off the reduced costs
-        (Chvátal 1983, ch. 10): column j = units[i] is a ±e_i in the
-        unpivoted rows, so its reduced cost is c_j − y_i a with a = ±1."""
+        (Chvátal 1983, ch. 10): for (j, s) = units[i], column j is s·e_i in
+        the unpivoted rows, so its reduced cost is c_j − s·y_i."""
         zd = self.zd
-        return [(costs[j] - Fraction(self.z[j], zd)) / row[j]
-                for row, j in zip(pristine, units)]
+        return [(costs[j] - Fraction(self.z[j], zd)) / s for j, s in units]
 
 
 def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
     """Two-phase simplex.  Deterministic for identical inputs."""
     if log.isEnabledFor(logging.DEBUG):
         log.debug("solving LP:\n%s", format_lp(lp))
-    c, a, b, bounds = _coerce_lp(lp, mode)
-    tol, zero = mode.tolerance, mode.zero
-
-    for lo, hi in bounds:
-        if lo is not None and hi is not None and lo > hi:
-            # Empty variable box: infeasibility is self-evident, no row
-            # combination is needed.
-            return LpSolution(
-                status=INFEASIBLE,
-                certificate=FarkasCertificate(tuple(zero for _ in lp.matrix)),
-            )
-
-    std, var_cols = _standardize(c, a, b, lp.senses, bounds, zero)
-    m = len(std.rows)
-    n_struct = len(std.cols)
-
-    slack_of_row = {}
-    art_of_row = {}
-    ncols = n_struct
-    for i, sense in enumerate(std.senses):
-        if sense in (LE, GE):
-            slack_of_row[i] = ncols
-            ncols += 1
-    art_first = ncols
-    for i, sense in enumerate(std.senses):
-        if sense in (GE, EQ):
-            art_of_row[i] = ncols
-            ncols += 1
-
-    # The tableaux copy these rows.  Row i's multiplier is read off the
-    # column that is a unit vector there: its slack, or its artificial if
-    # it has none.
-    pristine = []
-    for i in range(m):
-        row = list(std.rows[i]) + [zero] * (ncols - n_struct)
-        if i in slack_of_row:
-            row[slack_of_row[i]] = zero + (1 if std.senses[i] == LE else -1)
-        if i in art_of_row:
-            row[art_of_row[i]] = zero + 1
-        pristine.append(row)
-    basis = [art_of_row.get(i, slack_of_row.get(i)) for i in range(m)]
-    units = [slack_of_row.get(i, art_of_row.get(i)) for i in range(m)]
+    conv, tol, zero = mode.convert, mode.tolerance, mode.zero
+    c = [conv(v) for v in lp.objective]
+    bounds = [tuple(None if v is None else conv(v) for v in box) for box in lp.bounds]
+    std = _standardize(lp, bounds, mode)
+    m, n_struct, ncols = len(std.rows), len(std.cols), std.width
+    basis, units = std.basis, std.units
+    # The float tolerance grows with the rhs; the exact threshold is 0.
+    scale = 1 + sum(abs(row[-1]) for row in std.rows) if tol else 1
     if mode.exact:
-        tab = _IntTableau(pristine, std.rhs)
+        tab = _IntTableau(std.rows, std.dens)
     else:
-        tab = _FloatTableau(pristine, std.rhs, ncols, tol)
+        tab = _FloatTableau(std.rows, ncols, tol)
 
     # Phase 1: drive the artificial variables to zero.
-    art_cols = set(art_of_row.values())
+    art_cols = range(std.art_first, ncols)
+    row_of_art = {col: i for i, col in enumerate(basis) if col in art_cols}
     costs1 = [zero] * ncols
     for jcol in art_cols:
         costs1[jcol] = zero + 1
@@ -512,11 +492,9 @@ def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
     status, _ = _bland(tab, basis, barred=frozenset())
     if status != OPTIMAL:  # pragma: no cover - phase 1 is always bounded
         raise RuntimeError("phase 1 cannot be unbounded")
-    # The float tolerance grows with the rhs; the exact threshold is 0.
-    scale = 1 + sum(abs(v) for v in std.rhs) if tol else 1
     phase1_value = sum(tab.value(i) for i in range(m) if basis[i] in art_cols)
     if phase1_value > tol * scale:
-        y_std = tab.duals(pristine, basis, costs1, units)
+        y_std = tab.duals(basis, costs1, units)
         y = mode.share_zero(_map_duals(y_std, std, len(lp.matrix)))
         return LpSolution(status=INFEASIBLE, certificate=FarkasCertificate(y))
 
@@ -526,21 +504,19 @@ def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
     # left for the duals stays square and nonsingular.  The rows left are
     # B'⁻¹ times the kept rows, so the multipliers read off them are those
     # of the kept rows.
-    row_of_art = {col: i for i, col in art_of_row.items()}
     dead = {}  # tableau row -> original row
     for i in range(m):
         if basis[i] not in art_cols:
             continue
-        enter = next((j for j in range(art_first) if tab.nonzero(i, j)), None)
+        enter = next((j for j in range(std.art_first) if tab.nonzero(i, j)), None)
         if enter is None:
             dead[i] = row_of_art[basis[i]]
         else:
             tab.pivot(basis, i, enter)
     if dead:
         gone = set(dead.values())
-        tab.keep([i for i in range(m) if i not in dead])
+        tab.keep(dead)
         basis = [v for i, v in enumerate(basis) if i not in dead]
-        pristine = [row for i, row in enumerate(pristine) if i not in gone]
         units = [v for i, v in enumerate(units) if i not in gone]
         std.origin = [v for i, v in enumerate(std.origin) if i not in gone]
         std.negated = [v for i, v in enumerate(std.negated) if i not in gone]
@@ -563,7 +539,7 @@ def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
                 direction_std[bcol] = -tab.entry(i, enter)
         ray = [zero] * lp.n_vars
         for j in range(lp.n_vars):
-            for col, sign in var_cols[j]:
+            for col, sign in std.var_cols[j]:
                 ray[j] += direction_std[col] if sign == 1 else -direction_std[col]
         return LpSolution(status=UNBOUNDED, certificate=UnboundedRay(tuple(ray)))
 
@@ -573,29 +549,19 @@ def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
     primal = []
     for j in range(lp.n_vars):
         value = std.shifts[j]
-        for col, sign in var_cols[j]:
+        for col, sign in std.var_cols[j]:
             value = value + (x_std[col] if sign == 1 else -x_std[col])
         primal.append(value)
     objective = sum((cj * xj for cj, xj in zip(c, primal)), zero)
-    y_std = tab.duals(pristine, basis, costs2, units)
+    y_std = tab.duals(basis, costs2, units)
     duals = mode.share_zero(_map_duals(y_std, std, len(lp.matrix)))
-    dual_obj = _support(c, a, b, bounds, duals, mode, with_objective=True)
+    dual_obj = _support(lp, c, bounds, duals, mode)
     return LpSolution(
         status=OPTIMAL,
         primal=mode.share_zero(primal),
         objective_value=objective,
         certificate=DualCertificate(duals, dual_obj),
     )
-
-
-def _basis_duals(pristine, basis, costs):
-    """Solve Bᵀ y = c_B in floats against the unpivoted column data."""
-    m = len(basis)
-    rows = [[pristine[i][basis[k]] for i in range(m)] for k in range(m)]
-    rhs = [costs[basis[k]] for k in range(m)]
-    if m == 0:
-        return []
-    return linalg.solve_square(rows, rhs, FLOAT)
 
 
 def _map_duals(y_std, std, n_orig_rows):
@@ -628,25 +594,18 @@ def check_feasible(lp: LinearProgram, mode: NumericMode = EXACT):
     return False, sol.certificate
 
 
-def _multipliers(lp: LinearProgram, multipliers, mode: NumericMode) -> list:
-    y = [mode.convert(v) for v in multipliers]
-    if len(y) != lp.n_rows:
-        raise LpInputError("multiplier count does not match the row count")
-    return y
-
-
-def _support(c, a, b, bounds, y, mode, with_objective):
-    """yᵀb plus the box-infimum of (c − yᵀA)·x over the converted LP,
-    skipping zero multipliers; None when the infimum diverges."""
-    tol, zero = mode.tolerance, mode.zero
+def _support(lp, c, bounds, y, mode):
+    """yᵀb plus the box-infimum of (c − yᵀA)·x, reading and converting only
+    the rows with a nonzero multiplier; None when the infimum diverges."""
+    conv, tol, zero = mode.convert, mode.tolerance, mode.zero
     w = [zero] * len(c)
     total = zero
-    for yi, row, bi in zip(y, a, b):
+    for yi, row, bi in zip(y, lp.matrix, lp.rhs):
         if yi:
-            w = [wj + yi * aij for wj, aij in zip(w, row)]
-            total += yi * bi
+            w = [wj + yi * conv(aij) for wj, aij in zip(w, row)]
+            total += yi * conv(bi)
     for j, (cj, wj) in enumerate(zip(c, w)):
-        coeff = (cj - wj) if with_objective else -wj
+        coeff = cj - wj
         if -tol <= coeff <= tol:
             continue
         lo, hi = bounds[j]
@@ -659,56 +618,6 @@ def _support(c, a, b, bounds, y, mode, with_objective):
                 return None
             total += coeff * hi
     return total
-
-
-def farkas_gap(lp: LinearProgram, multipliers, mode: NumericMode = EXACT):
-    """Positive gap == valid infeasibility witness: every x in the box
-    violates the aggregated row by at least this amount."""
-    c, a, b, bounds = _coerce_lp(lp, mode)
-    y = _multipliers(lp, multipliers, mode)
-    return _support(c, a, b, bounds, y, mode, with_objective=False)
-
-
-def farkas_signs_ok(lp: LinearProgram, multipliers) -> bool:
-    for y, sense in zip(multipliers, lp.senses):
-        if sense == LE and y > 0:
-            return False
-        if sense == GE and y < 0:
-            return False
-    return True
-
-
-def constraint_residuals(lp: LinearProgram, point, mode: NumericMode = EXACT):
-    """Per-row a·x − b."""
-    _, a, b, _ = _coerce_lp(lp, mode)
-    x = [mode.convert(v) for v in point]
-    if len(x) != lp.n_vars:
-        raise LpInputError("point length does not match the variable count")
-    return tuple(
-        sum((a[i][j] * x[j] for j in range(lp.n_vars)), mode.zero) - b[i]
-        for i in range(lp.n_rows)
-    )
-
-
-def satisfies(lp: LinearProgram, point, mode: NumericMode = EXACT) -> bool:
-    """Whole-program feasibility of a point (rows and bounds)."""
-    tol = mode.tolerance
-    res = constraint_residuals(lp, point, mode)
-    for r, sense in zip(res, lp.senses):
-        if sense == LE and r > tol:
-            return False
-        if sense == GE and r < -tol:
-            return False
-        if sense == EQ and not -tol <= r <= tol:
-            return False
-    conv = mode.convert
-    for v, (lo, hi) in zip(point, lp.bounds):
-        x = conv(v)
-        if lo is not None and x - conv(lo) < -tol:
-            return False
-        if hi is not None and x - conv(hi) > tol:
-            return False
-    return True
 
 
 def format_lp(lp: LinearProgram) -> str:

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's solution paths: the LP oracle
 enumerates candidate vertices from constraint subsets with its own
-rational Gaussian elimination, the visitation oracles propagate the
+rational Gaussian elimination, the LP certificate checks read only a
+`LinearProgram`'s own fields, the visitation oracles propagate the
 state distribution forward for a truncated horizon or sample
 trajectories, and the feasible-set oracle enumerates every deterministic
 policy.
@@ -149,6 +150,47 @@ def random_lp(rng: random.Random) -> lp.LinearProgram:
         upper = rng.randint(1, 6) if rng.random() < 0.3 else None
         bounds.append((0, upper))
     return lp.LinearProgram.build(objective, matrix, rhs, senses, bounds)
+
+
+def farkas_signs_ok(program: lp.LinearProgram, multipliers) -> bool:
+    """Multipliers of le rows are at most 0 and of ge rows at least 0."""
+    return not any((sense == LE and y > 0) or (sense == GE and y < 0)
+                   for y, sense in zip(multipliers, program.senses))
+
+
+def farkas_gap(program: lp.LinearProgram, multipliers, mode: NumericMode = EXACT):
+    """yᵀb minus the supremum of yᵀA·x over the variable box, or None when
+    that supremum is infinite; columns of yᵀA within the tolerance of zero
+    are skipped.  When `farkas_signs_ok` holds, every x that meets the rows
+    has yᵀA·x >= yᵀb, so a positive gap proves the rows infeasible."""
+    conv, tol = mode.convert, mode.tolerance
+    y = [conv(v) for v in multipliers]
+    if len(y) != program.n_rows:
+        raise ValueError("multiplier count does not match the row count")
+    gap = sum((yi * conv(b) for yi, b in zip(y, program.rhs)), mode.zero)
+    for j, (lo, hi) in enumerate(program.bounds):
+        w = sum((yi * conv(row[j]) for yi, row in zip(y, program.matrix)), mode.zero)
+        if -tol <= w <= tol:
+            continue
+        end = hi if w > 0 else lo
+        if end is None:
+            return None
+        gap -= w * conv(end)
+    return gap
+
+
+def satisfies(program: lp.LinearProgram, point, mode: NumericMode = EXACT) -> bool:
+    """Whether a point meets every row and bound, within the tolerance."""
+    conv, tol = mode.convert, mode.tolerance
+    x = [conv(v) for v in point]
+    if len(x) != program.n_vars:
+        raise ValueError("point length does not match the variable count")
+    for row, b, sense in zip(program.matrix, program.rhs, program.senses):
+        r = sum((conv(a) * xj for a, xj in zip(row, x)), mode.zero) - conv(b)
+        if (sense != GE and r > tol) or (sense != LE and r < -tol):
+            return False
+    return all((lo is None or xj - conv(lo) >= -tol) and (hi is None or xj - conv(hi) <= tol)
+               for xj, (lo, hi) in zip(x, program.bounds))
 
 
 def truncated_visitation(env, policy, horizon: int):

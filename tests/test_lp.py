@@ -12,7 +12,7 @@ from rewardsep.bundles import fixture_path, load_soap, parse_bundle
 from rewardsep.numeric import EXACT, FLOAT, ZERO, ExactInputError, NumericMode
 from rewardsep.separability import check_scalar_optimality, design_multi
 
-from oracles import brute_force_lp, random_lp
+from oracles import brute_force_lp, farkas_gap, farkas_signs_ok, random_lp, satisfies
 
 F = Fraction
 
@@ -24,14 +24,14 @@ def build(objective, matrix, rhs, senses, bounds=None):
 def assert_valid_farkas(program, solution):
     cert = solution.certificate
     assert isinstance(cert, lp.FarkasCertificate)
-    assert lp.farkas_signs_ok(program, cert.row_multipliers)
-    gap = lp.farkas_gap(program, cert.row_multipliers, EXACT)
+    assert farkas_signs_ok(program, cert.row_multipliers)
+    gap = farkas_gap(program, cert.row_multipliers, EXACT)
     assert gap is not None and gap > 0
 
 
 def assert_valid_optimal(program, solution, mode=EXACT):
     assert solution.status == lp.OPTIMAL
-    assert lp.satisfies(program, solution.primal, mode)
+    assert satisfies(program, solution.primal, mode)
     cert = solution.certificate
     assert isinstance(cert, lp.DualCertificate)
     if mode.exact:
@@ -87,8 +87,8 @@ class TestExamples:
         program = build([0], [[1], [1]], [1, 2], ["=", "="])
         feasible, cert = lp.check_feasible(program, EXACT)
         assert not feasible
-        assert lp.farkas_signs_ok(program, cert.row_multipliers)
-        assert lp.farkas_gap(program, cert.row_multipliers, EXACT) > 0
+        assert farkas_signs_ok(program, cert.row_multipliers)
+        assert farkas_gap(program, cert.row_multipliers, EXACT) > 0
 
     def test_hull_membership_lp_on_cycle_visitations(self):
         # Membership of the midpoint of the two consistent-cycle
@@ -111,7 +111,7 @@ class TestExamples:
         )
         feasible, cert = lp.check_feasible(program, EXACT)
         assert not feasible
-        assert lp.farkas_gap(program, cert.row_multipliers, EXACT) > 0
+        assert farkas_gap(program, cert.row_multipliers, EXACT) > 0
 
     @pytest.mark.parametrize("mode", [EXACT, FLOAT], ids=["exact", "float"])
     def test_redundant_equality_rows_keep_the_dual_basis_square(self, mode):
@@ -140,18 +140,18 @@ class TestExamples:
             ["eq"] * 3,
         )
         entries, shapes = [], []
-        pivot, basis_duals = lp._IntTableau.pivot, lp._basis_duals
+        pivot, solve_square = lp._IntTableau.pivot, linalg.solve_square
 
         def spy_pivot(tab, basis, row, col):
             entries.append(tab.rows[row][col])
             pivot(tab, basis, row, col)
 
-        def spy_duals(pristine, basis, costs):
-            shapes.append((len(pristine), len(basis)))
-            return basis_duals(pristine, basis, costs)
+        def spy_square(rows, rhs, mode):
+            shapes.append((len(rows), len(rhs)))
+            return solve_square(rows, rhs, mode)
 
         monkeypatch.setattr(lp._IntTableau, "pivot", spy_pivot)
-        monkeypatch.setattr(lp, "_basis_duals", spy_duals)
+        monkeypatch.setattr(linalg, "solve_square", spy_square)
         sol = lp.solve(program, EXACT)
         assert any(entry < 0 for entry in entries)
         assert shapes == []  # exact duals are read off the tableau
@@ -166,9 +166,8 @@ class TestExamples:
         assert fsol.objective_value == pytest.approx(1.5, abs=1e-9)
 
     def test_empty_variable_box(self):
-        program = build([0], [[1]], [0], ["<="], bounds=[(1, 0)])
-        sol = lp.solve(program, EXACT)
-        assert sol.status == lp.INFEASIBLE
+        with pytest.raises(lp.LpInputError, match="empty box for variable 1"):
+            build([0, 0], [[1, 1]], [0], ["<="], bounds=[(0, 1), ("1/2", "1/3")])
 
     def test_equality_with_free_variables(self):
         program = build(
@@ -199,8 +198,52 @@ class TestErrors:
             lp.solve(program, EXACT)
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(lp.LpInputError):
-            build([float("nan")], [[1.0]], [1], ["<="])
+        # One case per checked vector; the message names the place.
+        nan, inf = float("nan"), float("inf")
+        cases = {
+            "objective": ([0.0, nan], [[1.0, 0.0]], [1.0], ["<="], None),
+            "row 1": ([0.0, 1.0], [[1.0, 0.0], [0.0, inf]], [1.0, 2.0], ["<=", "<="], None),
+            "rhs": ([0.0, 1.0], [[1.0, 0.0]], [-inf], ["<="], None),
+            "bounds of variable 1": ([0.0, 1.0], [[1.0, 0.0]], [1.0], ["<="],
+                                     [(0, None), (0, nan)]),
+        }
+        for place, args in cases.items():
+            with pytest.raises(lp.LpInputError, match=f"non-finite coefficient in {place}:"):
+                build(*args)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT], ids=["exact", "float"])
+class TestOraclesCanFail:
+    """The certificate checks the LP tests rely on reject bad certificates
+    and points, so those tests do not pass everything."""
+
+    # x >= 1 and x <= 0 over a free x: the multipliers must cancel x.
+    CONTRADICTION = ([0], [[1], [1]], [1, 0], [">=", "<="], [(None, None)])
+
+    def test_flipped_farkas_sign(self, mode):
+        program = build(*self.CONTRADICTION)
+        y = lp.solve(program, mode).certificate.row_multipliers
+        assert farkas_signs_ok(program, y) and all(y)
+        for i in range(len(y)):
+            flipped = list(y)
+            flipped[i] = -flipped[i]
+            assert not farkas_signs_ok(program, flipped)
+
+    def test_uncancelled_free_column(self, mode):
+        program = build(*self.CONTRADICTION)
+        y = list(lp.solve(program, mode).certificate.row_multipliers)
+        assert farkas_gap(program, y, mode) > 0
+        y[0] *= 2
+        assert farkas_gap(program, y, mode) is None
+
+    def test_point_off_a_row_or_bound(self, mode):
+        program = build([1, 1], [[1, 2], [3, 1]], [2, 3], [">=", ">="])
+        x = lp.solve(program, mode).primal  # (4/5, 3/5): both rows tight
+        assert satisfies(program, x, mode)
+        step = mode.convert("1/10")
+        assert not satisfies(program, (x[0] - step, x[1]), mode)  # below row 0
+        assert satisfies(program, (step, 4), mode)
+        assert not satisfies(program, (-step, 4), mode)  # meets both rows, but x0 < 0
 
 
 class TestDeterminism:
@@ -236,9 +279,9 @@ class TestPinnedExactAnswers:
         drops = []
         keep = lp._IntTableau.keep
 
-        def counting_keep(tab, alive):
-            drops.append(len(alive))
-            keep(tab, alive)
+        def counting_keep(tab, dead):
+            drops.append(len(dead))
+            keep(tab, dead)
 
         monkeypatch.setattr(lp._IntTableau, "keep", counting_keep)
         rng = random.Random(20261019)
