@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -390,6 +391,7 @@ def _add_common(parser, soap=False, reward=False):
                             help="reward file overriding the bundle's own")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rewardsep",
@@ -447,9 +449,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv) -> int:
-    parser = _build_parser()
+    """Run one subcommand and return its exit code.  The parser is built
+    once per process: parsing reads it and writes only a fresh namespace."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -120,7 +120,15 @@ class LinearProgram:
 
 def _check_finite(values, where):
     """Raise LpInputError at the first float NaN or infinity in `values`;
-    `where(k)` names the place of entry k."""
+    `where(k)` names the place of entry k.  A finite `fsum`, one C-level
+    pass, clears a vector that starts with a float; anything else is tested
+    entry by entry (on Fractions `fsum` is slower than this loop)."""
+    if isinstance(next(iter(values), None), float):
+        try:
+            if math.isfinite(math.fsum(values)):
+                return
+        except (TypeError, OverflowError, ValueError):
+            pass
     for k, v in enumerate(values):
         if isinstance(v, float) and not math.isfinite(v):
             raise LpInputError(f"non-finite coefficient in {where(k)}: {v!r}")

@@ -116,10 +116,12 @@ class NumericMode:
     def scaled(self, values):
         """(nums, den) with values[i] == nums[i] / den: integers over the lcm
         of the denominators in exact mode, the float values over 1 in float
-        mode."""
+        mode.  Floats pass as they are and ints through `float`; only other
+        entries (strings, Fractions) cost an `as_float` call."""
         if self.exact:
             return over_common_denominator(values)
-        return [as_float(v) for v in values], 1
+        return [v if type(v) is float else float(v) if type(v) is int else as_float(v)
+                for v in values], 1
 
     def ratio(self, num, den):
         """num / den as a result entry: a Fraction (`ZERO` for 0) in exact

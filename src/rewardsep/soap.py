@@ -3,12 +3,15 @@
 A SOAP is consistent when no good policy shares its visitation vector with
 a bad one; only then can any feasibility region tell the two sets apart.
 Duplicate visitations *within* one set are harmless and reported only as
-information.
+information.  Exact mode compares visitations as tuples; float mode
+decides all pairs of two sets with one array comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .mdp import MarkovEnv, VisitationTable
 from .numeric import EXACT, NumericMode
@@ -32,9 +35,15 @@ class Soap:
         if len(set(names)) != len(names):
             dup = sorted({n for n in names if names.count(n) > 1})
             raise SoapError(f"duplicate policy names across the SOAP: {dup}")
-        for g in good:
-            for b in bad:
-                if g.canonical_table() == b.canonical_table():
+        # Each table is built once, in the order the pairs first need it,
+        # so a policy whose table raises is the one the pairs reach first.
+        bad_tables = []
+        for g in (good if bad else ()):
+            table = g.canonical_table()
+            for j, b in enumerate(bad):
+                if j == len(bad_tables):
+                    bad_tables.append(b.canonical_table())
+                if table == bad_tables[j]:
                     raise SoapError(
                         f"policies {g.name!r} (good) and {b.name!r} (bad) are "
                         "the same function; the two sets must be disjoint"
@@ -61,10 +70,15 @@ class ConsistencyReport:
     duplicate_bad: tuple = ()
 
 
-def _equal(a, b, mode: NumericMode) -> bool:
+def _matches(a, b, mode: NumericMode, upper=False):
+    """Index pairs (i, j), i-major, with visitation a[i] equal to b[j]; only
+    j > i when `upper`.  Float mode stacks the visitations as float64 rows,
+    so every pair's infinity-norm test is one broadcast subtraction."""
     if mode.exact:
-        return a.entries == b.entries
-    return max(abs(x - y) for x, y in zip(a.entries, b.entries)) <= mode.tolerance
+        return [(i, j) for i in range(len(a))
+                for j in range(i + 1 if upper else 0, len(b)) if a[i] == b[j]]
+    close = np.abs(a[:, None] - b[None]).max(-1) <= mode.tolerance
+    return zip(*np.nonzero(np.triu(close, 1) if upper else close))
 
 
 def check_consistency(env: MarkovEnv, soap: Soap,
@@ -75,27 +89,22 @@ def check_consistency(env: MarkovEnv, soap: Soap,
 
 
 def _consistency(table: VisitationTable, soap: Soap) -> ConsistencyReport:
+    """Exact mode compares visitation tuples.  Float mode makes the same
+    IEEE subtractions and tests as max(|x - y|) <= tolerance over each
+    pair's entries, on one float64 row per policy."""
     mode = table.mode
-    good_rho = [(p.name, table(p)) for p in soap.good]
-    bad_rho = [(p.name, table(p)) for p in soap.bad]
-    witnesses = tuple(
-        (gn, bn)
-        for gn, gr in good_rho
-        for bn, br in bad_rho
-        if _equal(gr, br, mode)
-    )
+    good = [table(p).entries for p in soap.good]
+    bad = [table(p).entries for p in soap.bad]
+    if not mode.exact:
+        good, bad = (np.array(v, float).reshape(-1, table.env.n_sa) for v in (good, bad))
 
-    def within(pairs):
-        return tuple(
-            (pairs[i][0], pairs[j][0])
-            for i in range(len(pairs))
-            for j in range(i + 1, len(pairs))
-            if _equal(pairs[i][1], pairs[j][1], mode)
-        )
+    def names(a, b, pairs):
+        return tuple((a[i].name, b[j].name) for i, j in pairs)
 
+    witnesses = names(soap.good, soap.bad, _matches(good, bad, mode))
     return ConsistencyReport(
         consistent=not witnesses,
         witnesses=witnesses,
-        duplicate_good=within(good_rho),
-        duplicate_bad=within(bad_rho),
+        duplicate_good=names(soap.good, soap.good, _matches(good, good, mode, True)),
+        duplicate_bad=names(soap.bad, soap.bad, _matches(bad, bad, mode, True)),
     )

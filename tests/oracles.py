@@ -31,6 +31,7 @@ from rewardsep.mdp import (
     value_of_visitation,
 )
 from rewardsep.numeric import EXACT, NumericMode, as_exact, as_float
+from rewardsep.soap import ConsistencyReport
 
 LE, EQ, GE = lp.LE, lp.EQ, lp.GE
 
@@ -191,6 +192,25 @@ def satisfies(program: lp.LinearProgram, point, mode: NumericMode = EXACT) -> bo
             return False
     return all((lo is None or xj - conv(lo) >= -tol) and (hi is None or xj - conv(hi) <= tol)
                for xj, (lo, hi) in zip(x, program.bounds))
+
+
+def pairwise_consistency(good, bad, tolerance) -> ConsistencyReport:
+    """The float consistency report of (name, entries) pairs, one pair of
+    policies at a time: two visitations are equal when the largest entry
+    difference is at most `tolerance`.  Pairs come good-major, and within
+    a set as (earlier, later)."""
+
+    def equal(x, y):
+        return max(abs(a - b) for a, b in zip(x, y)) <= tolerance
+
+    def within(rows):
+        return tuple((rows[i][0], rows[j][0])
+                     for i in range(len(rows)) for j in range(i + 1, len(rows))
+                     if equal(rows[i][1], rows[j][1]))
+
+    witnesses = tuple((gn, bn) for gn, gr in good for bn, br in bad if equal(gr, br))
+    return ConsistencyReport(consistent=not witnesses, witnesses=witnesses,
+                             duplicate_good=within(good), duplicate_bad=within(bad))
 
 
 def truncated_visitation(env, policy, horizon: int):

@@ -207,6 +207,44 @@ class TestErrorPaths:
         assert plain == as_json == 1
 
 
+class TestParserReuse:
+    """One parser serves every call in a process; no call's options or
+    outcome carry over to the next."""
+
+    def test_options_do_not_leak(self, capsys, tmp_path):
+        out = tmp_path / "report.json"
+        code, first, _ = run(
+            capsys, "design-multi", "entailment.json", "--soap", "always_a2_soap.json",
+            "--reduce", "--max-dim", "1", "--out", str(out), "--json",
+        )
+        assert code == 0 and json.loads(first)["dimension"] == 1
+        assert out.read_text() == first
+        out.unlink()
+        code, second, _ = run(
+            capsys, "design-multi", "entailment.json", "--soap", "always_a2_soap.json",
+            "--json",
+        )
+        # Unreduced the dimension is 3: a leaked --max-dim 1 would exit 1.
+        assert code == 0
+        payload = json.loads(second)
+        assert payload["dimension"] == 3 and "max_dim_exceeded" not in payload
+        assert not out.exists()
+
+    def test_float_run_then_exact_run(self, capsys):
+        argv = ["consistency", "entailment.json", "--soap", "xor_soap.json", "--json"]
+        code, out, _ = run(capsys, *argv, "--tol", "1e-9")
+        assert code == 0 and json.loads(out)["exact"] is False
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["exact"] is True
+
+    def test_usage_error_around_a_successful_call(self, capsys):
+        argv = ["consistency", "entailment.json", "--soap", "xor_soap.json"]
+        assert run(capsys, *argv)[0] == 0
+        code, _, err = run(capsys, "design-multi")
+        assert code == 2 and "usage:" in err
+        assert run(capsys, *argv)[0] == 0
+
+
 def _bundle_doc():
     return {
         "env": {

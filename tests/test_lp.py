@@ -210,6 +210,14 @@ class TestErrors:
         for place, args in cases.items():
             with pytest.raises(lp.LpInputError, match=f"non-finite coefficient in {place}:"):
                 build(*args)
+        # Finite entries whose sum overflows are still finite.
+        build([0.0, 0.0], [[1e308, 1e308]], [1.0], ["<="])
+        # The first non-finite entry is named, whatever follows it.
+        with pytest.raises(lp.LpInputError, match=r"in row 0: -inf$"):
+            build([0.0, 0.0, 0.0], [[1.0, -inf, inf]], [1.0], ["<="])
+        # Strings and Fractions are looked past to the NaN.
+        with pytest.raises(lp.LpInputError, match=r"in row 0: nan$"):
+            build([0.0] * 4, [[0.5, "1/2", F(1, 3), nan]], [1.0], ["<="])
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT], ids=["exact", "float"])
