@@ -5,9 +5,10 @@ package reduces to LPs with at most a few dozen rows and columns, and the
 questions they encode (hull membership, separation, optimality) are exact
 set statements.  One Bland's-rule driver (`_bland`) runs both phases over
 either of two tableaux, which supply only their arithmetic: pricing,
-pivoting and the sign and ratio tests.  Bland's rule keeps the pivot
-sequence finite, and all tie-breaking is by lowest index, so outputs are
-deterministic.
+pivoting, the entering-column scan and the ratio test.  The scan runs up
+to a column limit: every column in phase 1, the columns below the first
+artificial in phase 2.  Bland's rule keeps the pivot sequence finite,
+and all tie-breaking is by lowest index, so outputs are deterministic.
 
 The exact tableau pivots fraction-free: each row is a list of integers
 over one positive row denominator, reduced by a single gcd per updated
@@ -29,9 +30,11 @@ and its sign tests use a tolerance.  A float pivot is one masked rank-1
 update of the rows with a nonzero in the pivot column: the same IEEE
 multiply and subtract per entry, in the same order, as a row-by-row
 update, so the answers are those of plain float rows, bit for bit.  Its
-reduced costs carry rounding, so the tableau keeps a copy of its
-unpivoted array, and the float multipliers solve Bᵀy = c_B on its basis
-columns with `linalg.solve_square`.
+reduced costs are one float64 vector that each pivot updates in place
+with the same operations, and numpy scans it for the entering column.
+They carry rounding, so the tableau keeps a copy of its unpivoted array,
+and the float multipliers solve Bᵀy = c_B on its basis columns with
+`linalg.solve_square`.
 
 A `LinearProgram` is validated once, when it is constructed.
 
@@ -283,15 +286,14 @@ def _standardize(lp: LinearProgram, bounds, mode: NumericMode) -> _Std:
     return std
 
 
-def _bland(tab, basis, barred):
+def _bland(tab, basis, limit):
     """Bland's rule (Bland 1977), the one pivot loop of both phases and
-    both tableaux: the lowest-index column with a negative reduced cost
-    enters, and of the rows at the minimum ratio the one whose basic
-    variable has the lowest index leaves.  Returns (OPTIMAL, None) or
-    (UNBOUNDED, entering column)."""
-    neg = -tab.tol
+    both tableaux: the lowest-index column below `limit` with a negative
+    reduced cost enters, and of the rows at the minimum ratio the one
+    whose basic variable has the lowest index leaves.  Returns
+    (OPTIMAL, None) or (UNBOUNDED, entering column)."""
     for _ in range(_MAX_PIVOTS):
-        enter = next((j for j, v in enumerate(tab.z) if v < neg and j not in barred), None)
+        enter = tab.entering(limit)
         if enter is None:
             return OPTIMAL, None
         ties = tab.ratio_ties(enter)
@@ -308,8 +310,9 @@ class _FloatTableau:
     a nonzero in the pivot column.  Each entry gets the same IEEE multiply
     and subtract as in a row-by-row update, and rows with a zero of either
     sign there are not touched, so every -0.0 keeps its sign.  The reduced
-    costs z are a list, like the exact tableau's.  A copy of the unpivoted
-    array is kept for the multipliers (see `duals`)."""
+    costs z are one float64 vector, updated in place by each pivot.  A
+    copy of the unpivoted array is kept for the multipliers (see
+    `duals`)."""
 
     def __init__(self, rows, width, tol):
         self.rows = np.array(rows, dtype=float).reshape(len(rows), width + 1)
@@ -323,13 +326,19 @@ class _FloatTableau:
             cb = costs[col]
             if cb != 0:
                 z = z - cb * row[:-1]
-        self.z = z.tolist()
+        self.z = z
+
+    def entering(self, limit):
+        """The lowest column below `limit` whose reduced cost is below
+        -tol, or None."""
+        neg = (self.z[:limit] < -self.tol).nonzero()[0]
+        return int(neg[0]) if len(neg) else None
 
     def ratio_ties(self, enter):
         """The rows at the minimum ratio rhs / t over entries t > tol, in
         ascending order."""
         column = self.rows[:, enter]
-        live = np.flatnonzero(column > self.tol)
+        live = (column > self.tol).nonzero()[0]
         ratios = self.rows[live, -1] / column[live]
         return live[ratios == ratios.min()].tolist() if live.size else []
 
@@ -342,11 +351,11 @@ class _FloatTableau:
         f = f[idx]
         rows[idx] -= f[:, None] * prow
         rows[idx, col] = 0 * f
-        f = self.z[col]
+        z = self.z
+        f = z[col]
         if f != 0:
-            z = np.array(self.z) - f * prow[:-1]
+            z -= f * prow[:-1]
             z[col] = 0 * f
-            self.z = z.tolist()
         basis[row] = col
 
     def nonzero(self, i, j) -> bool:
@@ -388,8 +397,6 @@ class _IntTableau:
     simplex multipliers can be read off them (see `duals`).
     """
 
-    tol = 0  # every sign test is exact
-
     def __init__(self, rows, dens):
         self.rows = rows
         self.dens = dens
@@ -408,6 +415,11 @@ class _IntTableau:
                 z = [d * u - f * v for u, v in zip(z, row)]
                 zd *= d
         self._set_z(z, zd)
+
+    def entering(self, limit):
+        """The lowest column below `limit` with a negative reduced cost, or
+        None."""
+        return next((j for j, v in enumerate(self.z[:limit]) if v < 0), None)
 
     def ratio_ties(self, enter):
         """The rows at the minimum ratio N_i[-1] / N_i[enter] over positive
@@ -497,7 +509,7 @@ def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
     for jcol in art_cols:
         costs1[jcol] = zero + 1
     tab.price(basis, costs1)
-    status, _ = _bland(tab, basis, barred=frozenset())
+    status, _ = _bland(tab, basis, ncols)
     if status != OPTIMAL:  # pragma: no cover - phase 1 is always bounded
         raise RuntimeError("phase 1 cannot be unbounded")
     phase1_value = sum(tab.value(i) for i in range(m) if basis[i] in art_cols)
@@ -535,7 +547,7 @@ def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
     for col, (j, sign) in enumerate(std.cols):
         costs2[col] = c[j] if sign == 1 else -c[j]
     tab.price(basis, costs2)
-    status, enter = _bland(tab, basis, barred=frozenset(art_cols))
+    status, enter = _bland(tab, basis, std.art_first)
 
     if status == UNBOUNDED:
         direction_std = [zero] * n_struct

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .numeric import EXACT, ZERO, Number, NumericMode, as_exact, as_float
+from .numeric import EXACT, ONE, ZERO, Number, NumericMode, as_exact, as_float
 
 # Float-mode validation tolerance: fixed, so that a looser comparison
 # tolerance accepts no other environments and policies.
@@ -269,7 +269,7 @@ class Policy:
         """Kind-independent functional form, for duplicate detection.  A
         float probability stands for its exact binary value."""
         if self.is_deterministic:
-            return {s: {a: Fraction(1)} for s, a in self.action_map.items()}
+            return {s: {a: ONE} for s, a in self.action_map.items()}
         table = {}
         for s, row in self.table.items():
             exact = {a: self._exact_probability(p) for a, p in row.items()}

@@ -20,6 +20,8 @@ Number = int | float | Fraction
 # The one exact zero that results share: solvers return it for every zero
 # entry, so a result holds no separate Fraction(0) objects.
 ZERO = Fraction(0)
+# The one exact one that deterministic policy tables share.
+ONE = Fraction(1)
 
 
 class ExactInputError(ValueError):

@@ -289,8 +289,8 @@ def design_scalar(env: MarkovEnv, soap: Soap, mode: NumericMode = EXACT) -> Desi
     )
 
 
-def _squared_distance(p, q, conv):
-    return sum(((conv(a) - conv(b)) ** 2 for a, b in zip(p, q)), conv(0))
+def _squared_distance(p, q, zero):
+    return sum(((a - b) ** 2 for a, b in zip(p, q)), zero)
 
 
 def _greedy_groups(good: PointSet, bad: PointSet, planes, mode: NumericMode):
@@ -298,8 +298,18 @@ def _greedy_groups(good: PointSet, bad: PointSet, planes, mode: NumericMode):
     greedy merge finds: grow each candidate group outward from its
     centroid in visitation distance, keeping additions whose single
     hyperplane still excludes the whole group.  `planes[i]` is the first
-    pass's hyperplane for bad point i, which starts the group seeded there."""
-    conv = mode.convert
+    pass's hyperplane for bad point i, which starts the group seeded there.
+
+    A candidate refused once is not tried again for the same group.  If
+    no hyperplane keeps the good hull and excludes G + {i}, none excludes
+    any superset of G + {i}: the margin rows of G + {i} are a subset of
+    the superset's.  As the group grows, that trial could only be refused
+    again, so in exact mode the first accepted candidate, its hyperplane
+    and the spec are those of re-solving every trial.  In float mode they
+    differ only where drift would accept a trial it once refused.  A
+    refused point stays in `remaining` and may seed or join a later
+    group."""
+    zero = mode.zero
     dim = good.dimension
     remaining = list(range(len(bad.points)))
     merged = []
@@ -310,27 +320,23 @@ def _greedy_groups(good: PointSet, bad: PointSet, planes, mode: NumericMode):
         candidates = [i for i in remaining if i != seed]
         while candidates:
             centroid = [
-                sum((conv(_entries(bad.points[i])[k]) for i in group), mode.zero)
-                / len(group)
+                sum((_entries(bad.points[i])[k] for i in group), zero) / len(group)
                 for k in range(dim)
             ]
             candidates.sort(
-                key=lambda i: (
-                    _squared_distance(_entries(bad.points[i]), centroid, conv),
-                    i,
-                )
+                key=lambda i: (_squared_distance(_entries(bad.points[i]), centroid, zero), i)
             )
-            accepted = None
             for pos, i in enumerate(candidates):
                 trial = [bad.points[g] for g in group + [i]]
                 separator, _ = _separate(good.points, trial, dim, mode)
                 if separator is not None:
-                    accepted = (pos, separator)
                     break
-            if accepted is None:
+            else:
                 break
-            pos, group_sep = accepted
-            group.append(candidates.pop(pos))
+            group_sep = separator
+            group.append(i)
+            # candidates[:pos] were refused with a subset of the new group.
+            candidates = candidates[pos + 1:]
         r, c = group_sep.normal, group_sep.offset
         # The hyperplane may exclude stragglers beyond the group it was
         # grown for; count anything a full margin below as covered.
@@ -338,11 +344,8 @@ def _greedy_groups(good: PointSet, bad: PointSet, planes, mode: NumericMode):
         for i in remaining:
             if i in covered:
                 continue
-            score = sum(
-                (conv(rk) * conv(pk) for rk, pk in zip(r, _entries(bad.points[i]))),
-                mode.zero,
-            )
-            if score <= conv(c) - 1:
+            score = sum((rk * pk for rk, pk in zip(r, _entries(bad.points[i]))), zero)
+            if score <= c - 1:
                 covered.add(i)
         merged.append(group_sep)
         remaining = [i for i in remaining if i not in covered]

@@ -6,7 +6,8 @@ rational Gaussian elimination, the LP certificate checks read only a
 `LinearProgram`'s own fields, the visitation oracles propagate the
 state distribution forward for a truncated horizon or sample
 trajectories, and the feasible-set oracle enumerates every deterministic
-policy.
+policy.  The greedy-merge reference solves every merge trial, refused
+ones again and again, on the library's own margin LP.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from rewardsep.mdp import (
     value_of_visitation,
 )
 from rewardsep.numeric import EXACT, NumericMode, as_exact, as_float
+from rewardsep.separability import _entries, _separate
 from rewardsep.soap import ConsistencyReport
 
 LE, EQ, GE = lp.LE, lp.EQ, lp.GE
@@ -211,6 +213,54 @@ def pairwise_consistency(good, bad, tolerance) -> ConsistencyReport:
     witnesses = tuple((gn, bn) for gn, gr in good for bn, br in bad if equal(gr, br))
     return ConsistencyReport(consistent=not witnesses, witnesses=witnesses,
                              duplicate_good=within(good), duplicate_bad=within(bad))
+
+
+def resolving_greedy_groups(good, bad, planes, mode: NumericMode):
+    """The greedy merge of `separability._greedy_groups` with no trial
+    skipped: at every step of a group's growth it solves the trial LP of
+    every candidate, in order of distance to the group's centroid, the
+    ones this group already refused included.  The reference for the
+    merge's specs and LP counts."""
+    conv = mode.convert
+    dim = good.dimension
+    entries = [tuple(_entries(p)) for p in bad.points]
+
+    def squared_distance(p, q):
+        return sum(((conv(a) - conv(b)) ** 2 for a, b in zip(p, q)), conv(0))
+
+    remaining = list(range(len(bad.points)))
+    merged = []
+    while remaining:
+        seed = remaining[0]
+        group = [seed]
+        group_sep = planes[seed]
+        candidates = [i for i in remaining if i != seed]
+        while candidates:
+            centroid = [sum((conv(entries[i][k]) for i in group), mode.zero) / len(group)
+                        for k in range(dim)]
+            candidates.sort(key=lambda i: (squared_distance(entries[i], centroid), i))
+            accepted = None
+            for pos, i in enumerate(candidates):
+                trial = [bad.points[g] for g in group + [i]]
+                separator, _ = _separate(good.points, trial, dim, mode)
+                if separator is not None:
+                    accepted = (pos, separator)
+                    break
+            if accepted is None:
+                break
+            pos, group_sep = accepted
+            group.append(candidates.pop(pos))
+        r, c = group_sep.normal, group_sep.offset
+        covered = set(group)
+        for i in remaining:
+            if i in covered:
+                continue
+            score = sum((conv(rk) * conv(pk) for rk, pk in zip(r, entries[i])), mode.zero)
+            if score <= conv(c) - 1:
+                covered.add(i)
+        merged.append(group_sep)
+        remaining = [i for i in remaining if i not in covered]
+    return merged
 
 
 def truncated_visitation(env, policy, horizon: int):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from rewardsep import lp
+from rewardsep import lp, separability
 from rewardsep.mdp import (
     MarkovEnv,
     Policy,
@@ -29,7 +29,7 @@ from rewardsep.soap import Soap
 from rewardsep.verify import verify_realization
 
 from envs import GAMMA, PI11, PI12, PI21, PI22, entailment_env, steady_state_env
-from oracles import brute_force_feasible_set
+from oracles import brute_force_feasible_set, resolving_greedy_groups
 
 F = Fraction
 
@@ -381,3 +381,75 @@ class TestRandomizedEquivalences:
             for verdict, policy in zip(report.verdicts, soap.policies):
                 key = tuple(policy.action_map[s] for s in env.states)
                 assert verdict.feasible == (key in feasible_names)
+
+
+@pytest.fixture(scope="module")
+def reduce_cases():
+    """40 seeded random consistent deterministic SOAPs with up to 24
+    policies, so that groups grow past refused candidates."""
+    rng = random.Random(7)
+    cases = []
+    while len(cases) < 40:
+        env = random_env(rng)
+        soap = random_consistent_soap(env, rng, max_policies=24)
+        if soap is not None:
+            cases.append((env, soap))
+    return cases
+
+
+def _spec_key(spec, mode):
+    """The spec's numbers, as they are in exact mode and as `float.hex`
+    in float mode."""
+    show = (lambda v: v) if mode.exact else float.hex
+    return ([[show(v) for v in row] for row in spec.rows],
+            [show(c) for c in spec.lower_bounds])
+
+
+class TestGreedyMergeReference:
+    """`design_multi(reduce=True)` against the merge that solves every
+    trial again (`oracles.resolving_greedy_groups`)."""
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT], ids=["exact", "float"])
+    def test_same_spec_as_resolving_merge(self, reduce_cases, monkeypatch, mode):
+        for env, soap in reduce_cases:
+            spec = design_multi(env, soap, mode, reduce=True).spec
+            with monkeypatch.context() as patch:
+                patch.setattr(separability, "_greedy_groups", resolving_greedy_groups)
+                reference = design_multi(env, soap, mode, reduce=True).spec
+            assert _spec_key(spec, mode) == _spec_key(reference, mode)
+
+    def test_no_trial_contains_a_refused_one(self, reduce_cases, monkeypatch):
+        trials = []  # (excluded points in row order, feasible) per LP
+        real = lp.check_feasible
+
+        def spy(program, mode=EXACT):
+            result = real(program, mode)
+            excluded = [row[:-1] for row, sense in zip(program.matrix, program.senses)
+                        if sense == lp.LE]
+            trials.append((excluded, result[0]))
+            return result
+
+        monkeypatch.setattr(lp, "check_feasible", spy)
+        fewer = 0
+        for env, soap in reduce_cases:
+            trials.clear()
+            design_multi(env, soap, EXACT, reduce=True)
+            # A merge trial excludes its group, seed first, plus one
+            # candidate; the first pass excludes one point.
+            refused = {}  # seed -> excluded sets already refused
+            for excluded, feasible in trials:
+                if len(excluded) < 2:
+                    continue
+                excluded_set = set(excluded)
+                earlier = refused.setdefault(excluded[0], [])
+                assert not any(r <= excluded_set for r in earlier)
+                if not feasible:
+                    earlier.append(excluded_set)
+            solved = len(trials)
+            trials.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(separability, "_greedy_groups", resolving_greedy_groups)
+                design_multi(env, soap, EXACT, reduce=True)
+            assert solved <= len(trials)
+            fewer += solved < len(trials)
+        assert fewer >= 1

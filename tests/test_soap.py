@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given
 
+from rewardsep import numeric
 from rewardsep.mdp import Policy, Visitation, compute_visitation
 from rewardsep.numeric import EXACT, FLOAT, NumericMode
 from rewardsep.separability import design_multi
@@ -88,6 +89,13 @@ class TestCanonicalTables:
         # PI11's pairs reach inf_bad before the second good policy.
         with pytest.raises(ValueError, match="'inf_bad' has a non-finite"):
             Soap.build(good=[PI11, inf_good], bad=[inf_bad])
+
+    def test_deterministic_tables_share_one(self):
+        ones = [p for table in (PI11.canonical_table(), PI22.canonical_table(),
+                                PI11.canonical_table())
+                for row in table.values() for p in row.values()]
+        assert ones == [1] * 6
+        assert all(p is numeric.ONE for p in ones)
 
 
 class TestFloatPolicies:
