@@ -148,9 +148,8 @@ def _cmd_visitation(args) -> _Report:
     bundle = _load_problem(args)
     payload = {"command": "visitation", "exact": mode.exact, "policies": {}}
     lines = []
-    table = VisitationTable(bundle.env, mode)
-    for policy in bundle.policies:
-        rho = table(policy)
+    rhos = VisitationTable(bundle.env, mode).many(bundle.policies)
+    for policy, rho in zip(bundle.policies, rhos):
         payload["policies"][policy.name] = _entries_by_sa(bundle.env, rho.entries, mode)
         terms = ", ".join(
             f"({s},{a})={_num(rho.entries[bundle.env.sa_index(s, a)], mode)}"
@@ -327,9 +326,8 @@ def build_plot_export(bundle: ProblemBundle, axis_x, axis_y,
     good = {p.name for p in bundle.soap.good} if bundle.soap else set()
     bad = {p.name for p in bundle.soap.bad} if bundle.soap else set()
     points = []
-    table = VisitationTable(env, mode)
-    for policy in bundle.policies:
-        rho = table(policy)
+    rhos = VisitationTable(env, mode).many(bundle.policies)
+    for policy, rho in zip(bundle.policies, rhos):
         label = "good" if policy.name in good else "bad" if policy.name in bad else "unlabeled"
         points.append((policy.name, label, rho.entries[ix], rho.entries[iy]))
     hyperplanes = []

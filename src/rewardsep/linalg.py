@@ -5,7 +5,9 @@ the simplex tableau instead (see `lp`).  They are fraction-free (Bareiss
 1968): each row of [A | b] is scaled to integers by the lcm of its
 denominators, eliminated with exact integer division, and back-substituted
 to y / det in integers, so the only rationals formed are the returned
-x_i = y_i / det.
+x_i = y_i / det.  Float visitations come as one stack of systems, solved
+by one numpy call; a singular system in the stack raises
+`SingularSystemError` as a lone one does.
 """
 
 from __future__ import annotations
@@ -26,8 +28,17 @@ def solve_square(rows, rhs, mode: NumericMode) -> list:
 
     Exact mode runs Bareiss elimination on the integer-scaled rows (pivot
     = first nonzero entry at or below the diagonal, deterministic); float
-    mode defers to numpy.
+    mode defers to numpy.  In float mode `rows` may also be a (k, n, n)
+    array with `rhs` (k, n): numpy solves the k systems in one call, each
+    as it would alone, and the (k, n) array of solutions is returned.
     """
+    if not mode.exact and isinstance(rows, np.ndarray) and rows.ndim == 3:
+        if rows.shape[1] != rows.shape[2] or rhs.shape != rows.shape[:2]:
+            raise ValueError("solve_square expects a stack of square systems")
+        try:
+            return np.linalg.solve(rows, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(str(exc)) from exc
     n = len(rows)
     if any(len(r) != n for r in rows) or len(rhs) != n:
         raise ValueError("solve_square expects a square system")

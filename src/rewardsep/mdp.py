@@ -8,13 +8,17 @@ whose state marginal d solves the flow system d = e_start + gamma * P_pi^T d.
 For gamma < 1 the matrix I - gamma * P_pi^T is strictly column diagonally
 dominant (column slack exactly 1 - gamma), hence invertible, so rho is
 computed by direct elimination, never iteratively.  Both backends build
-one flow system and one residual over the kernel, gamma and policy over
-common denominators: exact mode over integers, solved fraction-free, and
-float mode over the float values with unit denominators.  Gamma and the
-kernel are converted once per `VisitationTable` (see `_ScaledEnv`).  The
-self-check every visitation passes (normalisation and per-state flow) is
-computed independently of the solve, from the converted inputs alone; in
-exact mode it is an integer identity.
+the flow systems and the residuals of a query's policies as one stack of
+arrays over the kernel, gamma and policies on common denominators: exact
+mode over integers (object arrays), each system solved fraction-free, and
+float mode over the float values with unit denominators, the whole stack
+solved by one numpy call.  The kernel is converted once per
+`VisitationTable`, and validated on that one conversion (see
+`_ScaledEnv`).  The self-check every visitation passes (normalisation and
+per-state flow) is one vectorised test of the stack, computed
+independently of the solve from the converted inputs alone, through the
+residual routine `flow_residuals` uses; in exact mode it is an integer
+identity.
 Every value question reduces to inner products with rho: V_i = r_i . rho.
 
 All types are immutable after construction and all operations are pure.
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
@@ -32,7 +36,9 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .numeric import EXACT, ONE, ZERO, Number, NumericMode, as_exact, as_float
+from .numeric import (
+    EXACT, ONE, ZERO, Number, NumericMode, as_exact, as_float, over_common_denominator,
+)
 
 # Float-mode validation tolerance: fixed, so that a looser comparison
 # tolerance accepts no other environments and policies.
@@ -130,14 +136,22 @@ class MarkovEnv:
 
 @dataclass(frozen=True)
 class EnvReport:
+    """`kernel` is the transition kernel as the check read it (see
+    `_converted_kernel`), kept for the solve that follows; None when the
+    kernel has the wrong number of rows."""
+
     ok: bool
     violations: tuple
+    kernel: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
 
 def validate_env(env: MarkovEnv, mode: NumericMode = EXACT) -> EnvReport:
     """Check stochasticity, discount range, and start membership.
 
     Report-based: callers that need a hard failure use `require_valid_env`.
+    The kernel is converted once, by `_converted_kernel`; the sign and
+    row-sum tests then run on that array, each row sum added in column
+    order.
     """
     violations = []
     if not env.states:
@@ -163,29 +177,51 @@ def validate_env(env: MarkovEnv, mode: NumericMode = EXACT) -> EnvReport:
         violations.append(
             f"kernel has {len(env.kernel)} rows, expected {expected_rows}"
         )
-    else:
-        tol = 0 if mode.exact else _VALIDATION_TOL
-        for (s, a), row in zip(env.sa_pairs(), env.kernel):
-            if len(row) != env.n_states:
-                violations.append(f"transition row for ({s}, {a}) has wrong width")
-                continue
-            try:
-                probs = [mode.convert(p) for p in row]
-            except ValueError as exc:
-                violations.append(f"transition row for ({s}, {a}) unusable: {exc}")
-                continue
-            if any(p < -tol for p in probs):
-                violations.append(f"negative probability in row ({s}, {a})")
-            total = sum(probs)
-            if abs(total - 1) > tol:
-                violations.append(f"transition row for ({s}, {a}) sums to {total}")
-    return EnvReport(ok=not violations, violations=tuple(violations))
+        return EnvReport(ok=False, violations=tuple(violations))
+    kernel, unusable = _converted_kernel(env, mode)
+    tol = 0 if mode.exact else _VALIDATION_TOL
+    negative = (kernel < -tol).any(axis=1).tolist()
+    totals = np.zeros(len(kernel), kernel.dtype)
+    for column in kernel.T:
+        totals += column
+    rows = iter(zip(negative, totals.tolist()))
+    for k, (s, a) in enumerate(env.sa_pairs()):
+        if k in unusable:
+            violations.append(f"transition row for ({s}, {a}) {unusable[k]}")
+            continue
+        has_negative, total = next(rows)
+        if has_negative:
+            violations.append(f"negative probability in row ({s}, {a})")
+        if abs(total - 1) > tol:
+            violations.append(f"transition row for ({s}, {a}) sums to {total}")
+    return EnvReport(ok=not violations, violations=tuple(violations), kernel=kernel)
 
 
-def require_valid_env(env: MarkovEnv, mode: NumericMode = EXACT):
+def require_valid_env(env: MarkovEnv, mode: NumericMode = EXACT) -> np.ndarray:
+    """Raise `EnvError` with every violation, or return the kernel as
+    `validate_env` read it."""
     report = validate_env(env, mode)
     if not report.ok:
         raise EnvError("; ".join(report.violations))
+    return report.kernel
+
+
+def _converted_kernel(env: MarkovEnv, mode: NumericMode):
+    """(kernel, unusable): the transition rows that convert, read once by
+    `mode` into one (rows, |S|) array (float64 in float mode, Fractions in
+    exact mode), and by row index why each other row does not."""
+    rows, unusable = [], {}
+    exact = mode.exact
+    for k, row in enumerate(env.kernel):
+        if len(row) != env.n_states:
+            unusable[k] = "has wrong width"
+            continue
+        try:
+            rows.append([as_exact(p) for p in row] if exact else mode.scaled(row)[0])
+        except ValueError as exc:
+            unusable[k] = f"unusable: {exc}"
+    kernel = np.array(rows, dtype=object if exact else float)
+    return kernel.reshape(len(rows), env.n_states), unusable
 
 
 @dataclass(frozen=True)
@@ -340,80 +376,119 @@ def compute_visitation(env: MarkovEnv, policy: Policy, mode: NumericMode = EXACT
     The result is checked against the flow identities before returning, so
     every visitation the package ever produces satisfies them.
     """
-    require_valid_env(env, mode)
-    return _visitation(env, policy, mode)
+    kernel = require_valid_env(env, mode)
+    return _visitations(_scaled(env, mode, kernel), [policy], mode)[0]
 
 
-def _visitation(env: MarkovEnv, policy: Policy, mode: NumericMode) -> Visitation:
-    """`compute_visitation` on an environment already validated.
+def _visitations(env: MarkovEnv, policies, mode: NumericMode) -> list:
+    """`compute_visitation` of each policy, in order, on an environment
+    already validated.  Every policy is validated, in order, before any
+    solve.
 
     With gamma = g_n / g_d, T = K / D_T and pi = Q_pi / Q (see
     `NumericMode.scaled`), d solves (g_d D I - g_n (D P_pi)^T) d =
-    g_d D e_start for D = D_T Q, where D P_pi = Q_pi K row by row."""
-    policy.validate_for(env, mode)
+    g_d D e_start for D = D_T Q, where D P_pi = Q_pi K row by row.  The
+    systems are built as one stack; float mode solves the stack in one
+    call, exact mode each system fraction-free."""
+    for policy in policies:
+        policy.validate_for(env, mode)
+    if not policies:
+        return []
     env = _scaled(env, mode)
-    n_s, n_a = env.n_states, env.n_actions
-    g_n, g_d, kernel, d_t = env.g_n, env.g_d, env.scaled_kernel, env.d_t
-    flat, q = mode.scaled([p for s in env.states for p in policy.distribution_row(env, s)])
-    pol = [flat[s * n_a:(s + 1) * n_a] for s in range(n_s)]
-    p_pi = [[0] * n_s for _ in range(n_s)]  # D P_pi, summed over actions in order
-    for s in range(n_s):
-        for a, p in enumerate(pol[s]):
-            if p:
-                for s2, t in enumerate(kernel[s * n_a + a]):
-                    if t:
-                        p_pi[s][s2] += p * t
-    scale = g_d * d_t * q
-    system = [
-        [(scale if s == s2 else 0) - g_n * p_pi[s2][s] for s2 in range(n_s)]
-        for s in range(n_s)
-    ]
-    start = env.state_index(env.start)
-    rhs = [scale if s == start else 0 for s in range(n_s)]
-    d = linalg.solve_square(system, rhs, mode)
+    k, n_s, n_a = len(policies), env.n_states, env.n_actions
+    pol, q = _policy_rows(env, policies, mode)
+    kernel = env.scaled_kernel.reshape(n_s, n_a, n_s)
+    p_pi = np.zeros((k, n_s, n_s), pol.dtype)  # D P_pi, summed over actions in order
+    for a in range(n_a):
+        p_pi += pol[:, :, a, None] * kernel[:, a]
+    scale = env.g_d * env.d_t * q
+    system = (scale[:, None, None] * np.eye(n_s, dtype=pol.dtype)
+              - env.g_n * p_pi.transpose(0, 2, 1))
+    rhs = np.zeros((k, n_s), pol.dtype)
+    rhs[:, env.state_index(env.start)] = scale
 
-    # rho(s, a) = d(s) * Q_pi(s, a) / Q
     if mode.exact:
-        entries = [
-            ZERO if not p or not ds
-            else ds if p == q
-            else Fraction(ds.numerator * p, ds.denominator * q)
-            for ds, row in zip(d, pol) for p in row
-        ]
+        # rho(s, a) = d(s) * Q_pi(s, a) / Q
+        rhos = []
+        for a_i, b_i, pol_i, q_i in zip(system.tolist(), rhs.tolist(), pol.tolist(), q.tolist()):
+            d = linalg.solve_square(a_i, b_i, mode)
+            rhos.append(tuple(
+                ZERO if not p or not ds
+                else ds if p == q_i
+                else Fraction(ds.numerator * p, ds.denominator * q_i)
+                for ds, row in zip(d, pol_i) for p in row
+            ))
+        nums, q = _numerators(rhos, mode)
     else:
-        entries = [ds * p for ds, row in zip(d, pol) for p in row]
-    rho = Visitation(tuple(entries))
-    _self_check(env, rho, mode)
-    return rho
+        d = linalg.solve_square(system, rhs, mode)
+        nums = (d[:, :, None] * pol).reshape(k, env.n_sa)
+        rhos = [tuple(row) for row in nums.tolist()]
+    _self_check(env, nums, q, mode)
+    return [Visitation(rho) for rho in rhos]
 
 
-def _scaled_kernel(env: MarkovEnv, mode: NumericMode):
-    """(K, D_T): T(k, s2) == K[k][s2] / D_T, k in (s, a) order."""
-    flat, den = mode.scaled([p for row in env.kernel for p in row])
-    n_s = env.n_states
-    return [flat[k * n_s:(k + 1) * n_s] for k in range(env.n_sa)], den
+def _policy_rows(env: MarkovEnv, policies, mode: NumericMode):
+    """(pol, q) with pi_i(a | s) == pol[i, s, a] / q[i]: a (k, |S|, |A|)
+    array, float64 in float mode and of ints in exact mode (see
+    `NumericMode.scaled`).  A deterministic row is one-hot, set from the
+    chosen action's index without converting anything."""
+    n_s, n_a = env.n_states, env.n_actions
+    dtype = float if not mode.exact else object
+    pol = np.zeros((len(policies), n_s, n_a), dtype)
+    q = np.ones(len(policies), dtype)
+    index = env._action_index
+    chosen = {i: [index[policy.action_map[s]] for s in env.states]
+              for i, policy in enumerate(policies) if policy.is_deterministic}
+    if chosen:
+        pol[np.array(list(chosen))[:, None], np.arange(n_s), list(chosen.values())] = 1
+    for i, policy in enumerate(policies):
+        if i not in chosen:
+            flat, q[i] = mode.scaled(
+                [p for s in env.states for p in policy.distribution_row(env, s)])
+            pol[i] = np.array(flat, dtype).reshape(n_s, n_a)
+    return pol, q
+
+
+def _numerators(rhos, mode: NumericMode):
+    """(nums, q) with rhos[i] == nums[i] / q[i]: one row of numerators per
+    entry sequence, over its own denominator (see `NumericMode.scaled`)."""
+    dtype = float if not mode.exact else object
+    pairs = [mode.scaled(rho) for rho in rhos]
+    return (np.array([n for n, _ in pairs], dtype).reshape(len(pairs), -1),
+            np.array([q for _, q in pairs], dtype))
 
 
 @dataclass(frozen=True, eq=False)
 class _ScaledEnv(MarkovEnv):
     """An environment with gamma and its kernel converted for the one mode
     it is solved in: gamma == g_n / g_d and T(k, s2) ==
-    scaled_kernel[k][s2] / d_t (see `NumericMode.scaled`).  The visitation
-    solve, its self-check and `flow_residuals` read these instead of
-    converting again."""
+    scaled_kernel[k, s2] / d_t (see `NumericMode.scaled`), an
+    (|S||A|, |S|) array of floats, or of ints in exact mode.  The
+    visitation solve, its self-check and `flow_residuals` read these
+    instead of converting again."""
 
     g_n: Number
     g_d: Number
-    scaled_kernel: list
+    scaled_kernel: np.ndarray
     d_t: Number
 
 
-def _scaled(env: MarkovEnv, mode: NumericMode) -> _ScaledEnv:
-    """`env` converted for `mode`, unless it already is."""
+def _scaled(env: MarkovEnv, mode: NumericMode, kernel=None) -> _ScaledEnv:
+    """`env` converted for `mode`, unless it already is.  `kernel` is its
+    transition array as `require_valid_env` returns it; without it the
+    kernel is converted here, unchecked."""
     if isinstance(env, _ScaledEnv):
         return env
+    if kernel is None:
+        kernel, unusable = _converted_kernel(env, mode)
+        if unusable or len(kernel) != env.n_sa:
+            raise EnvError("; ".join(f"transition row {k} {why}" for k, why in unusable.items())
+                           or f"kernel has {len(kernel)} rows, expected {env.n_sa}")
     (g_n,), g_d = mode.scaled([env.gamma])
-    kernel, d_t = _scaled_kernel(env, mode)
+    d_t = 1
+    if mode.exact:
+        flat, d_t = over_common_denominator(kernel.ravel().tolist())
+        kernel = np.array(flat, object).reshape(kernel.shape)
     return _ScaledEnv(env.states, env.actions, env.kernel, env.gamma, env.start,
                       g_n, g_d, kernel, d_t)
 
@@ -432,68 +507,94 @@ class VisitationTable:
         self._scaled = None
 
     def __call__(self, policy: Policy) -> Visitation:
-        known = self._rows.get(policy.name)
-        if known is not None and known[0] == policy:
-            return known[1]
-        if not self._rows:  # nothing solved yet: this is the first solve
-            require_valid_env(self.env, self.mode)
-            self._scaled = _scaled(self.env, self.mode)
-        rho = _visitation(self._scaled, policy, self.mode)
-        self._rows.setdefault(policy.name, (policy, rho))
-        return rho
+        return self.many([policy])[0]
+
+    def many(self, policies) -> list:
+        """The visitations of `policies`, in order.  Those not known yet
+        are validated in order and then solved together, in one
+        `_visitations` call."""
+        policies = list(policies)
+        out = []
+        for policy in policies:
+            known = self._rows.get(policy.name)
+            out.append(known[1] if known is not None and known[0] == policy else None)
+        fresh = [p for p, rho in zip(policies, out) if rho is None]
+        if not fresh:
+            return out
+        if self._scaled is None:  # nothing solved yet: this is the first solve
+            kernel = require_valid_env(self.env, self.mode)
+            self._scaled = _scaled(self.env, self.mode, kernel)
+        solved = iter(_visitations(self._scaled, fresh, self.mode))
+        for i, (policy, rho) in enumerate(zip(policies, out)):
+            if rho is None:
+                out[i] = next(solved)
+                self._rows.setdefault(policy.name, (policy, out[i]))
+        return out
 
 
-def _self_check(env, rho, mode):
-    """Refuse a visitation that breaks normalisation or flow conservation.
+def _self_check(env, nums, q, mode):
+    """Refuse visitations rho_i = nums[i] / q[i] that break normalisation
+    or flow conservation: the whole stack is tested at once, and the first
+    visitation at fault is reported.
 
     sum(rho) == 1 / (1 - gamma) reads sum(R) * (g_d - g_n) == g_d * q for
-    rho = R / q, gamma = g_n / g_d; exact mode tests it in integers."""
+    rho = R / q, gamma = g_n / g_d; exact mode tests it in integers.  The
+    flow residuals are those of `flow_residuals`, from `_imbalance`."""
     env = _scaled(env, mode)
     g_n, g_d = env.g_n, env.g_d
-    nums, q = mode.scaled(rho.entries)
-    total = sum(nums)
+    total = nums.sum(axis=1)
+    num, den = _imbalance(env, nums, q)
     if mode.exact:
         tol = scale = 0
-        broken = total * (g_d - g_n) != g_d * q
+        unnormal = total * (g_d - g_n) != g_d * q
     else:
         tol = max(_VALIDATION_TOL, 10 * mode.tolerance)
         scale = abs(g_d / (g_d - g_n))
-        broken = abs(total - scale) > tol * scale
-    if broken:
+        unnormal = abs(total - scale) > tol * scale
+    unbalanced = abs(num) > tol * scale * den[:, None]
+    faulty = unnormal | unbalanced.any(axis=1)
+    if not faulty.any():
+        return
+    i = int(np.argmax(faulty))
+    q_i = q.tolist()[i]
+    if unnormal[i]:
         raise RuntimeError(
-            f"visitation normalization violated: sum={mode.ratio(total, q)}, "
+            f"visitation normalization violated: sum={mode.ratio(total.tolist()[i], q_i)}, "
             f"expected={mode.ratio(g_d, g_d - g_n)}"
         )
-    residuals = flow_residuals(env, rho, mode)
-    for s, r in zip(env.states, residuals):
-        if abs(r) > tol * scale:
-            raise RuntimeError(f"Bellman flow violated at state {s}: residual {r}")
+    s = int(np.argmax(unbalanced[i]))
+    residual = mode.ratio(num[i].tolist()[s], den.tolist()[i])
+    raise RuntimeError(f"Bellman flow violated at state {env.states[s]}: residual {residual}")
 
 
 def flow_residuals(env: MarkovEnv, rho: Visitation, mode: NumericMode = EXACT):
     """Per-state residual of
     sum_a rho(s, a) - 1[s = start] - gamma * sum_{s', a'} T(s', a', s) rho(s', a').
 
-    It is computed independently of the solve: with rho = R / q, T = K / D_T
-    and gamma = g_n / g_d (see `NumericMode.scaled`), the residual times
-    g_d D_T q is g_d D_T (sum_a R(s, a) - q 1[s = start]) - g_n sum K R."""
-    env = _scaled(env, mode)
+    It is computed independently of the solve, by `_imbalance`."""
+    nums, q = _numerators([rho.entries], mode)
+    num, den = _imbalance(_scaled(env, mode), nums, q)
+    den = den.tolist()[0]
+    return tuple(mode.ratio(r, den) for r in num[0].tolist())
+
+
+def _imbalance(env: _ScaledEnv, nums, q):
+    """(num, den): the flow residual of rho_i = nums[i] / q[i] at state s
+    is num[i, s] / den[i], for every visitation of the stack at once.
+
+    With T = K / D_T and gamma = g_n / g_d (see `NumericMode.scaled`), the
+    residual times g_d D_T q is g_d D_T (sum_a R(s, a) - q 1[s = start]) -
+    g_n sum K R; both sums are added in index order."""
     n_s, n_a = env.n_states, env.n_actions
-    g_n, g_d, kernel, d_t = env.g_n, env.g_d, env.scaled_kernel, env.d_t
-    nums, q = mode.scaled(rho.entries)
-    inflow = [0] * n_s
-    for row, r in zip(kernel, nums):
-        if r:
-            for s2, t in enumerate(row):
-                if t:
-                    inflow[s2] += t * r
-    start = env.state_index(env.start)
-    scale = g_d * d_t
-    out = []
-    for s in range(n_s):
-        outflow = sum(nums[s * n_a:(s + 1) * n_a]) - (q if s == start else 0)
-        out.append(mode.ratio(scale * outflow - g_n * inflow[s], scale * q))
-    return tuple(out)
+    inflow = np.zeros((len(nums), n_s), nums.dtype)
+    for k, row in enumerate(env.scaled_kernel):
+        inflow += nums[:, k, None] * row
+    outflow = np.zeros_like(inflow)
+    for a in range(n_a):
+        outflow += nums[:, a::n_a]
+    outflow[:, env.state_index(env.start)] -= q
+    scale = env.g_d * env.d_t
+    return scale * outflow - env.g_n * inflow, scale * q
 
 
 def policy_value(env: MarkovEnv, policy: Policy, reward: RewardSpec,

@@ -118,12 +118,16 @@ class NumericMode:
     def scaled(self, values):
         """(nums, den) with values[i] == nums[i] / den: integers over the lcm
         of the denominators in exact mode, the float values over 1 in float
-        mode.  Floats pass as they are and ints through `float`; only other
-        entries (strings, Fractions) cost an `as_float` call."""
+        mode.  Floats pass as they are, ints through `float` and Fractions
+        as numerator / denominator (the correctly rounded quotient `float`
+        computes, without its two `int` calls); only other entries
+        (strings) cost an `as_float` call."""
         if self.exact:
             return over_common_denominator(values)
-        return [v if type(v) is float else float(v) if type(v) is int else as_float(v)
-                for v in values], 1
+        return [v if type(v) is float
+                else v.numerator / v.denominator if type(v) is Fraction
+                else float(v) if type(v) is int
+                else as_float(v) for v in values], 1
 
     def ratio(self, num, den):
         """num / den as a result entry: a Fraction (`ZERO` for 0) in exact

@@ -68,7 +68,7 @@ class PointSet:
 
     @staticmethod
     def _of(table: VisitationTable, policies) -> "PointSet":
-        return PointSet(tuple(p.name for p in policies), tuple(map(table, policies)))
+        return PointSet(tuple(p.name for p in policies), tuple(table.many(policies)))
 
     def __len__(self):
         return len(self.points)
@@ -410,23 +410,10 @@ def check_scalar_optimality(env: MarkovEnv, soap: Soap, mode: NumericMode = EXAC
         return tuple(policy.action_map[s] for s in env.states)
 
     soap_keys = {action_key(p) for p in soap.policies}
-
-    matrix = []
-    senses = []
-    rhs = []
-
-    def add_row(policy, sense, offset):
-        matrix.append(list(table(policy).entries) + [-1])
-        senses.append(sense)
-        rhs.append(offset)
-
-    for policy in soap.good:
-        add_row(policy, "eq", 0)
-    for policy in soap.bad:
-        add_row(policy, "le", -1)
-    for policy in everyone:
-        if action_key(policy) not in soap_keys:
-            add_row(policy, "le", 0)
+    others = [p for p in everyone if action_key(p) not in soap_keys]
+    matrix = [list(rho.entries) + [-1] for rho in table.many(soap.policies + tuple(others))]
+    senses = ["eq"] * len(soap.good) + ["le"] * (len(soap.bad) + len(others))
+    rhs = [0] * len(soap.good) + [-1] * len(soap.bad) + [0] * len(others)
 
     program = lp.LinearProgram.build(
         objective=[0] * (dim + 1),

@@ -93,8 +93,8 @@ def _consistency(table: VisitationTable, soap: Soap) -> ConsistencyReport:
     IEEE subtractions and tests as max(|x - y|) <= tolerance over each
     pair's entries, on one float64 row per policy."""
     mode = table.mode
-    good = [table(p).entries for p in soap.good]
-    bad = [table(p).entries for p in soap.bad]
+    rhos = [rho.entries for rho in table.many(soap.policies)]
+    good, bad = rhos[:len(soap.good)], rhos[len(soap.good):]
     if not mode.exact:
         good, bad = (np.array(v, float).reshape(-1, table.env.n_sa) for v in (good, bad))
 

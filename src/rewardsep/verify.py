@@ -77,9 +77,10 @@ def _verify(table: VisitationTable, soap: Soap, spec: RewardSpec) -> Realization
     _check_spec_dims(table.env, spec)
     verdicts = []
     realized = True
+    rhos = iter(table.many(soap.policies))
     for label, policies in (("good", soap.good), ("bad", soap.bad)):
         for policy in policies:
-            values = value_of_visitation(table(policy), spec, mode)
+            values = value_of_visitation(next(rhos), spec, mode)
             violated, boundary = _judge(values, spec.lower_bounds, mode)
             feasible = not violated
             if (label == "good") != feasible:

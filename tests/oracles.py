@@ -7,7 +7,8 @@ rational Gaussian elimination, the LP certificate checks read only a
 state distribution forward for a truncated horizon or sample
 trajectories, and the feasible-set oracle enumerates every deterministic
 policy.  The greedy-merge reference solves every merge trial, refused
-ones again and again, on the library's own margin LP.
+ones again and again, on the library's own margin LP, and the float
+visitation reference solves one policy at a time in list arithmetic.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from rewardsep import lp
+from rewardsep import linalg, lp
 from rewardsep.linalg import SingularSystemError
 from rewardsep.mdp import (
     MarkovEnv,
@@ -261,6 +262,32 @@ def resolving_greedy_groups(good, bad, planes, mode: NumericMode):
         merged.append(group_sep)
         remaining = [i for i in remaining if i not in covered]
     return merged
+
+
+def one_float_visitation(env: MarkovEnv, policy: Policy, mode: NumericMode) -> tuple:
+    """The float visitation of one policy, solved alone in list arithmetic:
+    P_pi summed over actions in order (zero terms skipped), one
+    `linalg.solve_square` of (I - gamma P_pi^T) d = e_start, then
+    rho = d * pi.  The one-policy path that the batched solve replaced;
+    the batch must match it bit for bit."""
+    require_valid_env(env, mode)
+    policy.validate_for(env, mode)
+    n_s, n_a = env.n_states, env.n_actions
+    gamma = as_float(env.gamma)
+    kernel = [[as_float(t) for t in row] for row in env.kernel]
+    pol = [[as_float(p) for p in policy.distribution_row(env, s)] for s in env.states]
+    p_pi = [[0] * n_s for _ in range(n_s)]
+    for s in range(n_s):
+        for a, p in enumerate(pol[s]):
+            if p:
+                for s2, t in enumerate(kernel[s * n_a + a]):
+                    if t:
+                        p_pi[s][s2] += p * t
+    system = [[(1 if s == s2 else 0) - gamma * p_pi[s2][s] for s2 in range(n_s)]
+              for s in range(n_s)]
+    start = env.state_index(env.start)
+    d = linalg.solve_square(system, [1 if s == start else 0 for s in range(n_s)], mode)
+    return tuple(ds * p for ds, row in zip(d, pol) for p in row)
 
 
 def truncated_visitation(env, policy, horizon: int):

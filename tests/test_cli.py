@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rewardsep import linalg, lp, mdp
@@ -309,6 +310,33 @@ def _negative_probability(doc):
     doc["env"]["transitions"][1]["to"] = {"s0": "-1/2", "s1": "3/2"}
 
 
+def _two_malformed_policies(doc):
+    """Good: pi11, then a row summing to 11/10; bad: an unknown action,
+    then pi22.  The bad one comes first in the file."""
+    doc["policies"] = [
+        {"name": "pi11", "deterministic": {"s0": "a1", "s1": "a1"}},
+        {"name": "stray", "deterministic": {"s0": "a2", "s1": "a9"}},
+        {"name": "over", "stochastic": {"s0": {"a1": "1/2", "a2": "3/5"}, "s1": {"a2": "1"}}},
+        {"name": "pi22", "deterministic": {"s0": "a2", "s1": "a2"}},
+    ]
+    doc["soap"] = {"good": ["pi11", "over"], "bad": ["stray", "pi22"]}
+
+
+@pytest.mark.parametrize("command", ["visitation", "consistency", "design-multi"])
+def test_float_query_names_the_first_malformed_policy(capsys, tmp_path, command):
+    """A float query exits 2 naming the policy the bundle reader reaches
+    first, the second in the file, before any visitation is solved."""
+    doc = _bundle_doc()
+    _two_malformed_policies(doc)
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path), "--tol", "1e-9", "--json")
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: {path}.policies[1]: policy 'stray' picks unknown action "
+                   "'a9' at state 's1'\n")
+
+
 class TestMalformedBundles:
     """Malformed bundles exit 2 with the field path, never a traceback."""
 
@@ -433,7 +461,10 @@ class TestInternalFaults:
         assert err == "internal error: simplex pivot limit exceeded\n"
 
     def test_failed_flow_self_check(self, capsys, monkeypatch):
-        monkeypatch.setattr(mdp, "flow_residuals", lambda env, rho, mode: (1,) * env.n_states)
+        # `_imbalance` gives the self-check and `flow_residuals` their residuals.
+        monkeypatch.setattr(
+            mdp, "_imbalance", lambda env, nums, q: (np.ones((len(nums), env.n_states), int), q)
+        )
         code, _, err = run(capsys, "visitation", "entailment.json")
         assert code == 3
         assert err.startswith("internal error: Bellman flow violated")

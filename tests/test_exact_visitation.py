@@ -135,6 +135,11 @@ class TestPinnedFloatVisitations:
         assert digest.hexdigest() == self.DIGEST
 
 
+def self_check(env, rho, mode):
+    """`mdp._self_check` on one visitation, as a stack of one."""
+    mdp._self_check(env, *mdp._numerators([rho.entries], mode), mode)
+
+
 class TestSelfCheckRejects:
     """The exact self-check refuses a visitation that breaks either
     identity, with the rational values in its message."""
@@ -147,7 +152,7 @@ class TestSelfCheckRejects:
         scaled = Visitation(tuple(v * F(11, 10) for v in self.rho.entries))
         total = sum(scaled.entries)
         with pytest.raises(RuntimeError, match="visitation normalization violated") as info:
-            mdp._self_check(self.env, scaled, EXACT)
+            self_check(self.env, scaled, EXACT)
         assert f"sum={total}, expected=10" in str(info.value)
 
     def test_shifted_mass_breaks_flow(self):
@@ -161,7 +166,7 @@ class TestSelfCheckRejects:
         assert flow_residuals(self.env, shifted, EXACT) == want
         assert want[0] != 0
         with pytest.raises(RuntimeError, match="Bellman flow violated at state s0") as info:
-            mdp._self_check(self.env, shifted, EXACT)
+            self_check(self.env, shifted, EXACT)
         assert str(info.value).endswith(f"residual {want[0]}")
 
     def test_residuals_match_the_definition_on_random_perturbations(self):

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rewardsep import linalg
-from rewardsep.numeric import EXACT
+from rewardsep.numeric import EXACT, FLOAT
 
 from oracles import gaussian_solve
 
@@ -67,3 +68,19 @@ class TestExactSolve:
         assert x == [0, 2]
         y = linalg.solve_square([[1, 1], [1, -1]], [0, 0], EXACT)
         assert x[0] is y[0] is y[1]
+
+
+class TestFloatStack:
+    def test_each_system_solved_as_alone(self):
+        rng = np.random.default_rng(3)
+        rows = np.eye(4) - 0.9 * rng.dirichlet(np.ones(4), size=(5, 4)).transpose(0, 2, 1)
+        rhs = rng.random((5, 4))
+        got = linalg.solve_square(rows, rhs, FLOAT)
+        assert got.shape == (5, 4)
+        for a, b, x in zip(rows, rhs, got):
+            assert x.tolist() == linalg.solve_square(a.tolist(), b.tolist(), FLOAT)
+
+    def test_a_singular_system_in_the_stack_raises(self):
+        rows = np.array([np.eye(2), [[1.0, 2.0], [2.0, 4.0]]])
+        with pytest.raises(linalg.SingularSystemError):
+            linalg.solve_square(rows, np.ones((2, 2)), FLOAT)

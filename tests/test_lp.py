@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -603,31 +604,32 @@ def test_each_lp_solved_is_validated_once(monkeypatch, soap_file, mode):
                                        "optimal_a1_soap.json"])
 def test_square_solves_are_the_visitations_and_float_duals(monkeypatch, soap_file, mode):
     # Exact LP certificates are read off the tableau; only float LPs solve
-    # their basis for the duals.
+    # their basis for the duals.  A float stack of k visitation systems is
+    # one call that solves k systems.
     squares, visitations, solved = [], [], []
-    real_square, real_visitation, real_solve = linalg.solve_square, mdp._visitation, lp.solve
+    real_square, real_visitation, real_solve = linalg.solve_square, mdp._visitations, lp.solve
 
     def counting_square(rows, rhs, mode):
-        squares.append(len(rows))
+        squares.append(len(rows) if np.ndim(rows) == 3 else 1)
         return real_square(rows, rhs, mode)
 
-    def counting_visitation(env, policy, mode):
-        visitations.append(policy)
-        return real_visitation(env, policy, mode)
+    def counting_visitation(env, policies, mode):
+        visitations.extend(policies)
+        return real_visitation(env, policies, mode)
 
     def counting_solve(program, mode=EXACT):
         solved.append(program)
         return real_solve(program, mode)
 
     monkeypatch.setattr(linalg, "solve_square", counting_square)
-    monkeypatch.setattr(mdp, "_visitation", counting_visitation)
+    monkeypatch.setattr(mdp, "_visitations", counting_visitation)
     monkeypatch.setattr(lp, "solve", counting_solve)
     bundle = parse_bundle(fixture_path("entailment.json"))
     soap = load_soap(fixture_path(soap_file), bundle)
     design_multi(bundle.env, soap, mode, reduce=True)
     check_scalar_optimality(bundle.env, soap, mode)
     assert visitations and solved
-    assert len(squares) == len(visitations) + (0 if mode.exact else len(solved))
+    assert sum(squares) == len(visitations) + (0 if mode.exact else len(solved))
 
 
 def test_construction_validates():

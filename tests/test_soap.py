@@ -209,8 +209,8 @@ class _Rows:
         self.rows, self.mode = rows, mode
         self.env = SimpleNamespace(n_sa=n_sa)
 
-    def __call__(self, policy):
-        return Visitation(self.rows[policy.name])
+    def many(self, policies):
+        return [Visitation(self.rows[p.name]) for p in policies]
 
 
 class TestFloatConsistencyOracle:

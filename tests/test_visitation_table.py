@@ -1,20 +1,32 @@
 """Each query solves each policy's visitation exactly once, validates its
-environment once and converts its kernel once."""
+environment once and converts its kernel once; a float table solves its
+policies as one stack, bit for bit as each would be solved alone."""
 
 import json
+import random
 from collections import Counter
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from rewardsep import mdp
+from rewardsep import linalg, mdp
 from rewardsep.cli import run_command
-from rewardsep.mdp import Policy, RewardSpec, VisitationTable, compute_visitation
+from rewardsep.mdp import (
+    MarkovEnv,
+    Policy,
+    PolicyError,
+    RewardSpec,
+    VisitationTable,
+    compute_visitation,
+)
 from rewardsep.numeric import EXACT, FLOAT
 from rewardsep.separability import check_scalar_optimality, design_multi, design_scalar
 from rewardsep.soap import Soap, check_consistency
 from rewardsep.verify import verify_realization
 
 from envs import PI11, PI12, PI21, PI22, entailment_env
+from oracles import one_float_visitation
 
 XOR_SOAP = Soap.build(good=[PI12, PI21], bad=[PI11, PI22])
 SINGLE_GOOD_SOAP = Soap.build(good=[PI22], bad=[PI11, PI12, PI21])
@@ -22,16 +34,16 @@ SINGLE_GOOD_SOAP = Soap.build(good=[PI22], bad=[PI11, PI12, PI21])
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Visitation solves per policy name, counted at the solve core that
-    both `compute_visitation` and the table call."""
+    """Visitation solves per policy name, counted at the batched solve core
+    that both `compute_visitation` and the table call."""
     counts = Counter()
-    real = mdp._visitation
+    real = mdp._visitations
 
-    def counting(env, policy, mode):
-        counts[policy.name] += 1
-        return real(env, policy, mode)
+    def counting(env, policies, mode):
+        counts.update(p.name for p in policies)
+        return real(env, policies, mode)
 
-    monkeypatch.setattr(mdp, "_visitation", counting)
+    monkeypatch.setattr(mdp, "_visitations", counting)
     return counts
 
 
@@ -51,15 +63,15 @@ def validations(monkeypatch):
 
 @pytest.fixture
 def conversions(monkeypatch):
-    """Number of `mdp._scaled_kernel` runs, the kernel conversion."""
+    """Number of `mdp._converted_kernel` runs, the kernel conversion."""
     calls = []
-    real = mdp._scaled_kernel
+    real = mdp._converted_kernel
 
     def counting(env, mode):
         calls.append(env)
         return real(env, mode)
 
-    monkeypatch.setattr(mdp, "_scaled_kernel", counting)
+    monkeypatch.setattr(mdp, "_converted_kernel", counting)
     return calls
 
 
@@ -189,3 +201,93 @@ def test_cli_design_multi_converts_the_kernel_once(conversions, capsys, tol):
     capsys.readouterr()
     assert code == 0
     assert len(conversions) == 1
+
+
+def _row(rng, n, floats):
+    """A probability row: Python floats w / total or Fractions, zeros kept."""
+    weights = [rng.choice([0, 0, 1, 2, 3, 5, 7]) for _ in range(n)]
+    if not any(weights):
+        weights[rng.randrange(n)] = 1
+    total = sum(weights)
+    return tuple(w / total if floats else Fraction(w, total) for w in weights)
+
+
+def random_stack(seed):
+    """An environment with |S| <= 8 and |A| <= 3, gamma 1/2 or 9/10 by the
+    seed's parity, and 2-12 policies: the first deterministic, the second
+    stochastic, the rest either."""
+    rng = random.Random(seed)
+    n_s, n_a = rng.randint(1, 8), rng.randint(1, 3)
+    states = tuple(f"s{i}" for i in range(n_s))
+    actions = tuple(f"a{i}" for i in range(n_a))
+    kernel = tuple(_row(rng, n_s, rng.random() < 0.3) for _ in range(n_s * n_a))
+    env = MarkovEnv(states, actions, kernel, (Fraction(1, 2), "9/10")[seed % 2],
+                    rng.choice(states))
+    policies = []
+    for i in range(rng.randint(2, 12)):
+        if i == 0 or (i > 1 and rng.random() < 0.5):
+            policies.append(Policy.deterministic(
+                f"p{i}", {s: rng.choice(actions) for s in states}))
+        else:
+            policies.append(Policy.stochastic(
+                f"p{i}", {s: dict(zip(actions, _row(rng, n_a, rng.random() < 0.5)))
+                          for s in states}))
+    return env, policies
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_float_batch_matches_one_policy_solves(seed):
+    env, policies = random_stack(seed)
+    got = VisitationTable(env, FLOAT).many(policies)
+    assert len(got) == len(policies)
+    for policy, rho in zip(policies, got):
+        assert all(type(v) is float for v in rho.entries)
+        want = one_float_visitation(env, policy, FLOAT)
+        assert [v.hex() for v in rho.entries] == [v.hex() for v in want]
+
+
+class TestBatchSelfCheckRejects:
+    """The vectorised float self-check refuses a stack in which one
+    visitation breaks either identity."""
+
+    def setup_method(self):
+        env, self.policies = random_stack(11)  # 8 states, 3 actions, 6 policies
+        assert env.n_states >= 2 and len(self.policies) >= 3
+        self.env = mdp._scaled(env, FLOAT, mdp.require_valid_env(env, FLOAT))
+        rhos = mdp._visitations(self.env, self.policies, FLOAT)
+        self.nums, self.q = mdp._numerators([rho.entries for rho in rhos], FLOAT)
+
+    def test_accepts_the_solved_stack(self):
+        mdp._self_check(self.env, self.nums, self.q, FLOAT)
+
+    def test_scaled_entry_breaks_normalisation(self):
+        k = int(np.argmax(self.nums[1]))
+        self.nums[1, k] *= 1.5
+        with pytest.raises(RuntimeError, match="visitation normalization violated"):
+            mdp._self_check(self.env, self.nums, self.q, FLOAT)
+
+    def test_moved_mass_breaks_flow(self):
+        n_a = self.env.n_actions
+        row = self.nums[2]
+        source = int(np.argmax(row))
+        target = (source + n_a) % self.env.n_sa  # the same action, the next state
+        moved = row[source] / 2
+        row[source] -= moved
+        row[target] += moved
+        with pytest.raises(RuntimeError, match="Bellman flow violated at state"):
+            mdp._self_check(self.env, self.nums, self.q, FLOAT)
+
+
+def test_float_batch_validates_every_policy_in_order_before_solving(monkeypatch):
+    """The second good policy is the first the old one-at-a-time order
+    reached with a fault, so it is the one named, and nothing is solved."""
+    squares = []
+    real = linalg.solve_square
+    monkeypatch.setattr(linalg, "solve_square",
+                        lambda rows, rhs, mode: squares.append(rows) or real(rows, rhs, mode))
+    over = Policy.stochastic("over", {"s0": {"a1": 0.5, "a2": 0.6}, "s1": {"a1": 1.0}})
+    stray = Policy.deterministic("stray", {"s0": "a9", "s1": "a1"})
+    soap = Soap.build(good=[PI11, over], bad=[stray, PI22])
+    with pytest.raises(PolicyError, match="policy 'over' row at 's0' sums to"):
+        check_consistency(entailment_env(), soap, FLOAT)
+    assert squares == []
