@@ -25,11 +25,13 @@ optionally a SOAP (name references) and a reward spec:
 
 Numbers are decimal or fraction strings (integers may stay bare) so the
 exact-rational backend parses them losslessly; raw JSON floats are
-rejected.  Every (state, action) pair needs a transition row -- omission
-is an error, not an implicit self-loop -- whose probabilities are
-nonnegative and sum to exactly 1, and gamma lies in [0, 1); each error
-names its field.  Serialization is canonical: parsing and re-serializing
-a canonical document is byte-identical.
+rejected.  Each distinct number string is parsed once per document: a
+bundle repeats few strings many times ("0", "1", "0.5", ...).  Every
+(state, action) pair needs a transition row -- omission is an error, not
+an implicit self-loop -- whose probabilities are nonnegative and sum to
+exactly 1, and gamma lies in [0, 1); each error names its field.
+Serialization is canonical: parsing and re-serializing a canonical
+document is byte-identical.
 """
 
 from __future__ import annotations
@@ -113,22 +115,31 @@ def _names(data, key, where, unique=False):
     return names
 
 
-def _number(value, where):
+def _number(value, where, parsed):
+    """`value` as a Fraction.  `parsed` maps each number string already
+    read in this document to its Fraction, so a repeated string is parsed
+    once; only successful parses are kept, so a bad string raises at each
+    field that holds it."""
     if isinstance(value, bool) or isinstance(value, float):
         raise BundleError(
             f"{where}: write numbers as decimal strings (got {value!r}); "
             "JSON floats cannot feed the exact backend"
         )
+    if type(value) is str and value in parsed:
+        return parsed[value]
     try:
-        return parse_rational(value)
+        number = parse_rational(value)
     except ExactInputError as exc:
         raise BundleError(f"{where}: {exc}") from exc
+    if type(value) is str:
+        parsed[value] = number
+    return number
 
 
-def _parse_env(data, where):
+def _parse_env(data, where, parsed):
     states = _names(data, "states", where, unique=True)
     actions = _names(data, "actions", where, unique=True)
-    gamma = _number(_expect(data, "gamma", None, where), f"{where}.gamma")
+    gamma = _number(_expect(data, "gamma", None, where), f"{where}.gamma", parsed)
     if not 0 <= gamma < 1:
         raise BundleError(f"{where}.gamma: {format_number(gamma)} is out of range [0, 1)")
     start = _expect(data, "start", str, where)
@@ -143,7 +154,7 @@ def _parse_env(data, where):
         to = _expect(row, "to", dict, rwhere)
         if (source, action) in transitions:
             raise BundleError(f"{rwhere}: duplicate row for ({source}, {action})")
-        dist = {s2: _number(p, f"{rwhere}.to.{s2}") for s2, p in to.items()}
+        dist = {s2: _number(p, f"{rwhere}.to.{s2}", parsed) for s2, p in to.items()}
         nums, den = over_common_denominator(dist.values())
         for s2, num in zip(dist, nums):
             if num < 0:
@@ -168,7 +179,7 @@ def _parse_env(data, where):
         raise BundleError(f"{where}: {exc}") from exc
 
 
-def _parse_policy(data, where):
+def _parse_policy(data, where, parsed):
     name = _expect(data, "name", str, where)
     has_det = "deterministic" in data
     has_sto = "stochastic" in data
@@ -183,14 +194,14 @@ def _parse_policy(data, where):
                 raise BundleError(f"{where}.deterministic.{s}: action must be a string")
         return Policy.deterministic(name, mapping)
     table = _expect(data, "stochastic", dict, where)
-    parsed = {
+    rows = {
         s: {
-            a: _number(p, f"{where}.stochastic.{s}.{a}")
+            a: _number(p, f"{where}.stochastic.{s}.{a}", parsed)
             for a, p in _expect(table, s, dict, f"{where}.stochastic").items()
         }
         for s in table
     }
-    return Policy.stochastic(name, parsed)
+    return Policy.stochastic(name, rows)
 
 
 def _parse_soap(data, policies, where):
@@ -212,7 +223,7 @@ def _parse_soap(data, policies, where):
         raise BundleError(f"{where}: {exc}") from exc
 
 
-def _parse_reward(data, env, where):
+def _parse_reward(data, env, where, parsed):
     rows_data = _expect(data, "rows", list, where)
     bounds_data = _expect(data, "lower_bounds", list, where)
     if len(rows_data) != len(bounds_data):
@@ -225,9 +236,10 @@ def _parse_reward(data, env, where):
             per_state = _expect(row, s, dict, rwhere)
             for a in env.actions:
                 entries.append(_number(_expect(per_state, a, None, f"{rwhere}.{s}"),
-                                       f"{rwhere}.{s}.{a}"))
+                                       f"{rwhere}.{s}.{a}", parsed))
         rows.append(tuple(entries))
-    bounds = [_number(b, f"{where}.lower_bounds[{i}]") for i, b in enumerate(bounds_data)]
+    bounds = [_number(b, f"{where}.lower_bounds[{i}]", parsed)
+              for i, b in enumerate(bounds_data)]
     return RewardSpec.build(rows=rows, lower_bounds=bounds)
 
 
@@ -255,12 +267,13 @@ def parse_bundle_text(text: str, source: str = "<string>") -> ProblemBundle:
     data = _json(text, source)
     if not isinstance(data, dict):
         raise BundleError(f"{source}: top level must be an object")
-    env = _parse_env(_expect(data, "env", dict, source), f"{source}.env")
+    parsed = {}  # number string -> Fraction, for this document only
+    env = _parse_env(_expect(data, "env", dict, source), f"{source}.env", parsed)
     policies = []
     names = set()
     policies_data = _expect(data, "policies", list, source) if "policies" in data else []
     for i, pdata in enumerate(policies_data):
-        policy = _parse_policy(pdata, f"{source}.policies[{i}]")
+        policy = _parse_policy(pdata, f"{source}.policies[{i}]", parsed)
         if policy.name in names:
             raise BundleError(
                 f"{source}.policies[{i}]: duplicate policy name {policy.name!r}"
@@ -276,7 +289,7 @@ def parse_bundle_text(text: str, source: str = "<string>") -> ProblemBundle:
         soap = _parse_soap(data["soap"], policies, f"{source}.soap")
     reward = None
     if "reward" in data:
-        reward = _parse_reward(data["reward"], env, f"{source}.reward")
+        reward = _parse_reward(data["reward"], env, f"{source}.reward", parsed)
     return ProblemBundle(env=env, policies=tuple(policies), soap=soap, reward=reward)
 
 
@@ -292,7 +305,7 @@ def load_soap(path, bundle: ProblemBundle) -> Soap:
 
 def load_reward(path, env: MarkovEnv) -> RewardSpec:
     p = resolve_input_path(str(path))
-    return _parse_reward(_json(_read(p), p), env, str(p))
+    return _parse_reward(_json(_read(p), p), env, str(p), {})
 
 
 def _num_str(value) -> str:

@@ -15,15 +15,18 @@ over one positive row denominator, reduced by a single gcd per updated
 row (see `_IntTableau`).  Scaling a row by a positive factor changes no
 sign and no ratio, so Bland's rule makes the same pivots as over
 rationals, and the vertex and certificates are those of a `Fraction`
-tableau.  Each row and its rhs are converted once, by `NumericMode.scaled`
-in `_standardize`, into the tableau's own numbers: ints over one row
-denominator.  Rationals appear only at the edges: the objective and
-bounds, and the basic values, rays and multipliers read out.  The exact
-reduced costs are integers over one denominator, so the simplex
-multipliers are read off the final tableau (Chvátal 1983, ch. 10): at the
-optimum they are the duals, at an infeasible phase 1 the Farkas
-multipliers, and no basis is solved.  Every zero in an exact answer is the
-shared `numeric.ZERO`.
+tableau.  `_standardize` converts each row and its rhs once into the
+tableau's own numbers: in exact mode ints over one row denominator, by
+`NumericMode.scaled`; in float mode the whole LP at once into one float64
+array, by the same rules, with the column split, the row negation and the
+slack and artificial columns applied to the array, so that every entry is
+the one a row-by-row set-up gives, the sign of each zero included.
+Rationals appear only at the edges: the objective and bounds, and the
+basic values, rays and multipliers read out.  The exact reduced costs are
+integers over one denominator, so the simplex multipliers are read off
+the final tableau (Chvátal 1983, ch. 10): at the optimum they are the
+duals, at an infeasible phase 1 the Farkas multipliers, and no basis is
+solved.  Every zero in an exact answer is the shared `numeric.ZERO`.
 
 The float tableau is one float64 array with the rhs as its last column,
 and its sign tests use a tolerance.  A float pivot is one masked rank-1
@@ -56,7 +59,9 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .numeric import EXACT, FLOAT, NumericMode, parse_rational
+from .numeric import (
+    EXACT, FLOAT, NumericMode, as_exact, over_common_denominator, parse_rational,
+)
 
 log = logging.getLogger(__name__)
 
@@ -197,12 +202,14 @@ class _Std:
     equality rows with their slack and artificial columns.
 
     Free variables split into nonnegative pairs; finite lower/upper bounds
-    become shifts/reflections, two-sided bounds add an explicit row.  Row
-    i holds ints over dens[i] in exact mode and floats over 1 in float
-    mode, rhs last, and is negated if that rhs is negative.  Its slack
-    enters as ±dens[i] and its artificial as dens[i]; units[i] is the
-    (column, ±1) of its slack, or of its artificial if it has none, and
-    basis[i] starts at its artificial, or at its slack if it has none.
+    become shifts/reflections, two-sided bounds add an explicit row.  Each
+    row, rhs last, is negated if that rhs is negative.  In exact mode
+    `rows` is a list of int lists, row i over dens[i], its slack entering
+    as ±dens[i] and its artificial as dens[i].  In float mode `rows` is
+    one float64 array of shape (rows, width + 1), its slack entries ±1.0
+    and its artificial entries 1.0, and `dens` is None.  units[i] is the
+    (column, ±1) of row i's slack, or of its artificial if it has none,
+    and basis[i] starts at its artificial, or at its slack if it has none.
     """
 
     __slots__ = ("cols", "var_cols", "shifts", "rows", "dens", "origin", "negated",
@@ -237,37 +244,25 @@ def _standardize(lp: LinearProgram, bounds, mode: NumericMode) -> _Std:
             std.cols.append((j, 1))
 
     # Each row, a box x_j <= hi among them, is converted once with its rhs.
-    # The shifts move the rhs first.  A zero term is skipped, which in
-    # float is bit-identical too: the sum starts at +0 and never becomes
-    # -0.0.
-    n, n_struct = len(bounds), len(std.cols)
-    conv = mode.convert
-    shifted = [j for j, s in enumerate(std.shifts) if s]
-    blank = 0 if mode.exact else zero
+    n = len(bounds)
+    rows = [*zip(lp.matrix, lp.rhs),
+            *(([int(k == j) for k in range(n)], hi) for j, hi in boxes)]
+    if mode.exact:
+        coeffs, std.dens, std.negated = _exact_rows(rows, std)
+    else:
+        coeffs, std.negated = _float_rows(rows, std)
+        std.dens = None
     flip = {LE: GE, GE: LE, EQ: EQ}
-    staged = []
-    for row, b, sense in [*zip(lp.matrix, lp.rhs, lp.senses),
-                          *(([int(k == j) for k in range(n)], hi, LE) for j, hi in boxes)]:
-        term = sum(v * std.shifts[j] for j in shifted if (v := conv(row[j])))
-        nums, den = mode.scaled([*row, conv(b) - term if term else b])
-        b = nums.pop()
-        coeffs = [blank] * n_struct
-        for j, v in enumerate(nums):
-            if v:
-                for col, sign in var_cols[j]:
-                    coeffs[col] = v if sign == 1 else -v
-        negated = b < 0
-        if negated:
-            coeffs, b, sense = [-v for v in coeffs], -b, flip[sense]
-        staged.append((coeffs, b, den, sense, negated))
+    senses = [flip[sense] if negated else sense for sense, negated in
+              zip([*lp.senses, *[LE] * len(boxes)], std.negated)]
 
-    n_slack = sum(sense != EQ for *_, sense, _ in staged)
-    std.art_first = n_struct + n_slack
-    std.width = std.art_first + sum(sense != LE for *_, sense, _ in staged)
-    std.rows, std.dens, std.negated, std.basis, std.units = [], [], [], [], []
+    n_struct = len(std.cols)
+    std.art_first = n_struct + sum(sense != EQ for sense in senses)
+    std.width = std.art_first + sum(sense != LE for sense in senses)
     std.origin = list(range(lp.n_rows)) + [None] * len(boxes)
+    std.basis, std.units, entries = [], [], []
     slack, art = n_struct, std.art_first
-    for coeffs, b, den, sense, negated in staged:
+    for i, sense in enumerate(senses):
         added = []  # (column, sign) of the slack, then of the artificial
         if sense != EQ:
             added.append((slack, 1 if sense == LE else -1))
@@ -275,17 +270,84 @@ def _standardize(lp: LinearProgram, bounds, mode: NumericMode) -> _Std:
         if sense != LE:
             added.append((art, 1))
             art += 1
-        row = coeffs + [0] * (std.width - n_struct) + [b]
-        for col, sign in added:
-            row[col] = sign * den
-        std.rows.append(row)
-        std.dens.append(den)
-        std.negated.append(negated)
+        entries += [(i, col, sign) for col, sign in added]
         std.basis.append(added[-1][0])
         std.units.append(added[0])
+    if mode.exact:
+        pad = [0] * (std.width - n_struct)
+        for row in coeffs:
+            row[-1:-1] = pad
+        std.rows = coeffs
+        for i, col, sign in entries:
+            std.rows[i][col] = sign * std.dens[i]
+    else:
+        std.rows = np.zeros((len(senses), std.width + 1))
+        std.rows[:, :n_struct] = coeffs[:, :-1]
+        std.rows[:, -1] = coeffs[:, -1]
+        if entries:
+            i, col, sign = zip(*entries)
+            std.rows[i, col] = sign
     return std
 
 
+def _exact_rows(rows, std):
+    """(rows, dens, negated) of an exact LP: each structural row as ints
+    over its lcm denominator dens[i], rhs last, negated when that rhs is
+    negative.  The shifts move the rhs first."""
+    n_struct = len(std.cols)
+    shifted = [j for j, s in enumerate(std.shifts) if s]
+    out, dens, negated = [], [], []
+    for row, b in rows:
+        term = sum(v * std.shifts[j] for j in shifted if (v := as_exact(row[j])))
+        nums, den = over_common_denominator([*row, as_exact(b) - term if term else b])
+        b = nums.pop()
+        coeffs = [0] * n_struct
+        for j, v in enumerate(nums):
+            if v:
+                for col, sign in std.var_cols[j]:
+                    coeffs[col] = v if sign == 1 else -v
+        negated.append(b < 0)
+        if b < 0:
+            coeffs, b = [-v for v in coeffs], -b
+        out.append(coeffs + [b])
+        dens.append(den)
+    return out, dens, negated
+
+
+def _float_rows(rows, std):
+    """(rows, negated) of a float LP: one float64 array of the structural
+    rows, rhs last, each row negated whole (its zeros become -0.0) when its
+    rhs is negative.  The shifts move the rhs first, summed left to right
+    over the shifted columns.  A zero coefficient is +0.0 in both halves
+    of a split column, whatever its sign in the LP."""
+    a = _float64([(*row, b) for row, b in rows], (len(rows), len(std.var_cols) + 1))
+    shifted = [j for j, s in enumerate(std.shifts) if s]
+    if shifted:
+        # A zero product leaves the sum unchanged: it starts at +0.0 and
+        # never becomes -0.0.
+        term = np.zeros(len(a))
+        for j in shifted:
+            term = term + a[:, j] * std.shifts[j]
+        a[:, -1] -= term
+    split = a[:, [j for j, _ in std.cols]]
+    signs = np.array([sign for _, sign in std.cols], dtype=float)
+    out = np.empty((len(a), len(std.cols) + 1))
+    out[:, :-1] = np.where(split != 0, split * signs, 0.0)
+    out[:, -1] = a[:, -1]
+    negated = out[:, -1] < 0
+    out[negated] = -out[negated]
+    return out, negated.tolist()
+
+
+def _float64(rows, shape):
+    """`rows` as a float64 array of `shape`, each entry read as
+    `NumericMode.scaled` reads it in float mode: a float as it is, an int
+    through `float`, a Fraction as numerator / denominator, and anything
+    else (strings) through `as_float`."""
+    array = np.array(rows)
+    if array.dtype.kind not in "biuf" or array.shape != shape:  # Fractions, strings, huge ints
+        array = np.array([FLOAT.scaled(row)[0] for row in rows])
+    return array.astype(float, copy=False).reshape(shape)
 def _bland(tab, basis, limit):
     """Bland's rule (Bland 1977), the one pivot loop of both phases and
     both tableaux: the lowest-index column below `limit` with a negative
@@ -310,12 +372,12 @@ class _FloatTableau:
     a nonzero in the pivot column.  Each entry gets the same IEEE multiply
     and subtract as in a row-by-row update, and rows with a zero of either
     sign there are not touched, so every -0.0 keeps its sign.  The reduced
-    costs z are one float64 vector, updated in place by each pivot.  A
-    copy of the unpivoted array is kept for the multipliers (see
-    `duals`)."""
+    costs z are one float64 vector, updated in place by each pivot.  The
+    array is the one `_standardize` built, pivoted in place; a copy of it
+    unpivoted is kept for the multipliers (see `duals`)."""
 
-    def __init__(self, rows, width, tol):
-        self.rows = np.array(rows, dtype=float).reshape(len(rows), width + 1)
+    def __init__(self, rows, tol):
+        self.rows = rows
         self.unpivoted = self.rows.copy()
         self.tol = tol
         self.z = None
@@ -496,11 +558,11 @@ def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
     m, n_struct, ncols = len(std.rows), len(std.cols), std.width
     basis, units = std.basis, std.units
     # The float tolerance grows with the rhs; the exact threshold is 0.
-    scale = 1 + sum(abs(row[-1]) for row in std.rows) if tol else 1
+    scale = 1 + sum(map(abs, std.rows[:, -1].tolist())) if tol else 1
     if mode.exact:
         tab = _IntTableau(std.rows, std.dens)
     else:
-        tab = _FloatTableau(std.rows, ncols, tol)
+        tab = _FloatTableau(std.rows, tol)
 
     # Phase 1: drive the artificial variables to zero.
     art_cols = range(std.art_first, ncols)

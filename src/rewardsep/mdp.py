@@ -209,8 +209,10 @@ def require_valid_env(env: MarkovEnv, mode: NumericMode = EXACT) -> np.ndarray:
 def _converted_kernel(env: MarkovEnv, mode: NumericMode):
     """(kernel, unusable): the transition rows that convert, read once by
     `mode` into one (rows, |S|) array (float64 in float mode, Fractions in
-    exact mode), and by row index why each other row does not."""
-    rows, unusable = [], {}
+    exact mode), and by row index why each other row does not.  A float
+    row holding NaN or an infinity does not: NaN passes every sign and
+    sum test."""
+    rows, kept, unusable = [], [], {}
     exact = mode.exact
     for k, row in enumerate(env.kernel):
         if len(row) != env.n_states:
@@ -218,10 +220,18 @@ def _converted_kernel(env: MarkovEnv, mode: NumericMode):
             continue
         try:
             rows.append([as_exact(p) for p in row] if exact else mode.scaled(row)[0])
+            kept.append(k)
         except ValueError as exc:
             unusable[k] = f"unusable: {exc}"
-    kernel = np.array(rows, dtype=object if exact else float)
-    return kernel.reshape(len(rows), env.n_states), unusable
+    kernel = np.array(rows, dtype=object if exact else float).reshape(len(rows), env.n_states)
+    if not exact:
+        finite = np.isfinite(kernel).all(axis=1)
+        if not finite.all():
+            for i in (~finite).nonzero()[0].tolist():
+                unusable[kept[i]] = "has a non-finite probability"
+            unusable = dict(sorted(unusable.items()))
+            kernel = kernel[finite]
+    return kernel, unusable
 
 
 @dataclass(frozen=True)
@@ -446,6 +456,11 @@ def _policy_rows(env: MarkovEnv, policies, mode: NumericMode):
             flat, q[i] = mode.scaled(
                 [p for s in env.states for p in policy.distribution_row(env, s)])
             pol[i] = np.array(flat, dtype).reshape(n_s, n_a)
+            if not mode.exact:  # NaN passes every sign and sum test
+                finite = np.isfinite(pol[i]).all(axis=1)
+                if not finite.all():
+                    raise PolicyError(f"policy {policy.name!r} has a non-finite probability "
+                                      f"at {env.states[int(finite.argmin())]!r}")
     return pol, q
 
 

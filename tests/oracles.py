@@ -7,8 +7,10 @@ rational Gaussian elimination, the LP certificate checks read only a
 state distribution forward for a truncated horizon or sample
 trajectories, and the feasible-set oracle enumerates every deterministic
 policy.  The greedy-merge reference solves every merge trial, refused
-ones again and again, on the library's own margin LP, and the float
-visitation reference solves one policy at a time in list arithmetic.
+ones again and again, on the library's own margin LP, the float
+visitation reference solves one policy at a time in list arithmetic, and
+the float standard-form reference builds each row entry by entry in
+Python lists.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from rewardsep.mdp import (
     require_valid_env,
     value_of_visitation,
 )
-from rewardsep.numeric import EXACT, NumericMode, as_exact, as_float
+from rewardsep.numeric import EXACT, FLOAT, NumericMode, as_exact, as_float
 from rewardsep.separability import _entries, _separate
 from rewardsep.soap import ConsistencyReport
 
@@ -386,3 +388,72 @@ def brute_force_feasible_set(env: MarkovEnv, spec: RewardSpec,
         if all(v >= c for v, c in zip(values, bounds)):
             feasible.append(policy)
     return tuple(feasible)
+
+
+def list_float_standard_form(program: lp.LinearProgram, bounds) -> dict:
+    """Float standard form built entry by entry in Python lists: the
+    set-up that `lp._standardize` replaced with one float64 array, which
+    must match it bit for bit, the sign of every zero included.  `bounds`
+    are converted as `lp.solve` converts them.  Returns the rows and the
+    fields of `lp._Std` that depend on them."""
+    cols, shifts = [], []
+    var_cols = [[] for _ in bounds]
+    boxes = []
+    for j, (lo, hi) in enumerate(bounds):
+        if lo is None and hi is None:
+            shifts.append(0.0)
+            for sign in (1, -1):
+                var_cols[j].append((len(cols), sign))
+                cols.append((j, sign))
+        elif hi is None:
+            shifts.append(lo)
+            var_cols[j].append((len(cols), 1))
+            cols.append((j, 1))
+        elif lo is None:
+            shifts.append(hi)
+            var_cols[j].append((len(cols), -1))
+            cols.append((j, -1))
+        else:
+            shifts.append(lo)
+            var_cols[j].append((len(cols), 1))
+            boxes.append((j, hi))
+            cols.append((j, 1))
+    n, n_struct = len(bounds), len(cols)
+    shifted = [j for j, s in enumerate(shifts) if s]
+    flip = {LE: GE, GE: LE, EQ: EQ}
+    staged = []
+    for row, b, sense in [*zip(program.matrix, program.rhs, program.senses),
+                          *(([int(k == j) for k in range(n)], hi, LE) for j, hi in boxes)]:
+        term = sum(v * shifts[j] for j in shifted if (v := as_float(row[j])))
+        nums, den = FLOAT.scaled([*row, as_float(b) - term if term else b])
+        b = nums.pop()
+        coeffs = [0.0] * n_struct
+        for j, v in enumerate(nums):
+            if v:
+                for col, sign in var_cols[j]:
+                    coeffs[col] = v if sign == 1 else -v
+        negated = b < 0
+        if negated:
+            coeffs, b, sense = [-v for v in coeffs], -b, flip[sense]
+        staged.append((coeffs, b, den, sense, negated))
+    art_first = n_struct + sum(sense != EQ for *_, sense, _ in staged)
+    width = art_first + sum(sense != LE for *_, sense, _ in staged)
+    out = {"rows": [], "negated": [], "basis": [], "units": [], "cols": cols,
+           "art_first": art_first, "width": width}
+    slack, art = n_struct, art_first
+    for coeffs, b, den, sense, negated in staged:
+        added = []
+        if sense != EQ:
+            added.append((slack, 1 if sense == LE else -1))
+            slack += 1
+        if sense != LE:
+            added.append((art, 1))
+            art += 1
+        row = coeffs + [0] * (width - n_struct) + [b]
+        for col, sign in added:
+            row[col] = sign * den
+        out["rows"].append([float(v) for v in row])
+        out["negated"].append(negated)
+        out["basis"].append(added[-1][0])
+        out["units"].append(added[0])
+    return out

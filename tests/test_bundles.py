@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import rewardsep.bundles as bundles
 from rewardsep.bundles import (
     BundleError,
     fixture_path,
@@ -111,6 +112,70 @@ class TestParsing:
         doc = minimal_bundle_doc()
         doc["policies"].append({"name": "p1", "deterministic": {"s0": "a2"}})
         with pytest.raises(BundleError, match="duplicate"):
+            parse_bundle_text(json.dumps(doc))
+
+
+def number_strings(doc):
+    """Every number string of a bundle or reward document, repeats kept."""
+    out = []
+    env = doc.get("env")
+    if env:
+        out.append(env["gamma"])
+        out += [p for row in env["transitions"] for p in row["to"].values()]
+    for policy in doc.get("policies", []):
+        out += [p for row in policy.get("stochastic", {}).values() for p in row.values()]
+    reward = doc.get("reward", doc if "rows" in doc else None)
+    if reward:
+        out += [v for row in reward["rows"] for per in row.values() for v in per.values()]
+        out += reward["lower_bounds"]
+    return out
+
+
+class TestParseOnce:
+    """Each distinct number string is parsed once per document."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        calls = []
+        real = bundles.parse_rational
+
+        def counting(value):
+            if isinstance(value, str):
+                calls.append(value)
+            return real(value)
+
+        monkeypatch.setattr(bundles, "parse_rational", counting)
+        return calls
+
+    def test_one_parse_per_distinct_string(self, parses):
+        doc = json.loads(fixture_path("entailment.json").read_text())
+        doc["policies"].append(
+            {"name": "mix", "stochastic": {s: {"a1": "0.5", "a2": "1/2"} for s in ("s0", "s1")}})
+        doc["reward"] = json.loads(fixture_path("entailment_reward.json").read_text())
+        text = json.dumps(doc)
+        strings = number_strings(doc)
+        assert len(set(strings)) < len(strings)
+        first = parse_bundle_text(text)
+        assert sorted(parses) == sorted(set(strings))
+        # A second parse shares nothing with the first.
+        parses.clear()
+        second = parse_bundle_text(text)
+        assert sorted(parses) == sorted(set(strings))
+        assert second == first and second.env.gamma is not first.env.gamma
+
+    def test_reward_file_parsed_once_per_load(self, parses):
+        bundle = parse_bundle("entailment.json")
+        strings = number_strings(json.loads(fixture_path("entailment_reward.json").read_text()))
+        for _ in range(2):
+            parses.clear()
+            load_reward("entailment_reward.json", bundle.env)
+            assert sorted(parses) == sorted(set(strings))
+
+    def test_bad_string_reported_at_its_first_field(self):
+        doc = minimal_bundle_doc()
+        for row in doc["env"]["transitions"]:
+            row["to"]["s0"] = "1/x"
+        with pytest.raises(BundleError, match=r"env\.transitions\[0\]\.to\.s0: cannot parse"):
             parse_bundle_text(json.dumps(doc))
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -244,6 +245,28 @@ class TestParserReuse:
         code, _, err = run(capsys, "design-multi")
         assert code == 2 and "usage:" in err
         assert run(capsys, *argv)[0] == 0
+
+
+class TestPinnedFloatCli:
+    # SHA-256 over (exit code, stdout) of every float subcommand below on
+    # the bundled fixtures, recorded before bundle parsing and float LP
+    # set-up were vectorised.  Any changed byte of a float report moves it.
+    DIGEST = "813c3928dabf6fc0be37995f223ebcfe0c377a9e2e5019ade2927c3ec6c4e0a0"
+    COMMANDS = (("consistency",), ("design-scalar",), ("design-multi",),
+                ("design-multi", "--reduce"),
+                ("verify", "--reward", "entailment_reward.json"))
+    SOAPS = ("xor_soap.json", "always_a2_soap.json", "optimal_a1_soap.json",
+             "degenerate_soap.json")
+
+    def test_float_reports_unchanged(self, capsys):
+        digest = hashlib.sha256()
+        for bundle in ("entailment.json", "steady_state.json"):
+            for soap in self.SOAPS:
+                for command, *extra in self.COMMANDS:
+                    code, out, _ = run(capsys, command, bundle, "--soap", soap, *extra,
+                                       "--tol", "1e-9", "--json")
+                    digest.update(f"{code}\n{out}\n".encode())
+        assert digest.hexdigest() == self.DIGEST
 
 
 def _bundle_doc():

@@ -11,9 +11,11 @@ from hypothesis import given, strategies as st
 from rewardsep import linalg, lp, mdp
 from rewardsep.bundles import fixture_path, load_soap, parse_bundle
 from rewardsep.numeric import EXACT, FLOAT, ZERO, ExactInputError, NumericMode
-from rewardsep.separability import check_scalar_optimality, design_multi
+from rewardsep.separability import check_scalar_optimality, design_multi, design_scalar
 
-from oracles import brute_force_lp, farkas_gap, farkas_signs_ok, random_lp, satisfies
+from oracles import (
+    brute_force_lp, farkas_gap, farkas_signs_ok, list_float_standard_form, random_lp, satisfies,
+)
 
 F = Fraction
 
@@ -427,6 +429,76 @@ class TestPinnedFloatAnswers:
                 digest.update(_hex(answer).encode() + b"\n")
         assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
         assert digest.hexdigest() == self.DIGEST
+
+
+def mixed_lp(rng):
+    """A `sparse_lp` whose coefficients, rhs and bounds are retyped at
+    random as ints, Fractions, strings, floats or -0.0."""
+    program = sparse_lp(rng)
+
+    def retype(v):
+        if v is None:
+            return None
+        f = Fraction(v).limit_denominator(63)
+        return rng.choice([v, f, f"{f.numerator}/{f.denominator}", str(float(f)),
+                           int(f) if f.denominator == 1 else v, -0.0 if not v else v])
+
+    return build([retype(v) for v in program.objective],
+                 [[retype(v) for v in row] for row in program.matrix],
+                 [retype(v) for v in program.rhs], program.senses,
+                 [(retype(lo), retype(hi)) for lo, hi in program.bounds])
+
+
+def _float_bounds(program):
+    return [tuple(None if v is None else FLOAT.convert(v) for v in box)
+            for box in program.bounds]
+
+
+class TestFloatStandardForm:
+    """The float64 standard form equals the entry-by-entry list form,
+    `float.hex` for `float.hex`, so the sign of every zero counts."""
+
+    def assert_matches(self, program):
+        bounds = _float_bounds(program)
+        std = lp._standardize(program, bounds, FLOAT)
+        want = list_float_standard_form(program, bounds)
+        assert std.rows.shape == (len(want["rows"]), want["width"] + 1)
+        assert ([[v.hex() for v in row] for row in std.rows.tolist()]
+                == [[v.hex() for v in row] for row in want["rows"]])
+        assert (std.cols, std.art_first, std.width) == (want["cols"], want["art_first"],
+                                                        want["width"])
+        assert (std.negated, std.basis, std.units) == (want["negated"], want["basis"],
+                                                       want["units"])
+
+    def test_random_and_sparse_lps(self):
+        rng = random.Random(20261019)
+        programs = [random_lp(rng) for _ in range(200)]
+        programs += [sparse_lp(rng) for _ in range(200)]
+        programs += [mixed_lp(rng) for _ in range(200)]
+        programs += [build([1, 2], [], [], []), build([1, -1], [], [], [], [(None, 3), (-2, 4)])]
+        for program in programs:
+            self.assert_matches(program)
+        assert any(type(v) is float and v == 0 and math.copysign(1, v) < 0
+                   for program in programs for row in program.matrix for v in row)
+
+    @pytest.mark.parametrize("soap_file", ["xor_soap.json", "always_a2_soap.json"])
+    def test_margin_and_intersection_lps_of_a_fixture(self, monkeypatch, soap_file):
+        programs = []
+        real = lp.check_feasible
+
+        def recording(program, mode=EXACT):
+            programs.append(program)
+            return real(program, mode)
+
+        monkeypatch.setattr(lp, "check_feasible", recording)
+        bundle = parse_bundle(fixture_path("entailment.json"))
+        soap = load_soap(fixture_path(soap_file), bundle)
+        design_scalar(bundle.env, soap, FLOAT)
+        design_multi(bundle.env, soap, FLOAT, reduce=True)
+        check_scalar_optimality(bundle.env, soap, FLOAT)
+        assert programs
+        for program in programs:
+            self.assert_matches(program)
 
 
 class TestOracleAgreement:

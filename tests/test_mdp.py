@@ -62,6 +62,13 @@ class TestValidation:
         assert not report.ok
         assert any("gamma" in v for v in report.violations)
 
+    def test_float_nan_kernel_entry_reported(self):
+        env = MarkovEnv(("s0", "s1"), ("a",), ((float("nan"), 1.0), (0.0, 1.0)), 0.9, "s0")
+        report = validate_env(env, FLOAT)
+        assert report.violations == ("transition row for (s0, a) has a non-finite probability",)
+        with pytest.raises(EnvError, match=r"\(s0, a\) has a non-finite probability"):
+            compute_visitation(env, Policy.deterministic("p", {"s0": "a", "s1": "a"}), FLOAT)
+
     def test_missing_transition_row_rejected_at_build(self):
         with pytest.raises(EnvError, match="missing transition row"):
             MarkovEnv.from_tables(
@@ -118,6 +125,12 @@ class TestVisitation:
         rho = compute_visitation(env, mix, EXACT)
         assert rho[env.sa_index("s0", "a1")] == F(50, 19)
         assert rho[env.sa_index("s1", "a2")] == F(45, 19)
+
+    def test_float_nan_policy_entry_raises(self):
+        mix = Policy.stochastic("mix", {"s0": {"a1": 0.5, "a2": 0.5},
+                                        "s1": {"a1": float("nan"), "a2": 1.0}})
+        with pytest.raises(PolicyError, match="'mix' has a non-finite probability at 's1'"):
+            compute_visitation(entailment_env(), mix, FLOAT)
 
     def test_unknown_policy_state_raises(self):
         env = entailment_env()
