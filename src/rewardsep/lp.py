@@ -15,14 +15,18 @@ over one positive row denominator, reduced by a single gcd per updated
 row (see `_IntTableau`).  Scaling a row by a positive factor changes no
 sign and no ratio, so Bland's rule makes the same pivots as over
 rationals, and the vertex and certificates are those of a `Fraction`
-tableau.  `_standardize` converts each row and its rhs once into the
-tableau's own numbers: in exact mode ints over one row denominator, by
-`NumericMode.scaled`; in float mode the whole LP at once into one float64
-array, by the same rules, with the column split, the row negation and the
-slack and artificial columns applied to the array, so that every entry is
-the one a row-by-row set-up gives, the sign of each zero included.
-Rationals appear only at the edges: the objective and bounds, and the
-basic values, rays and multipliers read out.  The exact reduced costs are
+tableau.  It stores one column per LP variable and one per row, and
+reads the standard-form columns through a map (`_Std.vmap`): the two
+halves of a free variable, and a row's slack and artificial, are
+negatives of each other, and pivots keep them so.  `_standardize`
+converts each row and its rhs once into the tableau's own numbers: in
+exact mode ints over one row denominator, by `NumericMode.scaled`; in
+float mode the whole LP at once into one float64 array, by the same
+rules, with the column split, the row negation and the slack and
+artificial columns applied to the array, so that every entry is the one
+a row-by-row set-up gives, the sign of each zero included.  Rationals
+appear only at the edges: the objective and bounds, and the basic
+values, rays and multipliers read out.  The exact reduced costs are
 integers over one denominator, so the simplex multipliers are read off
 the final tableau (Chvátal 1983, ch. 10): at the optimum they are the
 duals, at an infeasible phase 1 the Farkas multipliers, and no basis is
@@ -203,17 +207,21 @@ class _Std:
 
     Free variables split into nonnegative pairs; finite lower/upper bounds
     become shifts/reflections, two-sided bounds add an explicit row.  Each
-    row, rhs last, is negated if that rhs is negative.  In exact mode
-    `rows` is a list of int lists, row i over dens[i], its slack entering
-    as ±dens[i] and its artificial as dens[i].  In float mode `rows` is
-    one float64 array of shape (rows, width + 1), its slack entries ±1.0
-    and its artificial entries 1.0, and `dens` is None.  units[i] is the
-    (column, ±1) of row i's slack, or of its artificial if it has none,
-    and basis[i] starts at its artificial, or at its slack if it has none.
+    row, rhs last, is negated if that rhs is negative.  In float mode
+    `rows` is one float64 array of shape (rows, width + 1), its slack
+    entries ±1.0 and its artificial entries 1.0, and `dens` is None.  In
+    exact mode `rows` is packed: row i is a list of ints over dens[i],
+    [a_i1 … a_in | dens[i] at n + i | b_i] for n LP variables, and
+    standard-form column j is s times stored column k for (k, s) =
+    vmap[j]: column (v, ±1) of variable v is ±column v, row i's slack is
+    ±column n + i (+ for le, − for ge) and its artificial is column n + i.
+    units[i] is the (column, ±1) of row i's slack, or of its artificial if
+    it has none, and basis[i] starts at its artificial, or at its slack if
+    it has none.
     """
 
     __slots__ = ("cols", "var_cols", "shifts", "rows", "dens", "origin", "negated",
-                 "basis", "units", "art_first", "width")
+                 "basis", "units", "art_first", "width", "vmap")
 
 
 def _standardize(lp: LinearProgram, bounds, mode: NumericMode) -> _Std:
@@ -248,7 +256,7 @@ def _standardize(lp: LinearProgram, bounds, mode: NumericMode) -> _Std:
     rows = [*zip(lp.matrix, lp.rhs),
             *(([int(k == j) for k in range(n)], hi) for j, hi in boxes)]
     if mode.exact:
-        coeffs, std.dens, std.negated = _exact_rows(rows, std)
+        coeffs, std.dens, std.negated = _exact_rows(rows, std.shifts)
     else:
         coeffs, std.negated = _float_rows(rows, std)
         std.dens = None
@@ -273,13 +281,15 @@ def _standardize(lp: LinearProgram, bounds, mode: NumericMode) -> _Std:
         entries += [(i, col, sign) for col, sign in added]
         std.basis.append(added[-1][0])
         std.units.append(added[0])
+    std.vmap = std.cols + [None] * (std.width - n_struct)
+    for i, col, sign in entries:
+        std.vmap[col] = (n + i, sign)
     if mode.exact:
-        pad = [0] * (std.width - n_struct)
-        for row in coeffs:
+        pad = [0] * len(coeffs)
+        for i, row in enumerate(coeffs):
             row[-1:-1] = pad
+            row[n + i] = std.dens[i]
         std.rows = coeffs
-        for i, col, sign in entries:
-            std.rows[i][col] = sign * std.dens[i]
     else:
         std.rows = np.zeros((len(senses), std.width + 1))
         std.rows[:, :n_struct] = coeffs[:, :-1]
@@ -290,26 +300,17 @@ def _standardize(lp: LinearProgram, bounds, mode: NumericMode) -> _Std:
     return std
 
 
-def _exact_rows(rows, std):
-    """(rows, dens, negated) of an exact LP: each structural row as ints
-    over its lcm denominator dens[i], rhs last, negated when that rhs is
-    negative.  The shifts move the rhs first."""
-    n_struct = len(std.cols)
-    shifted = [j for j, s in enumerate(std.shifts) if s]
+def _exact_rows(rows, shifts):
+    """(rows, dens, negated) of an exact LP: each row as ints over its lcm
+    denominator dens[i], one per LP variable and the rhs last, negated
+    when that rhs is negative.  The shifts move the rhs first."""
+    shifted = [j for j, s in enumerate(shifts) if s]
     out, dens, negated = [], [], []
     for row, b in rows:
-        term = sum(v * std.shifts[j] for j in shifted if (v := as_exact(row[j])))
+        term = sum(v * shifts[j] for j in shifted if (v := as_exact(row[j])))
         nums, den = over_common_denominator([*row, as_exact(b) - term if term else b])
-        b = nums.pop()
-        coeffs = [0] * n_struct
-        for j, v in enumerate(nums):
-            if v:
-                for col, sign in std.var_cols[j]:
-                    coeffs[col] = v if sign == 1 else -v
-        negated.append(b < 0)
-        if b < 0:
-            coeffs, b = [-v for v in coeffs], -b
-        out.append(coeffs + [b])
+        negated.append(nums[-1] < 0)
+        out.append([-v for v in nums] if nums[-1] < 0 else nums)
         dens.append(den)
     return out, dens, negated
 
@@ -451,19 +452,31 @@ class _IntTableau:
     """Fraction-free exact tableau (Edmonds 1967; Bareiss 1968).
 
     Row i is a list of ints N_i, its rhs last, over a denominator
-    d_i > 0: the tableau row it stands for is N_i / d_i.  Each updated row
-    is divided by gcd(d_i, *N_i), one C-level gcd instead of one per
-    entry.  Positive row scaling changes no sign and no ratio, so Bland's
+    d_i > 0: the tableau row it stands for is N_i / d_i.  The rows are
+    packed (see `_Std`): standard-form column j is s times stored column
+    k for (k, s) = vmap[j].  A pivot is a row operation, so a column that
+    starts as −1 times another stays so, and every standard-form read and
+    update goes through the map; on a −1 column the pivot negates its
+    sign test and each row's factor.  Each updated row is divided by
+    gcd(d_i, *N_i), one C-level gcd instead of one per entry, and a twin
+    column has the same absolute values, so that gcd is the standard-form
+    row's.  Positive row scaling changes no sign and no ratio, so Bland's
     rule pivots exactly as it would over Fractions.  The reduced costs are
-    the ints z over one denominator zd > 0, reduced by gcd(zd, *z), so the
-    simplex multipliers can be read off them (see `duals`).
+    the ints z over one denominator zd > 0, one per standard-form column,
+    reduced by gcd(zd, *z), so the simplex multipliers can be read off
+    them (see `duals`).
     """
 
-    def __init__(self, rows, dens):
+    def __init__(self, rows, dens, vmap):
         self.rows = rows
         self.dens = dens
+        self.vmap = vmap
         self.z = None
         self.zd = 1
+
+    def _std(self, row):
+        """A stored row over the standard-form columns, rhs dropped."""
+        return [s * row[k] for k, s in self.vmap]
 
     def _set_z(self, z, zd):
         g = math.gcd(zd, *z)
@@ -474,7 +487,7 @@ class _IntTableau:
         for row, d, col in zip(self.rows, self.dens, basis):
             f = z[col]
             if f:
-                z = [d * u - f * v for u, v in zip(z, row)]
+                z = [d * u - f * v for u, v in zip(z, self._std(row))]
                 zd *= d
         self._set_z(z, zd)
 
@@ -484,17 +497,18 @@ class _IntTableau:
         return next((j for j, v in enumerate(self.z[:limit]) if v < 0), None)
 
     def ratio_ties(self, enter):
-        """The rows at the minimum ratio N_i[-1] / N_i[enter] over positive
-        entries, compared by cross-multiplying: d_i cancels."""
+        """The rows at the minimum ratio N_i[-1] / t_i over positive entries
+        t_i of column `enter`, compared by cross-multiplying: d_i cancels."""
+        k, s = self.vmap[enter]
         rows = self.rows
         ties = []
         for i, row in enumerate(rows):
-            t = row[enter]
+            t = s * row[k]
             if t <= 0:
                 continue
             if ties:
                 lead = rows[ties[0]]
-                lhs, rhs = row[-1] * lead[enter], lead[-1] * t
+                lhs, rhs = row[-1] * s * lead[k], lead[-1] * t
                 if lhs > rhs:
                     continue
                 if lhs == rhs:
@@ -504,15 +518,16 @@ class _IntTableau:
         return ties
 
     def pivot(self, basis, row, col):
+        k, s = self.vmap[col]
         prow = self.rows[row]
-        if prow[col] < 0:  # artificial removal may pivot on a negative entry
+        if s * prow[k] < 0:  # artificial removal may pivot on a negative entry
             prow = [-v for v in prow]
         prow = _divide(prow, math.gcd(*prow))
-        p = prow[col]
+        p = s * prow[k]
         self.rows[row] = prow
         self.dens[row] = p
         for i, other in enumerate(self.rows):
-            f = other[col]
+            f = s * other[k]
             if f == 0 or i == row:
                 continue
             new = [p * u - f * v for u, v in zip(other, prow)]
@@ -522,14 +537,15 @@ class _IntTableau:
             self.dens[i] = d // g
         f = self.z[col]
         if f:
-            self._set_z([p * u - f * v for u, v in zip(self.z, prow)], self.zd * p)
+            self._set_z([p * u - f * v for u, v in zip(self.z, self._std(prow))], self.zd * p)
         basis[row] = col
 
     def nonzero(self, i, j) -> bool:
-        return self.rows[i][j] != 0
+        return self.rows[i][self.vmap[j][0]] != 0
 
     def entry(self, i, j) -> Fraction:
-        return Fraction(self.rows[i][j], self.dens[i])
+        k, s = self.vmap[j]
+        return Fraction(s * self.rows[i][k], self.dens[i])
 
     def value(self, i) -> Fraction:
         return Fraction(self.rows[i][-1], self.dens[i])
@@ -560,7 +576,7 @@ def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
     # The float tolerance grows with the rhs; the exact threshold is 0.
     scale = 1 + sum(map(abs, std.rows[:, -1].tolist())) if tol else 1
     if mode.exact:
-        tab = _IntTableau(std.rows, std.dens)
+        tab = _IntTableau(std.rows, std.dens, std.vmap)
     else:
         tab = _FloatTableau(std.rows, tol)
 
@@ -574,8 +590,11 @@ def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
     status, _ = _bland(tab, basis, ncols)
     if status != OPTIMAL:  # pragma: no cover - phase 1 is always bounded
         raise RuntimeError("phase 1 cannot be unbounded")
-    phase1_value = sum(tab.value(i) for i in range(m) if basis[i] in art_cols)
-    if phase1_value > tol * scale:
+    # Phase 1 leaves every basic value >= 0, so an exact LP is infeasible
+    # exactly when a basic artificial has a nonzero rhs.
+    arts = [i for i in range(m) if basis[i] in art_cols]
+    if (any(tab.rows[i][-1] for i in arts) if mode.exact
+            else sum(tab.value(i) for i in arts) > tol * scale):
         y_std = tab.duals(basis, costs1, units)
         y = mode.share_zero(_map_duals(y_std, std, len(lp.matrix)))
         return LpSolution(status=INFEASIBLE, certificate=FarkasCertificate(y))

@@ -8,9 +8,11 @@ state distribution forward for a truncated horizon or sample
 trajectories, and the feasible-set oracle enumerates every deterministic
 policy.  The greedy-merge reference solves every merge trial, refused
 ones again and again, on the library's own margin LP, the float
-visitation reference solves one policy at a time in list arithmetic, and
-the float standard-form reference builds each row entry by entry in
-Python lists.
+visitation reference solves one policy at a time in list arithmetic, the
+standard-form reference builds each row entry by entry in Python lists,
+a column for each half of a free variable and for each slack and
+artificial, and the split-column integer tableau pivots those rows in
+exact mode.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from rewardsep.mdp import (
     require_valid_env,
     value_of_visitation,
 )
-from rewardsep.numeric import EXACT, FLOAT, NumericMode, as_exact, as_float
+from rewardsep.numeric import EXACT, NumericMode, as_exact, as_float
 from rewardsep.separability import _entries, _separate
 from rewardsep.soap import ConsistencyReport
 
@@ -390,18 +392,22 @@ def brute_force_feasible_set(env: MarkovEnv, spec: RewardSpec,
     return tuple(feasible)
 
 
-def list_float_standard_form(program: lp.LinearProgram, bounds) -> dict:
-    """Float standard form built entry by entry in Python lists: the
-    set-up that `lp._standardize` replaced with one float64 array, which
-    must match it bit for bit, the sign of every zero included.  `bounds`
-    are converted as `lp.solve` converts them.  Returns the rows and the
-    fields of `lp._Std` that depend on them."""
-    cols, shifts = [], []
-    var_cols = [[] for _ in bounds]
+def list_standard_form(program: lp.LinearProgram, bounds, mode: NumericMode) -> lp._Std:
+    """Standard form built entry by entry in Python lists, one column for
+    each half of a free variable and for each slack and artificial: the
+    split-column set-up that `lp._standardize` replaced, in float mode with
+    one float64 array, which must match these rows bit for bit, the sign
+    of every zero included, and in exact mode with packed int rows, which
+    must pivot as `SplitIntTableau` pivots these.  `bounds` are converted
+    as `lp.solve` converts them.  `vmap` is None: column j is stored as
+    column j."""
+    std = lp._Std()
+    cols, shifts = std.cols, std.shifts = [], []
+    var_cols = std.var_cols = [[] for _ in bounds]
     boxes = []
     for j, (lo, hi) in enumerate(bounds):
         if lo is None and hi is None:
-            shifts.append(0.0)
+            shifts.append(mode.zero)
             for sign in (1, -1):
                 var_cols[j].append((len(cols), sign))
                 cols.append((j, sign))
@@ -424,10 +430,10 @@ def list_float_standard_form(program: lp.LinearProgram, bounds) -> dict:
     staged = []
     for row, b, sense in [*zip(program.matrix, program.rhs, program.senses),
                           *(([int(k == j) for k in range(n)], hi, LE) for j, hi in boxes)]:
-        term = sum(v * shifts[j] for j in shifted if (v := as_float(row[j])))
-        nums, den = FLOAT.scaled([*row, as_float(b) - term if term else b])
+        term = sum(v * shifts[j] for j in shifted if (v := mode.convert(row[j])))
+        nums, den = mode.scaled([*row, mode.convert(b) - term if term else b])
         b = nums.pop()
-        coeffs = [0.0] * n_struct
+        coeffs = [0 if mode.exact else 0.0] * n_struct  # negated, a float zero is -0.0
         for j, v in enumerate(nums):
             if v:
                 for col, sign in var_cols[j]:
@@ -436,11 +442,13 @@ def list_float_standard_form(program: lp.LinearProgram, bounds) -> dict:
         if negated:
             coeffs, b, sense = [-v for v in coeffs], -b, flip[sense]
         staged.append((coeffs, b, den, sense, negated))
-    art_first = n_struct + sum(sense != EQ for *_, sense, _ in staged)
-    width = art_first + sum(sense != LE for *_, sense, _ in staged)
-    out = {"rows": [], "negated": [], "basis": [], "units": [], "cols": cols,
-           "art_first": art_first, "width": width}
-    slack, art = n_struct, art_first
+    std.art_first = n_struct + sum(sense != EQ for *_, sense, _ in staged)
+    std.width = std.art_first + sum(sense != LE for *_, sense, _ in staged)
+    std.origin = list(range(program.n_rows)) + [None] * len(boxes)
+    std.rows, std.negated, std.basis, std.units = [], [], [], []
+    std.dens = [den for _, _, den, _, _ in staged] if mode.exact else None
+    std.vmap = None
+    slack, art = n_struct, std.art_first
     for coeffs, b, den, sense, negated in staged:
         added = []
         if sense != EQ:
@@ -449,11 +457,104 @@ def list_float_standard_form(program: lp.LinearProgram, bounds) -> dict:
         if sense != LE:
             added.append((art, 1))
             art += 1
-        row = coeffs + [0] * (width - n_struct) + [b]
+        row = coeffs + [0] * (std.width - n_struct) + [b]
         for col, sign in added:
             row[col] = sign * den
-        out["rows"].append([float(v) for v in row])
-        out["negated"].append(negated)
-        out["basis"].append(added[-1][0])
-        out["units"].append(added[0])
-    return out
+        std.rows.append(row if mode.exact else [float(v) for v in row])
+        std.negated.append(negated)
+        std.basis.append(added[-1][0])
+        std.units.append(added[0])
+    return std
+
+
+def _divide(values, g):
+    return values if g == 1 else [v // g for v in values]
+
+
+class SplitIntTableau:
+    """The fraction-free exact tableau over the split columns of
+    `list_standard_form`, every standard-form column stored as it is: the
+    reference that `lp._IntTableau`, which stores one column per LP
+    variable and one per row, must match pivot for pivot.  Row i is a list
+    of ints N_i, its rhs last, over a denominator d_i > 0; each updated
+    row is divided by gcd(d_i, *N_i).  The reduced costs are the ints z
+    over one denominator zd > 0, reduced by gcd(zd, *z)."""
+
+    def __init__(self, rows, dens):
+        self.rows = rows
+        self.dens = dens
+        self.z = None
+        self.zd = 1
+
+    def _set_z(self, z, zd):
+        g = math.gcd(zd, *z)
+        self.z, self.zd = _divide(z, g), zd // g
+
+    def price(self, basis, costs):
+        z, zd = EXACT.scaled(costs)
+        for row, d, col in zip(self.rows, self.dens, basis):
+            f = z[col]
+            if f:
+                z = [d * u - f * v for u, v in zip(z, row)]
+                zd *= d
+        self._set_z(z, zd)
+
+    def entering(self, limit):
+        return next((j for j, v in enumerate(self.z[:limit]) if v < 0), None)
+
+    def ratio_ties(self, enter):
+        rows = self.rows
+        ties = []
+        for i, row in enumerate(rows):
+            t = row[enter]
+            if t <= 0:
+                continue
+            if ties:
+                lead = rows[ties[0]]
+                lhs, rhs = row[-1] * lead[enter], lead[-1] * t
+                if lhs > rhs:
+                    continue
+                if lhs == rhs:
+                    ties.append(i)
+                    continue
+            ties = [i]
+        return ties
+
+    def pivot(self, basis, row, col):
+        prow = self.rows[row]
+        if prow[col] < 0:
+            prow = [-v for v in prow]
+        prow = _divide(prow, math.gcd(*prow))
+        p = prow[col]
+        self.rows[row] = prow
+        self.dens[row] = p
+        for i, other in enumerate(self.rows):
+            f = other[col]
+            if f == 0 or i == row:
+                continue
+            new = [p * u - f * v for u, v in zip(other, prow)]
+            d = self.dens[i] * p
+            g = math.gcd(d, *new)
+            self.rows[i] = _divide(new, g)
+            self.dens[i] = d // g
+        f = self.z[col]
+        if f:
+            self._set_z([p * u - f * v for u, v in zip(self.z, prow)], self.zd * p)
+        basis[row] = col
+
+    def nonzero(self, i, j) -> bool:
+        return self.rows[i][j] != 0
+
+    def entry(self, i, j) -> Fraction:
+        return Fraction(self.rows[i][j], self.dens[i])
+
+    def value(self, i) -> Fraction:
+        return Fraction(self.rows[i][-1], self.dens[i])
+
+    def keep(self, dead):
+        self.rows = [row for i, row in enumerate(self.rows) if i not in dead]
+        self.dens = [d for i, d in enumerate(self.dens) if i not in dead]
+
+    def duals(self, basis, costs, units):
+        zd = self.zd
+        return [(costs[j] - Fraction(self.z[j], zd)) / s for j, s in units]

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,8 @@ from rewardsep.numeric import EXACT, FLOAT, ZERO, ExactInputError, NumericMode
 from rewardsep.separability import check_scalar_optimality, design_multi, design_scalar
 
 from oracles import (
-    brute_force_lp, farkas_gap, farkas_signs_ok, list_float_standard_form, random_lp, satisfies,
+    SplitIntTableau, brute_force_lp, farkas_gap, farkas_signs_ok, list_standard_form, random_lp,
+    satisfies,
 )
 
 F = Fraction
@@ -146,7 +148,7 @@ class TestExamples:
         pivot, solve_square = lp._IntTableau.pivot, linalg.solve_square
 
         def spy_pivot(tab, basis, row, col):
-            entries.append(tab.rows[row][col])
+            entries.append(tab.entry(row, col))  # read through the column map
             pivot(tab, basis, row, col)
 
         def spy_square(rows, rhs, mode):
@@ -309,6 +311,43 @@ class TestPinnedExactAnswers:
         assert len(drops) >= 20  # redundant rows were dropped
         assert digest.hexdigest() == self.TALL_DIGEST
 
+    # The same over the exact LPs of the design and optimality queries on
+    # the bundled fixture SOAPs (margin, intersection and optimality LPs,
+    # whose variables are all free), recorded with the split-column tableau.
+    FIXTURE_DIGEST = "680846c612e661154ab8c03809671219d5c2c0ec1e8a04e974754381a3c63150"
+
+    def test_fixture_lp_answers_unchanged(self):
+        solved = fixture_lps()
+        assert {sol.status for _, sol in solved} == {lp.OPTIMAL, lp.INFEASIBLE}
+        digest = hashlib.sha256()
+        for _, sol in solved:
+            answer = (sol.status, sol.primal, sol.objective_value, sol.certificate)
+            digest.update(repr(answer).encode() + b"\n")
+        assert digest.hexdigest() == self.FIXTURE_DIGEST
+
+
+def fixture_lps():
+    """(program, solution) of every exact LP that `design_scalar`,
+    `design_multi(reduce=True)` and `check_scalar_optimality` solve on the
+    bundled fixture SOAPs over entailment.json, in the order solved."""
+    solved = []
+    real = lp.solve
+
+    def recording(program, mode=EXACT):
+        sol = real(program, mode)
+        solved.append((program, sol))
+        return sol
+
+    bundle = parse_bundle(fixture_path("entailment.json"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "solve", recording)
+        for soap_file in ("xor_soap.json", "optimal_a1_soap.json", "always_a2_soap.json"):
+            soap = load_soap(fixture_path(soap_file), bundle)
+            design_scalar(bundle.env, soap, EXACT)
+            design_multi(bundle.env, soap, EXACT, reduce=True)
+            check_scalar_optimality(bundle.env, soap, EXACT)
+    return solved
+
 
 def tall_lp(rng):
     """Tall exact LP: 20-40 eq, le and ge rows over up to 9 variables, some
@@ -449,9 +488,16 @@ def mixed_lp(rng):
                  [(retype(lo), retype(hi)) for lo, hi in program.bounds])
 
 
-def _float_bounds(program):
-    return [tuple(None if v is None else FLOAT.convert(v) for v in box)
+def _bounds(program, mode):
+    return [tuple(None if v is None else mode.convert(v) for v in box)
             for box in program.bounds]
+
+
+def _std_fields(std):
+    """Every field of a standard form but its rows and column map."""
+    return tuple(getattr(std, name) for name in ("cols", "var_cols", "shifts", "dens", "origin",
+                                                 "negated", "basis", "units", "art_first",
+                                                 "width"))
 
 
 class TestFloatStandardForm:
@@ -459,16 +505,13 @@ class TestFloatStandardForm:
     `float.hex` for `float.hex`, so the sign of every zero counts."""
 
     def assert_matches(self, program):
-        bounds = _float_bounds(program)
+        bounds = _bounds(program, FLOAT)
         std = lp._standardize(program, bounds, FLOAT)
-        want = list_float_standard_form(program, bounds)
-        assert std.rows.shape == (len(want["rows"]), want["width"] + 1)
+        want = list_standard_form(program, bounds, FLOAT)
+        assert std.rows.shape == (len(want.rows), want.width + 1)
         assert ([[v.hex() for v in row] for row in std.rows.tolist()]
-                == [[v.hex() for v in row] for row in want["rows"]])
-        assert (std.cols, std.art_first, std.width) == (want["cols"], want["art_first"],
-                                                        want["width"])
-        assert (std.negated, std.basis, std.units) == (want["negated"], want["basis"],
-                                                       want["units"])
+                == [[v.hex() for v in row] for row in want.rows])
+        assert _std_fields(std) == _std_fields(want)
 
     def test_random_and_sparse_lps(self):
         rng = random.Random(20261019)
@@ -499,6 +542,93 @@ class TestFloatStandardForm:
         assert programs
         for program in programs:
             self.assert_matches(program)
+
+
+def exact_copy(program):
+    """`program` with each float read as the nearest fraction whose
+    denominator is at most 63, so that exact mode takes it."""
+    def q(v):
+        return Fraction(v).limit_denominator(63) if isinstance(v, float) else v
+
+    return build([q(v) for v in program.objective],
+                 [[q(v) for v in row] for row in program.matrix],
+                 [q(v) for v in program.rhs], program.senses,
+                 [(q(lo), q(hi)) for lo, hi in program.bounds])
+
+
+class TestPackedTableau:
+    """The packed exact tableau against the split-column reference: the
+    same standard-form rows at set-up; after every pivot of both phases
+    and of the artificial removal, and at every dropping of redundant rows,
+    the same basis, rows, denominators and reduced costs; and an equal
+    answer."""
+
+    @staticmethod
+    def trail(program, packed):
+        """The answer to `program` on the packed or the split-column
+        tableau, and a snapshot at every pivot and row drop: (step, basis,
+        standard-form rows, dens, z, zd), where step is "simplex" for a
+        pivot of `_bland`, "removal" for one of the artificial removal and
+        "keep" for a drop."""
+        steps, phase = [], ["removal"]
+        tableau = lp._IntTableau if packed else SplitIntTableau
+        real_bland, real_pivot, real_keep = lp._bland, tableau.pivot, tableau.keep
+
+        def snapshot(tab, step, basis):
+            rows = ([[*tab._std(row), row[-1]] for row in tab.rows] if packed
+                    else [list(row) for row in tab.rows])
+            steps.append((step, tuple(basis), rows, list(tab.dens), list(tab.z), tab.zd))
+
+        def bland(tab, basis, limit):
+            phase[0] = "simplex"
+            result = real_bland(tab, basis, limit)
+            phase[0] = "removal"
+            return result
+
+        def pivot(tab, basis, row, col):
+            real_pivot(tab, basis, row, col)
+            snapshot(tab, phase[0], basis)
+
+        def keep(tab, dead):
+            real_keep(tab, dead)
+            snapshot(tab, "keep", ())
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lp, "_bland", bland)
+            mp.setattr(tableau, "pivot", pivot)
+            mp.setattr(tableau, "keep", keep)
+            if not packed:
+                mp.setattr(lp, "_standardize", list_standard_form)
+                mp.setattr(lp, "_IntTableau", lambda rows, dens, vmap: SplitIntTableau(rows, dens))
+            return lp.solve(program, EXACT), steps
+
+    def test_pivots_match_the_split_column_tableau(self):
+        rng = random.Random(20261020)
+        programs = [random_lp(rng) for _ in range(100)]
+        programs += [exact_copy(sparse_lp(rng)) for _ in range(100)]
+        programs += [tall_lp(rng) for _ in range(30)]
+        programs += [program for program, _ in fixture_lps()]
+        steps, statuses = Counter(), set()
+        for program in programs:
+            bounds = _bounds(program, EXACT)
+            std = lp._standardize(program, bounds, EXACT)
+            want = list_standard_form(program, bounds, EXACT)
+            assert [[*(s * row[k] for k, s in std.vmap), row[-1]] for row in std.rows] == want.rows
+            assert _std_fields(std) == _std_fields(want)
+            sol, trail = self.trail(program, packed=True)
+            want_sol, want_trail = self.trail(program, packed=False)
+            assert trail == want_trail
+            assert sol == want_sol and repr(sol) == repr(want_sol)
+            statuses.add(sol.status)
+            steps.update(step for step, *_ in trail)
+        assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
+        assert steps["removal"] and steps["keep"] and steps["simplex"] > 1000
+        # Free, shifted, upper-only and shifted boxed variables and negative
+        # rhs all occur.
+        kinds = {(lo is None, hi is None, bool(lo)) for p in programs for lo, hi in p.bounds}
+        assert {(True, True, False), (False, True, True), (True, False, False),
+                (False, False, True)} <= kinds
+        assert any(b < 0 for p in programs for b in p.rhs)
 
 
 class TestOracleAgreement:
