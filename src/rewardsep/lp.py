@@ -15,22 +15,25 @@ over one positive row denominator, reduced by a single gcd per updated
 row (see `_IntTableau`).  Scaling a row by a positive factor changes no
 sign and no ratio, so Bland's rule makes the same pivots as over
 rationals, and the vertex and certificates are those of a `Fraction`
-tableau.  It stores one column per LP variable and one per row, and
-reads the standard-form columns through a map (`_Std.vmap`): the two
-halves of a free variable, and a row's slack and artificial, are
-negatives of each other, and pivots keep them so.  `_standardize`
-converts each row and its rhs once into the tableau's own numbers: in
-exact mode ints over one row denominator, by `NumericMode.scaled`; in
-float mode the whole LP at once into one float64 array, by the same
-rules, with the column split, the row negation and the slack and
-artificial columns applied to the array, so that every entry is the one
-a row-by-row set-up gives, the sign of each zero included.  Rationals
-appear only at the edges: the objective and bounds, and the basic
-values, rays and multipliers read out.  The exact reduced costs are
-integers over one denominator, so the simplex multipliers are read off
-the final tableau (Chvátal 1983, ch. 10): at the optimum they are the
-duals, at an infeasible phase 1 the Farkas multipliers, and no basis is
-solved.  Every zero in an exact answer is the shared `numeric.ZERO`.
+tableau.  It has one column per LP variable and one per row, read as the
+standard-form columns through a map (`_Std.vmap`): the two halves of a
+free variable, and a row's slack and artificial, are negatives of each
+other, and pivots keep them so.  A row stores only the nonbasic columns
+and the rhs: a basic column is ±d_i in its own row and 0 in the others,
+and a pivot swaps the leaving column into the entering one's place.
+`_standardize` converts each row and its rhs once into the tableau's own
+numbers: in exact mode ints over one row denominator, by
+`NumericMode.scaled`; in float mode the whole LP at once into one
+float64 array, by the same rules, with the column split, the row
+negation and the slack and artificial columns applied to the array, so
+that every entry is the one a row-by-row set-up gives, the sign of each
+zero included.  Rationals appear only at the edges: the objective and
+bounds, and the basic values, rays and multipliers read out.  The exact
+reduced costs are integers over one denominator, so the simplex
+multipliers are read off the final tableau (Chvátal 1983, ch. 10): at
+the optimum they are the duals, at an infeasible phase 1 the Farkas
+multipliers, and no basis is solved.  Every zero in an exact answer is
+the shared `numeric.ZERO`.
 
 The float tableau is one float64 array with the rhs as its last column,
 and its sign tests use a tolerance.  A float pivot is one masked rank-1
@@ -210,14 +213,15 @@ class _Std:
     row, rhs last, is negated if that rhs is negative.  In float mode
     `rows` is one float64 array of shape (rows, width + 1), its slack
     entries ±1.0 and its artificial entries 1.0, and `dens` is None.  In
-    exact mode `rows` is packed: row i is a list of ints over dens[i],
-    [a_i1 … a_in | dens[i] at n + i | b_i] for n LP variables, and
-    standard-form column j is s times stored column k for (k, s) =
-    vmap[j]: column (v, ±1) of variable v is ±column v, row i's slack is
-    ±column n + i (+ for le, − for ge) and its artificial is column n + i.
-    units[i] is the (column, ±1) of row i's slack, or of its artificial if
-    it has none, and basis[i] starts at its artificial, or at its slack if
-    it has none.
+    exact mode row i is a list of ints over dens[i], [a_i1 … a_in | b_i]
+    for n LP variables, and standard-form column j is s times stored
+    column k for (k, s) = vmap[j]: column (v, ±1) of variable v is
+    ±column v, row i's slack is ±column n + i (+ for le, − for ge) and its
+    artificial is column n + i, which is basic in row i, dens[i] there and
+    0 elsewhere, and so not stored (see `_IntTableau`).  units[i] is the
+    (column, ±1) of row i's slack, or of its artificial if it has none,
+    and basis[i] starts at its artificial, or at its slack if it has
+    none: +1 times column n + i.
     """
 
     __slots__ = ("cols", "var_cols", "shifts", "rows", "dens", "origin", "negated",
@@ -285,10 +289,6 @@ def _standardize(lp: LinearProgram, bounds, mode: NumericMode) -> _Std:
     for i, col, sign in entries:
         std.vmap[col] = (n + i, sign)
     if mode.exact:
-        pad = [0] * len(coeffs)
-        for i, row in enumerate(coeffs):
-            row[-1:-1] = pad
-            row[n + i] = std.dens[i]
         std.rows = coeffs
     else:
         std.rows = np.zeros((len(senses), std.width + 1))
@@ -449,34 +449,54 @@ def _divide(values, g):
 
 
 class _IntTableau:
-    """Fraction-free exact tableau (Edmonds 1967; Bareiss 1968).
+    """Fraction-free exact tableau (Edmonds 1967; Bareiss 1968) in
+    dictionary form (Chvátal 1983, ch. 2–3).
 
     Row i is a list of ints N_i, its rhs last, over a denominator
-    d_i > 0: the tableau row it stands for is N_i / d_i.  The rows are
-    packed (see `_Std`): standard-form column j is s times stored column
-    k for (k, s) = vmap[j].  A pivot is a row operation, so a column that
-    starts as −1 times another stays so, and every standard-form read and
-    update goes through the map; on a −1 column the pivot negates its
-    sign test and each row's factor.  Each updated row is divided by
-    gcd(d_i, *N_i), one C-level gcd instead of one per entry, and a twin
-    column has the same absolute values, so that gcd is the standard-form
-    row's.  Positive row scaling changes no sign and no ratio, so Bland's
-    rule pivots exactly as it would over Fractions.  The reduced costs are
-    the ints z over one denominator zd > 0, one per standard-form column,
-    reduced by gcd(zd, *z), so the simplex multipliers can be read off
-    them (see `duals`).
+    d_i > 0: the tableau row it stands for is N_i / d_i.  Standard-form
+    column j is s times stored column k for (k, s) = vmap[j] (see
+    `_Std`).  A row stores only the nonbasic stored columns, column k at
+    position slot[k], None while k is basic.  basic[i] is the column
+    basic in row i, bsign[i]·d_i there and 0 in every other row, where
+    bsign[i] is the s of the standard-form column basic there (a basic ge
+    slack is −d_i).  A pivot on column k at position q puts the
+    leaving column at q and updates the rows with a nonzero there.  The
+    implied entries add only d_i to a row's gcd, so each updated row is
+    divided by gcd(d_i, *N_i), one C-level gcd, which is the full
+    standard-form row's, twins included.  Positive row scaling changes no
+    sign and no ratio, so Bland's rule pivots exactly as it would over
+    Fractions.  The reduced costs are the ints z over one denominator
+    zd > 0, one per standard-form column, reduced by gcd(zd, *z), so the
+    simplex multipliers can be read off them (see `duals`).
     """
 
     def __init__(self, rows, dens, vmap):
-        self.rows = rows
-        self.dens = dens
-        self.vmap = vmap
-        self.z = None
-        self.zd = 1
+        self.rows, self.dens, self.vmap = rows, dens, vmap
+        self.std_cols = [[] for _ in range(1 + max((k for k, _ in vmap), default=-1))]
+        for j, (k, s) in enumerate(vmap):
+            self.std_cols[k].append((j, s))
+        n = len(self.std_cols) - len(rows)
+        self.basic = list(range(n, len(self.std_cols)))
+        self.bsign = [1] * len(rows)
+        self.slot = [*range(n), *[None] * len(rows)]
+        # (position, sign) per standard-form column; a basic one reads 0·rhs
+        self.view = [(k, s) if k < n else (-1, 0) for k, s in vmap]
+        self.z, self.zd = None, 1
 
-    def _std(self, row):
-        """A stored row over the standard-form columns, rhs dropped."""
-        return [s * row[k] for k, s in self.vmap]
+    def _std(self, i):
+        """Row i over the standard-form columns, rhs dropped."""
+        row, e = self.rows[i], self.bsign[i] * self.dens[i]
+        out = [s * row[q] for q, s in self.view]
+        for j, s in self.std_cols[self.basic[i]]:
+            out[j] = s * e
+        return out
+
+    def _at(self, i, j):
+        """The numerator of standard-form column j in row i."""
+        k, s = self.vmap[j]
+        if self.slot[k] is None:
+            return s * self.bsign[i] * self.dens[i] if self.basic[i] == k else 0
+        return s * self.rows[i][self.slot[k]]
 
     def _set_z(self, z, zd):
         g = math.gcd(zd, *z)
@@ -484,10 +504,10 @@ class _IntTableau:
 
     def price(self, basis, costs):
         z, zd = EXACT.scaled(costs)
-        for row, d, col in zip(self.rows, self.dens, basis):
+        for i, (d, col) in enumerate(zip(self.dens, basis)):
             f = z[col]
             if f:
-                z = [d * u - f * v for u, v in zip(z, self._std(row))]
+                z = [d * u - f * v for u, v in zip(z, self._std(i))]
                 zd *= d
         self._set_z(z, zd)
 
@@ -498,17 +518,20 @@ class _IntTableau:
 
     def ratio_ties(self, enter):
         """The rows at the minimum ratio N_i[-1] / t_i over positive entries
-        t_i of column `enter`, compared by cross-multiplying: d_i cancels."""
+        t_i of column `enter`, compared by cross-multiplying: d_i cancels.
+        `enter` is never basic nor a basic column's twin, whose reduced
+        cost is 0, or 1 for a slack and its artificial."""
         k, s = self.vmap[enter]
+        q = self.slot[k]
         rows = self.rows
         ties = []
         for i, row in enumerate(rows):
-            t = s * row[k]
+            t = s * row[q]
             if t <= 0:
                 continue
             if ties:
                 lead = rows[ties[0]]
-                lhs, rhs = row[-1] * s * lead[k], lead[-1] * t
+                lhs, rhs = row[-1] * s * lead[q], lead[-1] * t
                 if lhs > rhs:
                     continue
                 if lhs == rhs:
@@ -519,41 +542,53 @@ class _IntTableau:
 
     def pivot(self, basis, row, col):
         k, s = self.vmap[col]
-        prow = self.rows[row]
-        if s * prow[k] < 0:  # artificial removal may pivot on a negative entry
-            prow = [-v for v in prow]
-        prow = _divide(prow, math.gcd(*prow))
-        p = s * prow[k]
-        self.rows[row] = prow
-        self.dens[row] = p
-        for i, other in enumerate(self.rows):
-            f = s * other[k]
-            if f == 0 or i == row:
-                continue
-            new = [p * u - f * v for u, v in zip(other, prow)]
-            d = self.dens[i] * p
-            g = math.gcd(d, *new)
-            self.rows[i] = _divide(new, g)
-            self.dens[i] = d // g
+        q, leave = self.slot[k], self.basic[row]
+        prow, lead = self.rows[row], self.bsign[row] * self.dens[row]
+        if self._at(row, col) < 0:  # artificial removal may pivot on a negative entry
+            prow, lead = [-v for v in prow], -lead
+        g = math.gcd(lead, *prow)
+        prow, lead = _divide(prow, g), lead // g
+        if q is None:  # the twin of the row's basic column enters: no other row moves
+            p = s * lead
+        else:
+            p = s * prow[q]
+            prow[q] = lead  # the leaving column takes the entering one's place
+            for i, other in enumerate(self.rows):
+                f = s * other[q]
+                if f == 0 or i == row:
+                    continue
+                new = [p * u - f * v for u, v in zip(other, prow)]
+                new[q] = -f * lead
+                d = self.dens[i] * p
+                g = math.gcd(d, *new)
+                self.rows[i] = _divide(new, g)
+                self.dens[i] = d // g
+            self.slot[k], self.slot[leave] = None, q
+            for j, _ in self.std_cols[k]:
+                self.view[j] = (-1, 0)
+            for j, sj in self.std_cols[leave]:
+                self.view[j] = (q, sj)
+        self.rows[row], self.dens[row] = prow, p
+        self.basic[row], self.bsign[row] = k, s
         f = self.z[col]
         if f:
-            self._set_z([p * u - f * v for u, v in zip(self.z, self._std(prow))], self.zd * p)
+            self._set_z([p * u - f * v for u, v in zip(self.z, self._std(row))], self.zd * p)
         basis[row] = col
 
     def nonzero(self, i, j) -> bool:
-        return self.rows[i][self.vmap[j][0]] != 0
+        return self._at(i, j) != 0
 
     def entry(self, i, j) -> Fraction:
-        k, s = self.vmap[j]
-        return Fraction(s * self.rows[i][k], self.dens[i])
+        return Fraction(self._at(i, j), self.dens[i])
 
     def value(self, i) -> Fraction:
         return Fraction(self.rows[i][-1], self.dens[i])
 
     def keep(self, dead):
-        """Drop the tableau rows `dead`."""
-        self.rows = [row for i, row in enumerate(self.rows) if i not in dead]
-        self.dens = [d for i, d in enumerate(self.dens) if i not in dead]
+        """Drop the tableau rows `dead`, whose basic columns are 0 in the rest."""
+        live = [i for i in range(len(self.rows)) if i not in dead]
+        self.rows, self.dens, self.basic, self.bsign = [
+            [v[i] for i in live] for v in (self.rows, self.dens, self.basic, self.bsign)]
 
     def duals(self, basis, costs, units):
         """The simplex multipliers y = B⁻ᵀ c_B, read off the reduced costs

@@ -397,10 +397,10 @@ def list_standard_form(program: lp.LinearProgram, bounds, mode: NumericMode) -> 
     each half of a free variable and for each slack and artificial: the
     split-column set-up that `lp._standardize` replaced, in float mode with
     one float64 array, which must match these rows bit for bit, the sign
-    of every zero included, and in exact mode with packed int rows, which
-    must pivot as `SplitIntTableau` pivots these.  `bounds` are converted
-    as `lp.solve` converts them.  `vmap` is None: column j is stored as
-    column j."""
+    of every zero included, and in exact mode with the int rows of the
+    nonbasic-column tableau, which must pivot as `SplitIntTableau` pivots
+    these.  `bounds` are converted as `lp.solve` converts them.  `vmap` is
+    None: column j is stored as column j."""
     std = lp._Std()
     cols, shifts = std.cols, std.shifts = [], []
     var_cols = std.var_cols = [[] for _ in bounds]
@@ -473,9 +473,10 @@ def _divide(values, g):
 
 class SplitIntTableau:
     """The fraction-free exact tableau over the split columns of
-    `list_standard_form`, every standard-form column stored as it is: the
-    reference that `lp._IntTableau`, which stores one column per LP
-    variable and one per row, must match pivot for pivot.  Row i is a list
+    `list_standard_form`, every standard-form column stored as it is,
+    basic ones included: the reference that `lp._IntTableau`, which stores
+    one column per LP variable and one per row, and of those only the
+    nonbasic ones, must match pivot for pivot.  Row i is a list
     of ints N_i, its rhs last, over a denominator d_i > 0; each updated
     row is divided by gcd(d_i, *N_i).  The reduced costs are the ints z
     over one denominator zd > 0, reduced by gcd(zd, *z)."""

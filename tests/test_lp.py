@@ -556,28 +556,45 @@ def exact_copy(program):
                  [(q(lo), q(hi)) for lo, hi in program.bounds])
 
 
-class TestPackedTableau:
-    """The packed exact tableau against the split-column reference: the
-    same standard-form rows at set-up; after every pivot of both phases
-    and of the artificial removal, and at every dropping of redundant rows,
-    the same basis, rows, denominators and reduced costs; and an equal
-    answer."""
+class TestNonbasicTableau:
+    """The exact tableau, which stores only its nonbasic columns, against
+    the split-column reference: the same standard-form rows at set-up;
+    after every pivot of both phases and of the artificial removal, and at
+    every dropping of redundant rows, the same basis, rows, denominators
+    and reduced costs; and an equal answer."""
 
     @staticmethod
-    def trail(program, packed):
-        """The answer to `program` on the packed or the split-column
-        tableau, and a snapshot at every pivot and row drop: (step, basis,
+    def programs():
+        """The LP mix: random, sparse (floats read as fractions), tall and
+        the fixture LPs."""
+        rng = random.Random(20261020)
+        programs = [random_lp(rng) for _ in range(100)]
+        programs += [exact_copy(sparse_lp(rng)) for _ in range(100)]
+        programs += [tall_lp(rng) for _ in range(30)]
+        return programs + [program for program, _ in fixture_lps()]
+
+    @staticmethod
+    def trail(program, split=False):
+        """The answer to `program` on `lp._IntTableau` or on the split-column
+        tableau, a snapshot at every pivot and row drop: (step, basis,
         standard-form rows, dens, z, zd), where step is "simplex" for a
         pivot of `_bland`, "removal" for one of the artificial removal and
-        "keep" for a drop."""
-        steps, phase = [], ["removal"]
-        tableau = lp._IntTableau if packed else SplitIntTableau
+        "keep" for a drop; and, on `lp._IntTableau`, its layout at each
+        snapshot: (row widths, slot, basic, and per row the standard-form
+        columns of its basic column with their implied entries)."""
+        steps, layouts, phase = [], [], ["removal"]
+        tableau = SplitIntTableau if split else lp._IntTableau
         real_bland, real_pivot, real_keep = lp._bland, tableau.pivot, tableau.keep
 
         def snapshot(tab, step, basis):
-            rows = ([[*tab._std(row), row[-1]] for row in tab.rows] if packed
-                    else [list(row) for row in tab.rows])
+            rows = ([list(row) for row in tab.rows] if split
+                    else [[*tab._std(i), row[-1]] for i, row in enumerate(tab.rows)])
             steps.append((step, tuple(basis), rows, list(tab.dens), list(tab.z), tab.zd))
+            if not split:
+                implied = [[(j, s * sign * d) for j, s in tab.std_cols[k]]
+                           for k, sign, d in zip(tab.basic, tab.bsign, tab.dens)]
+                layouts.append(([len(row) for row in tab.rows], list(tab.slot),
+                                list(tab.basic), implied))
 
         def bland(tab, basis, limit):
             phase[0] = "simplex"
@@ -597,26 +614,23 @@ class TestPackedTableau:
             mp.setattr(lp, "_bland", bland)
             mp.setattr(tableau, "pivot", pivot)
             mp.setattr(tableau, "keep", keep)
-            if not packed:
+            if split:
                 mp.setattr(lp, "_standardize", list_standard_form)
                 mp.setattr(lp, "_IntTableau", lambda rows, dens, vmap: SplitIntTableau(rows, dens))
-            return lp.solve(program, EXACT), steps
+            return lp.solve(program, EXACT), steps, layouts
 
     def test_pivots_match_the_split_column_tableau(self):
-        rng = random.Random(20261020)
-        programs = [random_lp(rng) for _ in range(100)]
-        programs += [exact_copy(sparse_lp(rng)) for _ in range(100)]
-        programs += [tall_lp(rng) for _ in range(30)]
-        programs += [program for program, _ in fixture_lps()]
+        programs = self.programs()
         steps, statuses = Counter(), set()
         for program in programs:
             bounds = _bounds(program, EXACT)
             std = lp._standardize(program, bounds, EXACT)
             want = list_standard_form(program, bounds, EXACT)
-            assert [[*(s * row[k] for k, s in std.vmap), row[-1]] for row in std.rows] == want.rows
+            tab = lp._IntTableau(std.rows, std.dens, std.vmap)
+            assert [[*tab._std(i), row[-1]] for i, row in enumerate(tab.rows)] == want.rows
             assert _std_fields(std) == _std_fields(want)
-            sol, trail = self.trail(program, packed=True)
-            want_sol, want_trail = self.trail(program, packed=False)
+            sol, trail, _ = self.trail(program)
+            want_sol, want_trail, _ = self.trail(program, split=True)
             assert trail == want_trail
             assert sol == want_sol and repr(sol) == repr(want_sol)
             statuses.add(sol.status)
@@ -629,6 +643,59 @@ class TestPackedTableau:
         assert {(True, True, False), (False, True, True), (True, False, False),
                 (False, False, True)} <= kinds
         assert any(b < 0 for p in programs for b in p.rhs)
+
+    def test_no_basic_column_is_stored(self):
+        checked = 0
+        for program in self.programs():
+            _, trail, layouts = self.trail(program)
+            _, want_trail, _ = self.trail(program, split=True)
+            assert len(layouts) == len(want_trail)
+            for (step, basis, *_), layout, want in zip(trail, layouts, want_trail):
+                widths, slot, basic, implied = layout
+                # Each row stores the n_vars nonbasic columns and the rhs.
+                assert set(widths) <= {program.n_vars + 1}
+                stored = [k for k, q in enumerate(slot) if q is not None]
+                assert sorted(slot[k] for k in stored) == list(range(program.n_vars))
+                assert not set(stored) & set(basic)
+                for i, entries in enumerate(implied):
+                    if basis:
+                        assert basis[i] in [j for j, _ in entries]
+                    assert all(want[2][i][j] == v for j, v in entries)
+                    checked += 1
+        assert checked > 10000
+
+    def test_the_twin_enters_in_artificial_removal(self, monkeypatch):
+        # Row 0, 0·x ≥ 0, has a zero in every column that enters, so no
+        # pivot touches it: phase 1 ends with its artificial basic at 0 and
+        # its own slack, −d_0, the only nonzero left of the artificials.
+        # That slack enters on a negative entry; no other row moves.
+        program = build([1, 2], [[0, 0], [1, 1], [1, -1]], [0, 1, 0], [">=", ">=", "<="])
+        twins = []
+        pivot = lp._IntTableau.pivot
+
+        def spy(tab, basis, row, col):
+            twins.append((tab.basic[row] == tab.vmap[col][0], tab.entry(row, col)))
+            pivot(tab, basis, row, col)
+
+        monkeypatch.setattr(lp._IntTableau, "pivot", spy)
+        sol, trail, _ = self.trail(program)
+        want_sol, want_trail, _ = self.trail(program, split=True)
+        assert twins.count((True, -1)) == 1
+        assert trail == want_trail
+        assert sol == want_sol and repr(sol) == repr(want_sol)
+        assert sol.status == lp.OPTIMAL and sol.objective_value == F(3, 2)
+        assert isinstance(sol.certificate, lp.DualCertificate)
+        assert_valid_optimal(program, sol)
+
+    @pytest.mark.parametrize("objective, status", [([1, 0], lp.OPTIMAL), ([-1, 1], lp.UNBOUNDED)],
+                             ids=["optimal", "unbounded"])
+    def test_lp_without_rows(self, objective, status):
+        program = build(objective, [], [], [], [(0, None), (None, 2)])
+        sol, trail, _ = self.trail(program)
+        want_sol, want_trail, _ = self.trail(program, split=True)
+        assert sol.status == status
+        assert trail == want_trail
+        assert sol == want_sol and repr(sol) == repr(want_sol)
 
 
 class TestOracleAgreement:
