@@ -2,12 +2,15 @@
 
 Exact solves serve the visitations only; exact LP multipliers are read off
 the simplex tableau instead (see `lp`).  They are fraction-free (Bareiss
-1968): each row of [A | b] is scaled to integers by the lcm of its
-denominators, eliminated with exact integer division, and back-substituted
-to y / det in integers, so the only rationals formed are the returned
-x_i = y_i / det.  Float visitations come as one stack of systems, solved
-by one numpy call; a singular system in the stack raises
-`SingularSystemError` as a lone one does.
+1968), run on a stack of integer systems at once: each column step is one
+object-array update of every system, with exact integer division, and back
+substitution gives y = det * x in integers, so an exact stack returns
+(y, det) and forms no rational at all.  A lone exact system is scaled to
+integers row by row, by the lcm of each row's denominators, and solved as
+a stack of one; only its returned x_i = y_i / det are rationals.  Float
+visitations come as one stack of systems too, solved by one numpy call.
+A singular system in a stack raises `SingularSystemError` as a lone one
+does.
 """
 
 from __future__ import annotations
@@ -23,18 +26,24 @@ class SingularSystemError(ValueError):
     pass
 
 
-def solve_square(rows, rhs, mode: NumericMode) -> list:
+def solve_square(rows, rhs, mode: NumericMode):
     """Solve A x = b for square A.
 
-    Exact mode runs Bareiss elimination on the integer-scaled rows (pivot
-    = first nonzero entry at or below the diagonal, deterministic); float
-    mode defers to numpy.  In float mode `rows` may also be a (k, n, n)
-    array with `rhs` (k, n): numpy solves the k systems in one call, each
-    as it would alone, and the (k, n) array of solutions is returned.
+    Exact mode runs Bareiss elimination (pivot = first nonzero entry at or
+    below the diagonal, deterministic); float mode defers to numpy.  A lone
+    system (`rows` a sequence of rows) returns the list x.  `rows` may also
+    be a (k, n, n) array with `rhs` (k, n): numpy solves the k float
+    systems in one call, each as it would alone, and returns the (k, n)
+    array of solutions; exact systems must then hold Python ints, and the
+    call returns (y, det), a (k, n) and a (k,) array of ints with
+    A_i y_i = det_i b_i.
     """
-    if not mode.exact and isinstance(rows, np.ndarray) and rows.ndim == 3:
+    if isinstance(rows, np.ndarray) and rows.ndim == 3:
         if rows.shape[1] != rows.shape[2] or rhs.shape != rows.shape[:2]:
             raise ValueError("solve_square expects a stack of square systems")
+        if mode.exact:
+            m = np.concatenate([rows, rhs[..., None]], axis=2)
+            return _bareiss(m.astype(object, copy=False))
         try:
             return np.linalg.solve(rows, rhs[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
@@ -49,32 +58,35 @@ def solve_square(rows, rhs, mode: NumericMode) -> list:
             return np.linalg.solve(a, b).tolist()
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(str(exc)) from exc
+    m = np.array([over_common_denominator([*row, b])[0] for row, b in zip(rows, rhs)],
+                 object).reshape(1, n, n + 1)
+    y, det = _bareiss(m)
+    return [Fraction(v, det[0]) if v else ZERO for v in y[0].tolist()]
 
-    # m[r] = [A_r | b_r] in integers.  After step col, every entry right of
-    # the diagonal is a minor of the scaled matrix, so the division by the
-    # previous pivot is exact, and entries are zero exactly where the
-    # rational elimination has zeros: the same pivot rows and singular column.
-    m = [over_common_denominator(list(row) + [b])[0] for row, b in zip(rows, rhs)]
-    prev = 1
+
+def _bareiss(m):
+    """(y, det) for the stack m[i] = [A_i | b_i] of integer systems, which
+    it overwrites.  After step col, every entry right of the diagonal is a
+    minor of A_i, so the division by the previous pivot is exact, and
+    entries are zero exactly where the rational elimination has zeros: the
+    same pivot rows and singular column."""
+    k, n = m.shape[:2]
+    prev = np.ones((k, 1, 1), object)
     for col in range(n):
-        pivot_row = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot_row is None:
+        nonzero = m[:, col:, col] != 0
+        if not nonzero.any(axis=1).all():
             raise SingularSystemError(f"singular system at column {col}")
-        m[col], m[pivot_row] = m[pivot_row], m[col]
-        prow = m[col]
-        p = prow[col]
-        for r in range(col + 1, n):
-            row = m[r]
-            f = row[col]
-            m[r] = row[:col + 1] + [
-                (p * u - f * v) // prev for u, v in zip(row[col + 1:], prow[col + 1:])
-            ]
+        pivot_row = col + nonzero.argmax(axis=1)
+        swap = (pivot_row != col).nonzero()[0]
+        if swap.size:
+            m[swap, col], m[swap, pivot_row[swap]] = m[swap, pivot_row[swap]], m[swap, col]
+        p, f, u = m[:, col, None, None, col], m[:, col + 1:, col, None], m[:, None, col, col + 1:]
+        m[:, col + 1:, col + 1:] = (p * m[:, col + 1:, col + 1:] - f * u) // prev
         prev = p
     # Back substitution for y = det * x, integral by Cramer's rule.
-    det = prev
-    y = [0] * n
+    det = prev[:, 0, 0]
+    y = np.empty((k, n), object)
     for r in range(n - 1, -1, -1):
-        row = m[r]
-        acc = det * row[n] - sum(row[c] * y[c] for c in range(r + 1, n))
-        y[r] = acc // row[r]
-    return [Fraction(v, det) if v else ZERO for v in y]
+        acc = det * m[:, r, n] - (m[:, r, r + 1:n] * y[:, r + 1:]).sum(axis=1)
+        y[:, r] = acc // m[:, r, r]
+    return y, det

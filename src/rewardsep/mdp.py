@@ -10,15 +10,17 @@ dominant (column slack exactly 1 - gamma), hence invertible, so rho is
 computed by direct elimination, never iteratively.  Both backends build
 the flow systems and the residuals of a query's policies as one stack of
 arrays over the kernel, gamma and policies on common denominators: exact
-mode over integers (object arrays), each system solved fraction-free, and
-float mode over the float values with unit denominators, the whole stack
-solved by one numpy call.  The kernel is converted once per
-`VisitationTable`, and validated on that one conversion (see
-`_ScaledEnv`).  The self-check every visitation passes (normalisation and
-per-state flow) is one vectorised test of the stack, computed
-independently of the solve from the converted inputs alone, through the
-residual routine `flow_residuals` uses; in exact mode it is an integer
-identity.
+mode over integers (object arrays), the whole stack solved by one
+batched fraction-free elimination that returns integer solutions y and
+determinants det, and float mode over the float values with unit
+denominators, the whole stack solved by one numpy call.  The kernel is
+converted once per `VisitationTable`, and validated on that one
+conversion (see `_ScaledEnv`).  The self-check every visitation passes
+(normalisation and per-state flow) is one vectorised test of the stack,
+computed independently of the solve from the converted inputs alone,
+through the residual routine `flow_residuals` uses; in exact mode it is
+an integer identity on the numerators y * Q_pi over det * Q, and a
+Fraction is formed only for each nonzero entry returned.
 Every value question reduces to inner products with rho: V_i = r_i . rho.
 
 All types are immutable after construction and all operations are pure.
@@ -398,8 +400,9 @@ def _visitations(env: MarkovEnv, policies, mode: NumericMode) -> list:
     With gamma = g_n / g_d, T = K / D_T and pi = Q_pi / Q (see
     `NumericMode.scaled`), d solves (g_d D I - g_n (D P_pi)^T) d =
     g_d D e_start for D = D_T Q, where D P_pi = Q_pi K row by row.  The
-    systems are built as one stack; float mode solves the stack in one
-    call, exact mode each system fraction-free."""
+    systems are built as one stack and solved in one call: float mode by
+    numpy, exact mode fraction-free, to integer y and det with d = y / det,
+    whose numerators y Q_pi over det Q go to the self-check as they are."""
     for policy in policies:
         policy.validate_for(env, mode)
     if not policies:
@@ -417,21 +420,16 @@ def _visitations(env: MarkovEnv, policies, mode: NumericMode) -> list:
     rhs = np.zeros((k, n_s), pol.dtype)
     rhs[:, env.state_index(env.start)] = scale
 
-    if mode.exact:
-        # rho(s, a) = d(s) * Q_pi(s, a) / Q
-        rhos = []
-        for a_i, b_i, pol_i, q_i in zip(system.tolist(), rhs.tolist(), pol.tolist(), q.tolist()):
-            d = linalg.solve_square(a_i, b_i, mode)
-            rhos.append(tuple(
-                ZERO if not p or not ds
-                else ds if p == q_i
-                else Fraction(ds.numerator * p, ds.denominator * q_i)
-                for ds, row in zip(d, pol_i) for p in row
-            ))
-        nums, q = _numerators(rhos, mode)
+    if mode.exact:  # d = y / det, so rho(s, a) = y(s) Q_pi(s, a) / (det Q)
+        d, det = linalg.solve_square(system, rhs, mode)
+        q = det * q
     else:
         d = linalg.solve_square(system, rhs, mode)
-        nums = (d[:, :, None] * pol).reshape(k, env.n_sa)
+    nums = (d[:, :, None] * pol).reshape(k, env.n_sa)
+    if mode.exact:
+        rhos = [tuple(Fraction(v, den) if v else ZERO for v in row)
+                for row, den in zip(nums.tolist(), q.tolist())]
+    else:
         rhos = [tuple(row) for row in nums.tolist()]
     _self_check(env, nums, q, mode)
     return [Visitation(rho) for rho in rhos]

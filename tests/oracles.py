@@ -7,12 +7,12 @@ rational Gaussian elimination, the LP certificate checks read only a
 state distribution forward for a truncated horizon or sample
 trajectories, and the feasible-set oracle enumerates every deterministic
 policy.  The greedy-merge reference solves every merge trial, refused
-ones again and again, on the library's own margin LP, the float
-visitation reference solves one policy at a time in list arithmetic, the
-standard-form reference builds each row entry by entry in Python lists,
-a column for each half of a free variable and for each slack and
-artificial, and the split-column integer tableau pivots those rows in
-exact mode.
+ones again and again, on the library's own margin LP, the visitation
+references solve one policy at a time, the float one in list arithmetic
+and the exact one by rational elimination, the standard-form reference
+builds each row entry by entry in Python lists, a column for each half
+of a free variable and for each slack and artificial, and the
+split-column integer tableau pivots those rows in exact mode.
 """
 
 from __future__ import annotations
@@ -291,6 +291,22 @@ def one_float_visitation(env: MarkovEnv, policy: Policy, mode: NumericMode) -> t
               for s in range(n_s)]
     start = env.state_index(env.start)
     d = linalg.solve_square(system, [1 if s == start else 0 for s in range(n_s)], mode)
+    return tuple(ds * p for ds, row in zip(d, pol) for p in row)
+
+
+def one_exact_visitation(env: MarkovEnv, policy: Policy) -> tuple:
+    """The exact visitation of one policy, solved alone in rational
+    arithmetic: (I - gamma P_pi^T) d = e_start by `gaussian_solve`, then
+    rho = d * pi, a Fraction per entry."""
+    n_s, n_a = env.n_states, env.n_actions
+    gamma = as_exact(env.gamma)
+    kernel = [[as_exact(t) for t in row] for row in env.kernel]
+    pol = [[as_exact(p) for p in policy.distribution_row(env, s)] for s in env.states]
+    system = [[(s == s2) - gamma * sum(pol[s2][a] * kernel[s2 * n_a + a][s]
+                                       for a in range(n_a))
+               for s2 in range(n_s)] for s in range(n_s)]
+    start = env.state_index(env.start)
+    d = gaussian_solve(system, [int(s == start) for s in range(n_s)])
     return tuple(ds * p for ds, row in zip(d, pol) for p in row)
 
 

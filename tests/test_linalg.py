@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -20,8 +21,9 @@ _entries = st.one_of(
 
 
 @st.composite
-def systems(draw, max_n=7):
-    n = draw(st.integers(0, max_n))
+def systems(draw, max_n=7, n=None):
+    if n is None:
+        n = draw(st.integers(0, max_n))
     rows = [draw(st.lists(_entries, min_size=n, max_size=n)) for _ in range(n)]
     if n >= 2 and draw(st.booleans()):
         # Make one row a combination of two others: singular for certain.
@@ -30,6 +32,28 @@ def systems(draw, max_n=7):
         rows[i] = [f * u + g * v for u, v in zip(rows[j], rows[k])]
     rhs = draw(st.lists(_entries, min_size=n, max_size=n))
     return rows, rhs
+
+
+@st.composite
+def stacks(draw, max_n=6):
+    """1-6 systems of one size, drawn as `systems` draws each."""
+    n = draw(st.integers(0, max_n))
+    return draw(st.lists(systems(n=n), min_size=1, max_size=6))
+
+
+def integer_stack(stack):
+    """(A, b) as (k, n, n) and (k, n) arrays of Python ints: each row of
+    [A_i | b_i] times the lcm of its denominators, so that every system
+    keeps its solutions and its first column without a pivot."""
+    scaled = []
+    for rows, rhs in stack:
+        for row, b in zip(rows, rhs):
+            entries = [F(v) for v in [*row, b]]
+            den = math.lcm(*(v.denominator for v in entries))
+            scaled.append([int(v * den) for v in entries])
+    k, n = len(stack), len(stack[0][1])
+    m = np.array(scaled, object).reshape(k, n, n + 1)
+    return m[:, :, :n].copy(), m[:, :, n].copy()
 
 
 def outcome(solve, rows, rhs):
@@ -68,6 +92,40 @@ class TestExactSolve:
         assert x == [0, 2]
         y = linalg.solve_square([[1, 1], [1, -1]], [0, 0], EXACT)
         assert x[0] is y[0] is y[1]
+
+
+class TestExactStack:
+    @settings(max_examples=200)
+    @given(stacks())
+    def test_each_member_is_solved_as_alone(self, stack):
+        a, b = integer_stack(stack)
+        given_a, given_b = a.copy(), b.copy()
+        want = [outcome(gaussian_solve, rows, rhs) for rows, rhs in stack]
+        singular = [int(msg.split()[-1]) for kind, msg in want if kind == "singular"]
+        if singular:
+            # The lowest column at which some member has no pivot.
+            with pytest.raises(linalg.SingularSystemError,
+                               match=f"^singular system at column {min(singular)}$"):
+                linalg.solve_square(a, b, EXACT)
+        else:
+            y, det = linalg.solve_square(a, b, EXACT)
+            assert y.shape == b.shape and det.shape == (len(stack),)
+            for (_, x), y_i, det_i in zip(want, y.tolist(), det.tolist()):
+                assert all(type(v) is int for v in [*y_i, det_i])
+                assert [F(v, det_i) for v in y_i] == x
+        assert (a == given_a).all() and (b == given_b).all()
+
+    def test_row_swap_in_one_member(self):
+        a = np.array([[[0, 1], [2, 0]], [[1, 0], [0, 1]]], object)
+        y, det = linalg.solve_square(a, np.array([[3, 4], [5, 6]], object), EXACT)
+        assert [[F(v, d) for v in row] for row, d in zip(y.tolist(), det.tolist())] == [
+            [2, 3], [5, 6]]
+
+    def test_singular_member_names_its_column(self):
+        singular = [[1, 2, 3], [2, 4, 7], [1, 2, 5]]  # no pivot in column 1
+        a = np.array([np.eye(3, dtype=int).tolist(), singular], object)
+        with pytest.raises(linalg.SingularSystemError, match="^singular system at column 1$"):
+            linalg.solve_square(a, np.ones((2, 3), object), EXACT)
 
 
 class TestFloatStack:

@@ -1,9 +1,12 @@
 """Each query solves each policy's visitation exactly once, validates its
-environment once and converts its kernel once; a float table solves its
-policies as one stack, bit for bit as each would be solved alone."""
+environment once and converts its kernel once; a table solves its
+policies as one stack, each as it would be solved alone: bit for bit in
+float mode, to the same Fractions in exact mode."""
 
 import json
+import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -17,16 +20,18 @@ from rewardsep.mdp import (
     Policy,
     PolicyError,
     RewardSpec,
+    Visitation,
     VisitationTable,
     compute_visitation,
+    flow_residuals,
 )
-from rewardsep.numeric import EXACT, FLOAT
+from rewardsep.numeric import EXACT, FLOAT, ZERO
 from rewardsep.separability import check_scalar_optimality, design_multi, design_scalar
 from rewardsep.soap import Soap, check_consistency
 from rewardsep.verify import verify_realization
 
 from envs import PI11, PI12, PI21, PI22, entailment_env
-from oracles import one_float_visitation
+from oracles import one_exact_visitation, one_float_visitation
 
 XOR_SOAP = Soap.build(good=[PI12, PI21], bad=[PI11, PI22])
 SINGLE_GOOD_SOAP = Soap.build(good=[PI22], bad=[PI11, PI12, PI21])
@@ -212,15 +217,17 @@ def _row(rng, n, floats):
     return tuple(w / total if floats else Fraction(w, total) for w in weights)
 
 
-def random_stack(seed):
+def random_stack(seed, exact=False):
     """An environment with |S| <= 8 and |A| <= 3, gamma 1/2 or 9/10 by the
     seed's parity, and 2-12 policies: the first deterministic, the second
-    stochastic, the rest either."""
+    stochastic, the rest either.  With `exact`, every probability that
+    would be a Python float is the Fraction of the same weights."""
     rng = random.Random(seed)
     n_s, n_a = rng.randint(1, 8), rng.randint(1, 3)
     states = tuple(f"s{i}" for i in range(n_s))
     actions = tuple(f"a{i}" for i in range(n_a))
-    kernel = tuple(_row(rng, n_s, rng.random() < 0.3) for _ in range(n_s * n_a))
+    kernel = tuple(_row(rng, n_s, rng.random() < 0.3 and not exact)
+                   for _ in range(n_s * n_a))
     env = MarkovEnv(states, actions, kernel, (Fraction(1, 2), "9/10")[seed % 2],
                     rng.choice(states))
     policies = []
@@ -230,7 +237,7 @@ def random_stack(seed):
                 f"p{i}", {s: rng.choice(actions) for s in states}))
         else:
             policies.append(Policy.stochastic(
-                f"p{i}", {s: dict(zip(actions, _row(rng, n_a, rng.random() < 0.5)))
+                f"p{i}", {s: dict(zip(actions, _row(rng, n_a, rng.random() < 0.5 and not exact)))
                           for s in states}))
     return env, policies
 
@@ -244,6 +251,18 @@ def test_float_batch_matches_one_policy_solves(seed):
         assert all(type(v) is float for v in rho.entries)
         want = one_float_visitation(env, policy, FLOAT)
         assert [v.hex() for v in rho.entries] == [v.hex() for v in want]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_exact_batch_matches_one_policy_solves(seed):
+    env, policies = random_stack(seed, exact=True)
+    got = VisitationTable(env, EXACT).many(policies)
+    assert len(got) == len(policies)
+    for policy, rho in zip(policies, got):
+        assert all(type(v) is Fraction for v in rho.entries)
+        assert all(v is ZERO for v in rho.entries if not v)
+        assert rho == compute_visitation(env, policy, EXACT)
+        assert rho.entries == one_exact_visitation(env, policy)
 
 
 class TestBatchSelfCheckRejects:
@@ -276,6 +295,56 @@ class TestBatchSelfCheckRejects:
         row[target] += moved
         with pytest.raises(RuntimeError, match="Bellman flow violated at state"):
             mdp._self_check(self.env, self.nums, self.q, FLOAT)
+
+
+class TestExactBatchSelfCheckRejects:
+    """The exact self-check refuses a stack in which one visitation breaks
+    either identity, tested on the numerators the solve hands it: rho_i =
+    nums[i] / q[i] with q = det Q, not over the lcm of the denominators of
+    rho_i.  Each fault is reported as a reduced rational."""
+
+    @pytest.fixture(autouse=True)
+    def stack(self, monkeypatch):
+        env, self.policies = random_stack(11, exact=True)  # 8 states, 3 actions
+        self.env = mdp._scaled(env, EXACT, mdp.require_valid_env(env, EXACT))
+        handed = []
+        real = mdp._self_check
+        with monkeypatch.context() as m:
+            m.setattr(mdp, "_self_check", lambda *args: handed.append(args) or real(*args))
+            rhos = mdp._visitations(self.env, self.policies, EXACT)
+        [(_, self.nums, self.q, _)] = handed
+        assert [tuple(EXACT.ratio(v, q) for v in row)
+                for row, q in zip(self.nums.tolist(), self.q.tolist())] == [
+            rho.entries for rho in rhos]
+        lcms = mdp._numerators([rho.entries for rho in rhos], EXACT)[1]
+        assert self.q.tolist() != lcms.tolist()
+
+    def test_accepts_the_solved_stack(self):
+        mdp._self_check(self.env, self.nums, self.q, EXACT)
+
+    def test_scaled_entry_breaks_normalisation(self):
+        k = int(np.argmax(self.nums[1]))
+        self.nums[1, k] *= 2
+        total, q = sum(self.nums[1].tolist()), self.q[1]
+        assert math.gcd(total, q) > 1  # so the reduced sum is not total/q
+        with pytest.raises(RuntimeError, match=re.escape(
+                f"visitation normalization violated: sum={Fraction(total, q)}, expected=10")):
+            mdp._self_check(self.env, self.nums, self.q, EXACT)
+
+    def test_moved_mass_breaks_flow(self):
+        n_a = self.env.n_actions
+        row = self.nums[2]
+        source = int(np.argmax(row))
+        target = (source + n_a) % self.env.n_sa  # the same action, the next state
+        moved = row[source] // 2
+        row[source] -= moved
+        row[target] += moved
+        rho = Visitation(tuple(EXACT.ratio(v, self.q[2]) for v in row.tolist()))
+        residuals = flow_residuals(self.env, rho, EXACT)
+        s = next(s for s, r in enumerate(residuals) if r)
+        with pytest.raises(RuntimeError, match=re.escape(
+                f"Bellman flow violated at state {self.env.states[s]}: residual {residuals[s]}")):
+            mdp._self_check(self.env, self.nums, self.q, EXACT)
 
 
 def test_float_batch_validates_every_policy_in_order_before_solving(monkeypatch):
