@@ -3,12 +3,13 @@
 The solver is small and dense on purpose: every decision procedure in the
 package reduces to LPs with at most a few dozen rows and columns, and the
 questions they encode (hull membership, separation, optimality) are exact
-set statements.  One Bland's-rule driver (`_bland`) runs both phases over
-either of two tableaux, which supply only their arithmetic: pricing,
-pivoting, the entering-column scan and the ratio test.  The scan runs up
-to a column limit: every column in phase 1, the columns below the first
-artificial in phase 2.  Bland's rule keeps the pivot sequence finite,
-and all tie-breaking is by lowest index, so outputs are deterministic.
+set statements.  One Bland's-rule driver (`_bland`) runs both phases of
+an LP over either of two tableaux, which supply only their arithmetic:
+pricing, pivoting, the entering-column scan and the ratio test.  The
+scan runs up to a column limit: every column in phase 1, the columns
+below the first artificial in phase 2.  Bland's rule keeps the pivot
+sequence finite, and all tie-breaking is by lowest index, so outputs are
+deterministic.
 
 The exact tableau pivots fraction-free: each row is a list of integers
 over one positive row denominator, reduced by a single gcd per updated
@@ -45,6 +46,19 @@ with the same operations, and numpy scans it for the entering column.
 They carry rounding, so the tableau keeps a copy of its unpivoted array,
 and the float multipliers solve Bᵀy = c_B on its basis columns with
 `linalg.solve_square`.
+
+`check_feasible_many` decides a batch of LPs.  In float mode, two or
+more LPs whose standard forms have one shape run phase 1 in lockstep
+(`_lockstep`): their tableaux are one (k, m, w + 1) float64 array and
+their reduced costs one (k, w) array.  Each step makes, for every LP
+still running, the entering column, ratio ties, leaving row and pivot
+that `_bland` makes over its `_FloatTableau`, with the same IEEE
+operations per entry, so each LP ends phase 1 bit for bit as it would
+alone.  The rest of `solve` (`_finish`: the infeasibility test,
+artificial removal, phase 2, the readout and the duals) then runs per
+LP, only when its answer is drawn.  A lone float LP keeps the 2D
+tableau: a stack of one costs about 2.6 times as much per LP.  Exact
+LPs are solved one at a time.
 
 A `LinearProgram` is validated once, when it is constructed.
 
@@ -600,37 +614,55 @@ class _IntTableau:
 
 def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
     """Two-phase simplex.  Deterministic for identical inputs."""
-    if log.isEnabledFor(logging.DEBUG):
-        log.debug("solving LP:\n%s", format_lp(lp))
-    conv, tol, zero = mode.convert, mode.tolerance, mode.zero
-    c = [conv(v) for v in lp.objective]
-    bounds = [tuple(None if v is None else conv(v) for v in box) for box in lp.bounds]
-    std = _standardize(lp, bounds, mode)
-    m, n_struct, ncols = len(std.rows), len(std.cols), std.width
-    basis, units = std.basis, std.units
-    # The float tolerance grows with the rhs; the exact threshold is 0.
-    scale = 1 + sum(map(abs, std.rows[:, -1].tolist())) if tol else 1
-    if mode.exact:
-        tab = _IntTableau(std.rows, std.dens, std.vmap)
-    else:
-        tab = _FloatTableau(std.rows, tol)
+    setup = _Phase1(lp, mode)
+    status, _ = _bland(setup.tab, setup.std.basis, setup.std.width)
+    return _finish(setup, status)
 
-    # Phase 1: drive the artificial variables to zero.
-    art_cols = range(std.art_first, ncols)
-    row_of_art = {col: i for i, col in enumerate(basis) if col in art_cols}
-    costs1 = [zero] * ncols
-    for jcol in art_cols:
-        costs1[jcol] = zero + 1
-    tab.price(basis, costs1)
-    status, _ = _bland(tab, basis, ncols)
+
+class _Phase1:
+    """An LP set up for phase 1: its objective and bounds in the mode's
+    numbers, its standard form, and its tableau priced by `costs`, 1 on
+    every artificial column and 0 elsewhere.  `row_of_art` maps each
+    artificial column to the row it starts basic in."""
+
+    __slots__ = ("lp", "mode", "c", "bounds", "std", "tab", "costs", "row_of_art")
+
+    def __init__(self, lp: LinearProgram, mode: NumericMode):
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("solving LP:\n%s", format_lp(lp))
+        conv, zero = mode.convert, mode.zero
+        self.lp, self.mode = lp, mode
+        self.c = [conv(v) for v in lp.objective]
+        self.bounds = [tuple(None if v is None else conv(v) for v in box)
+                       for box in lp.bounds]
+        std = self.std = _standardize(lp, self.bounds, mode)
+        if mode.exact:
+            self.tab = _IntTableau(std.rows, std.dens, std.vmap)
+        else:
+            self.tab = _FloatTableau(std.rows, mode.tolerance)
+        self.costs = [zero] * std.art_first + [zero + 1] * (std.width - std.art_first)
+        self.row_of_art = {col: i for i, col in enumerate(std.basis) if col >= std.art_first}
+        self.tab.price(std.basis, self.costs)
+
+
+def _finish(setup: _Phase1, status) -> LpSolution:
+    """What `solve` does once phase 1 has ended with `status`: the
+    infeasibility test, artificial removal, phase 2 and the readout."""
     if status != OPTIMAL:  # pragma: no cover - phase 1 is always bounded
         raise RuntimeError("phase 1 cannot be unbounded")
+    lp, mode, c, bounds, std, tab = (
+        setup.lp, setup.mode, setup.c, setup.bounds, setup.std, setup.tab)
+    tol, zero = mode.tolerance, mode.zero
+    m, n_struct, ncols = len(std.basis), len(std.cols), std.width
+    basis, units = std.basis, std.units
+    # The float tolerance grows with the rhs; the exact threshold is 0.
+    scale = 1 + sum(map(abs, tab.unpivoted[:, -1].tolist())) if tol else 1
     # Phase 1 leaves every basic value >= 0, so an exact LP is infeasible
     # exactly when a basic artificial has a nonzero rhs.
-    arts = [i for i in range(m) if basis[i] in art_cols]
+    arts = [i for i in range(m) if basis[i] >= std.art_first]
     if (any(tab.rows[i][-1] for i in arts) if mode.exact
             else sum(tab.value(i) for i in arts) > tol * scale):
-        y_std = tab.duals(basis, costs1, units)
+        y_std = tab.duals(basis, setup.costs, units)
         y = mode.share_zero(_map_duals(y_std, std, len(lp.matrix)))
         return LpSolution(status=INFEASIBLE, certificate=FarkasCertificate(y))
 
@@ -641,12 +673,10 @@ def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
     # B'⁻¹ times the kept rows, so the multipliers read off them are those
     # of the kept rows.
     dead = {}  # tableau row -> original row
-    for i in range(m):
-        if basis[i] not in art_cols:
-            continue
+    for i in arts:
         enter = next((j for j in range(std.art_first) if tab.nonzero(i, j)), None)
         if enter is None:
-            dead[i] = row_of_art[basis[i]]
+            dead[i] = setup.row_of_art[basis[i]]
         else:
             tab.pivot(basis, i, enter)
     if dead:
@@ -719,15 +749,120 @@ def check_feasible(lp: LinearProgram, mode: NumericMode = EXACT):
     as feasible without a witness.  An LP whose objective is already zero
     is solved as it is.
     """
+    return _feasibility(solve(_zero_objective(lp), mode))
+
+
+def _zero_objective(lp: LinearProgram) -> LinearProgram:
     if any(lp.objective):
         lp = LinearProgram(tuple(0 for _ in lp.objective), lp.matrix, lp.rhs,
                            lp.senses, lp.bounds)
-    sol = solve(lp, mode)
+    return lp
+
+
+def _feasibility(sol: LpSolution):
     if sol.status == OPTIMAL:
         return True, sol.primal
     if sol.status == UNBOUNDED:  # pragma: no cover - zero objective never is
         return True, None
     return False, sol.certificate
+
+
+def check_feasible_many(programs, mode: NumericMode = EXACT):
+    """`check_feasible` of each program, in order, as an iterator.
+
+    In float mode, two or more LPs whose standard forms have one shape run
+    phase 1 together (`_lockstep`) before the first answer is drawn.  Each
+    LP is finished (`_finish`) only when its answer is drawn, so a caller
+    that stops early skips the phase 2, readout and duals of the rest.  An
+    LP's error is raised when its answer is drawn, where a loop over
+    `check_feasible` would raise it.  Exact LPs and lone float LPs are
+    solved one at a time as `check_feasible` solves them: a stack of one
+    costs more per LP than the 2D tableau.
+    """
+    programs = list(programs)
+    if mode.exact:
+        return (check_feasible(program, mode) for program in programs)
+    setups, statuses, shapes = [], [None] * len(programs), {}
+    for k, program in enumerate(programs):
+        try:
+            setup = _Phase1(_zero_objective(program), mode)
+        except Exception as exc:  # raised again when its answer is drawn
+            setup, statuses[k] = None, exc
+        else:
+            shapes.setdefault(setup.tab.rows.shape, []).append(k)
+        setups.append(setup)
+    for group in shapes.values():
+        if len(group) > 1:
+            for k, status in zip(group, _lockstep([setups[k] for k in group])):
+                statuses[k] = status or RuntimeError("simplex pivot limit exceeded")
+    return _answers(setups, statuses)
+
+
+def _answers(setups, statuses):
+    """Finish each set-up LP in turn; a status None runs its phase 1."""
+    for setup, status in zip(setups, statuses):
+        if isinstance(status, Exception):
+            raise status
+        if status is None:
+            status, _ = _bland(setup.tab, setup.std.basis, setup.std.width)
+        yield _feasibility(_finish(setup, status))
+
+
+def _lockstep(setups):
+    """Phase 1 of k float LPs of one standard-form shape, in lockstep on
+    one (k, m, w + 1) float64 array, with the reduced costs as one (k, w)
+    array.  Each step makes, for every LP still running, the choice and
+    the pivot that `_bland` makes over its `_FloatTableau`: the lowest
+    column with a reduced cost below -tol enters, the ratio ties are the
+    same, the tied row with the lowest basic column leaves, and every
+    entry gets the same IEEE divide, multiply and subtract.  A row with a
+    zero of either sign in the pivot column is not touched.  Each tableau
+    then holds its slice of the stack and each basis its final columns.
+    Returns each LP's status: OPTIMAL, UNBOUNDED, or None at the pivot
+    limit."""
+    tol = setups[0].tab.tol
+    rows = np.stack([s.tab.rows for s in setups])
+    z = np.stack([s.tab.z for s in setups])
+    basis = np.array([s.std.basis for s in setups], dtype=np.intp)
+    status = [None] * len(setups)
+    live = np.arange(len(setups))
+    for _ in range(_MAX_PIVOTS):
+        neg = z[live] < -tol
+        entering = neg.any(axis=1)
+        for t in live[~entering]:
+            status[t] = OPTIMAL
+        live, enter = live[entering], neg[entering].argmax(axis=1)
+        if not live.size:
+            break
+        column = rows[live, :, enter]
+        positive = column > tol
+        ratios = np.full(column.shape, np.inf)
+        np.divide(rows[live, :, -1], column, out=ratios, where=positive)
+        ties = positive & (ratios == ratios.min(axis=1, keepdims=True))
+        bounded = ties.any(axis=1)
+        for t in live[~bounded]:
+            status[t] = UNBOUNDED
+        live, enter, ties, f = live[bounded], enter[bounded], ties[bounded], column[bounded]
+        leave = np.where(ties, basis[live], rows.shape[2]).argmin(axis=1)
+        a = np.arange(live.size)
+        prow = rows[live, leave] / f[a, leave][:, None]
+        rows[live, leave] = prow
+        # f is the pivot column read before the pivot row was divided: the
+        # other rows' entries are those the update reads.
+        f[a, leave] = 0
+        k, i = f.nonzero()
+        f = f[k, i]
+        rows[live[k], i] -= f[:, None] * prow[k]
+        rows[live[k], i, enter[k]] = 0 * f
+        # The entering reduced cost is below -tol, so never zero.
+        f = z[live, enter]
+        z[live] -= f[:, None] * prow[:, :-1]
+        z[live, enter] = 0 * f
+        basis[live, leave] = enter
+    for t, s in enumerate(setups):
+        s.tab.rows, s.tab.z = rows[t], z[t]
+        s.std.basis[:] = basis[t].tolist()
+    return status
 
 
 def _support(lp, c, bounds, y, mode):

@@ -21,6 +21,17 @@ of a common point.  Scalar negatives alone still solve the intersection
 LP after it, because that LP's vertex is the common point reported; the
 Farkas coefficients would name another, equally valid one.  Each
 synthesized spec is re-checked through the verifier before it is returned.
+
+The multidimensional design decides its stochastic bad points first, in
+bad order, and then all its deterministic bad points in one batch of
+margin LPs.  The vertex argument makes this order safe: for a
+deterministic bad policy pi_b, the reward r_b(s, a) = [a != pi_b(s)]
+scores pi_b's visitation at 0 and every other visitation above 0, since
+a policy that puts no mass off pi_b's actions has pi_b's visitation.  So
+pi_b's visitation lies in the good hull only if it equals a good
+visitation, which the consistency check refuses.  In exact arithmetic
+the first member in bad order is therefore the first stochastic member,
+and a negative with a stochastic member solves no deterministic LP.
 """
 
 from __future__ import annotations
@@ -178,11 +189,18 @@ def _separate(keep, exclude, dim, mode):
     give lambda and the `le` rows mu, convex coefficients of one common
     point; the callers need lambda only: (None, lambda).
     """
-    feasible, witness = lp.check_feasible(_margin_lp(keep, exclude, dim), mode)
+    answer = lp.check_feasible(_margin_lp(keep, exclude, dim), mode)
+    return _separation(answer, len(keep), dim, mode)
+
+
+def _separation(answer, n_keep, dim, mode):
+    """(separator, None) or (None, lambda) from a margin LP's
+    `check_feasible` answer (see `_separate`)."""
+    feasible, witness = answer
     if feasible:
         separator = SeparatingHyperplane(normal=tuple(witness[:dim]), offset=witness[dim])
         return separator, None
-    lam = witness.row_multipliers[:len(keep)]
+    lam = witness.row_multipliers[:n_keep]
     total = sum(lam)
     return None, mode.share_zero(v / total for v in lam)
 
@@ -359,22 +377,41 @@ def design_multi(env: MarkovEnv, soap: Soap, mode: NumericMode = EXACT,
     -> stack their hyperplanes (d <= |bad|); one inside -> the convex
     coefficients read from that LP's Farkas multipliers are the
     obstruction.  With `reduce`, a greedy merge starts from these
-    hyperplanes and reuses them across bad points."""
-    table, good, bad = _consistent_points(env, soap, mode)
+    hyperplanes and reuses them across bad points.
 
-    planes = []
-    for name, point in zip(bad.names, bad.points):
-        membership = in_convex_hull(point, good, mode)
-        if membership.member:
-            return DesignOutcome(
-                realizable=False,
-                obstruction=HullObstruction(
-                    policy=name,
-                    point=tuple(point.entries),
-                    coefficients=membership.coefficients,
-                ),
-            )
-        planes.append(membership.separator)
+    The stochastic bad points are decided first, one LP each in bad
+    order, and the first inside the hull is the obstruction.  Only then
+    are the deterministic bad points decided, all through one
+    `lp.check_feasible_many` call.  By the vertex argument a deterministic
+    bad point is never inside the good hull of a consistent SOAP, so in
+    exact arithmetic the obstruction is the one the bad order gives, and
+    a negative with a stochastic member pays for no deterministic LP."""
+    table, good, bad = _consistent_points(env, soap, mode)
+    dim = good.dimension
+
+    def obstruction(i, coefficients):
+        return DesignOutcome(
+            realizable=False,
+            obstruction=HullObstruction(
+                policy=bad.names[i],
+                point=tuple(bad.points[i].entries),
+                coefficients=coefficients,
+            ),
+        )
+
+    planes = [None] * len(bad)
+    stochastic = [i for i, policy in enumerate(soap.bad) if not policy.is_deterministic]
+    deterministic = [i for i, policy in enumerate(soap.bad) if policy.is_deterministic]
+    for i in stochastic:
+        planes[i], coefficients = _separate(good.points, [bad.points[i]], dim, mode)
+        if coefficients is not None:
+            return obstruction(i, coefficients)
+    answers = lp.check_feasible_many(
+        [_margin_lp(good.points, [bad.points[i]], dim) for i in deterministic], mode)
+    for i, answer in zip(deterministic, answers):
+        planes[i], coefficients = _separation(answer, len(good), dim, mode)
+        if coefficients is not None:
+            return obstruction(i, coefficients)
 
     if reduce:
         planes = _greedy_groups(good, bad, planes, mode)

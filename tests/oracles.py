@@ -7,7 +7,8 @@ rational Gaussian elimination, the LP certificate checks read only a
 state distribution forward for a truncated horizon or sample
 trajectories, and the feasible-set oracle enumerates every deterministic
 policy.  The greedy-merge reference solves every merge trial, refused
-ones again and again, on the library's own margin LP, the visitation
+ones again and again, on the library's own margin LP, the first-pass
+reference solves one margin LP per bad point in bad order, the visitation
 references solve one policy at a time, the float one in list arithmetic
 and the exact one by rational elimination, the standard-form reference
 builds each row entry by entry in Python lists, a column for each half
@@ -37,7 +38,10 @@ from rewardsep.mdp import (
     value_of_visitation,
 )
 from rewardsep.numeric import EXACT, NumericMode, as_exact, as_float
-from rewardsep.separability import _entries, _separate
+from rewardsep.separability import (
+    DesignOutcome, HullObstruction, _consistent_points, _entries, _greedy_groups, _realized,
+    _separate, in_convex_hull,
+)
 from rewardsep.soap import ConsistencyReport
 
 LE, EQ, GE = lp.LE, lp.EQ, lp.GE
@@ -266,6 +270,24 @@ def resolving_greedy_groups(good, bad, planes, mode: NumericMode):
         merged.append(group_sep)
         remaining = [i for i in remaining if i not in covered]
     return merged
+
+
+def sequential_design_multi(env: MarkovEnv, soap, mode: NumericMode, reduce: bool = False):
+    """`separability.design_multi` with its first pass as one loop in bad
+    order: one `in_convex_hull` margin LP per bad point, each solved
+    alone, the first member the obstruction.  The reference for the
+    stochastic-first order and the batched deterministic LPs."""
+    table, good, bad = _consistent_points(env, soap, mode)
+    planes = []
+    for name, point in zip(bad.names, bad.points):
+        membership = in_convex_hull(point, good, mode)
+        if membership.member:
+            return DesignOutcome(realizable=False, obstruction=HullObstruction(
+                policy=name, point=tuple(point.entries), coefficients=membership.coefficients))
+        planes.append(membership.separator)
+    if reduce:
+        planes = _greedy_groups(good, bad, planes, mode)
+    return _realized(table, soap, [p.normal for p in planes], [p.offset for p in planes])
 
 
 def one_float_visitation(env: MarkovEnv, policy: Policy, mode: NumericMode) -> tuple:

@@ -25,11 +25,11 @@ from rewardsep.separability import (
     hulls_intersect,
     in_convex_hull,
 )
-from rewardsep.soap import Soap
+from rewardsep.soap import Soap, SoapError
 from rewardsep.verify import verify_realization
 
 from envs import GAMMA, PI11, PI12, PI21, PI22, entailment_env, steady_state_env
-from oracles import brute_force_feasible_set, resolving_greedy_groups
+from oracles import brute_force_feasible_set, resolving_greedy_groups, sequential_design_multi
 
 F = Fraction
 
@@ -337,6 +337,129 @@ def random_consistent_soap(env, rng, max_policies=6):
         if check_consistency(env, soap, EXACT).consistent:
             return soap
     return None
+
+
+def random_stochastic_policy(env, rng, name):
+    table = {}
+    for s in env.states:
+        weights = [rng.randint(0, 3) for _ in env.actions]
+        if not any(weights):
+            weights[rng.randrange(len(weights))] = 1
+        table[s] = {a: F(w, sum(weights)) for a, w in zip(env.actions, weights) if w}
+    return Policy.stochastic(name, table)
+
+
+def one_state_blend(env, rng, good, name):
+    """A stochastic policy inside the hull of `good`, or None: halfway,
+    at one state, between two deterministic good policies that differ
+    there alone, so that its visitation lies between theirs."""
+    def differ(g, h):
+        return [s for s in env.states if g.action_map[s] != h.action_map[s]]
+
+    pairs = [(g, h) for g in good for h in good
+             if g.is_deterministic and h.is_deterministic and len(differ(g, h)) == 1]
+    if not pairs:
+        return None
+    g, h = rng.choice(pairs)
+    return Policy.stochastic(name, {s: {g.action_map[s]: F(1, 2), h.action_map[s]: F(1, 2)}
+                                    if g.action_map[s] != h.action_map[s]
+                                    else {g.action_map[s]: F(1)} for s in env.states})
+
+
+def random_mixed_soap(env, rng, max_good=6, max_bad=8):
+    """A consistent SOAP whose good list may hold a stochastic policy and
+    whose bad list mixes deterministic and stochastic policies, some of
+    them inside the good hull, in random order."""
+    from rewardsep.soap import check_consistency
+
+    policies = enumerate_deterministic_policies(env, limit=4096)
+    for _ in range(50):
+        chosen = rng.sample(policies, rng.randint(2, min(max_good + max_bad - 2, len(policies))))
+        cut = rng.randint(1, min(max_good, len(chosen) - 1))
+        good = chosen[:cut] + [random_stochastic_policy(env, rng, "gmix")] * rng.randint(0, 1)
+        stochastic = [(rng.random() < 0.5 and one_state_blend(env, rng, good, f"mix{k}"))
+                      or random_stochastic_policy(env, rng, f"mix{k}")
+                      for k in range(rng.randint(1, 3))]
+        bad = chosen[cut:] + stochastic
+        rng.shuffle(bad)
+        try:
+            soap = Soap.build(good=good, bad=bad)
+        except SoapError:  # a one-hot stochastic policy repeats another
+            continue
+        if check_consistency(env, soap, EXACT).consistent:
+            return soap
+    return None
+
+
+@pytest.fixture(scope="module")
+def mixed_cases():
+    """40 seeded random consistent SOAPs whose bad lists mix
+    deterministic and stochastic policies."""
+    rng = random.Random(21)
+    cases = []
+    while len(cases) < 40:
+        env = random_env(rng)
+        soap = random_mixed_soap(env, rng)
+        if soap is not None:
+            cases.append((env, soap))
+    return cases
+
+
+class TestStochasticFirstOrder:
+    """`design_multi` decides the stochastic bad points first and the
+    deterministic ones in one batch; the reference decides them one by
+    one in bad order (`oracles.sequential_design_multi`)."""
+
+    @pytest.mark.parametrize("reduce", [False, True], ids=["multi", "reduce"])
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT], ids=["exact", "float"])
+    def test_same_outcome_as_the_sequential_loop(self, mixed_cases, mode, reduce):
+        negatives = 0
+        for env, soap in mixed_cases:
+            outcome = design_multi(env, soap, mode, reduce=reduce)
+            assert outcome == sequential_design_multi(env, soap, mode, reduce=reduce)
+            negatives += not outcome.realizable
+        # Both answers occur, and some negatives have a deterministic bad
+        # point ahead of their stochastic member.
+        assert 0 < negatives < len(mixed_cases)
+
+    def test_some_member_follows_a_deterministic_bad_point(self, mixed_cases):
+        late = 0
+        for env, soap in mixed_cases:
+            outcome = design_multi(env, soap, EXACT)
+            if not outcome.realizable:
+                names = [p.name for p in soap.bad]
+                first = names.index(outcome.obstruction.policy)
+                late += any(p.is_deterministic for p in soap.bad[:first])
+        assert late
+
+    def test_vertex_premise(self, mixed_cases, reduce_cases):
+        """r_b(s, a) = [a != pi_b(s)] scores a deterministic bad policy's
+        visitation at 0 and every good visitation above 0."""
+        checked = 0
+        for env, soap in mixed_cases + reduce_cases:
+            good = points(env, *soap.good)
+            for policy in soap.bad:
+                if not policy.is_deterministic:
+                    continue
+                r_b = [0] * env.n_sa
+                for s in env.states:
+                    for a in env.actions:
+                        r_b[env.sa_index(s, a)] = int(a != policy.action_map[s])
+                rho_b = compute_visitation(env, policy, EXACT)
+                assert sum(r * v for r, v in zip(r_b, rho_b.entries)) == 0
+                for rho_g in good.points:
+                    assert sum(r * v for r, v in zip(r_b, rho_g.entries)) > 0
+                checked += 1
+        assert checked > 100
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT], ids=["exact", "float"])
+    def test_a_stochastic_member_solves_one_lp(self, finished_lps, mode, position):
+        bad = [PI11, PI22]
+        bad.insert(position, BLEND)
+        outcome = design_multi(entailment_env(), Soap.build(good=[PI12, PI21], bad=bad), mode)
+        assert outcome.obstruction.policy == "blend"
+        assert len(finished_lps) == 1
 
 
 class TestRandomizedEquivalences:
