@@ -311,6 +311,27 @@ def _squared_distance(p, q, zero):
     return sum(((a - b) ** 2 for a, b in zip(p, q)), zero)
 
 
+def _nearest_first(points, group, candidates, zero):
+    """`candidates` sorted by squared distance to the centroid of `group`,
+    ties broken by index."""
+    dim = len(points[group[0]])
+    centroid = [sum((points[i][k] for i in group), zero) / len(group) for k in range(dim)]
+    return sorted(candidates, key=lambda i: (_squared_distance(points[i], centroid, zero), i))
+
+
+def _chain(points, group, candidates, zero):
+    """The order in which the merge would add `candidates` to `group` if
+    every trial were accepted: each step takes the candidate nearest to
+    the centroid of the group grown so far."""
+    group, rest, chain = list(group), list(candidates), []
+    while rest:
+        nearest = _nearest_first(points, group, rest, zero)[0]
+        rest.remove(nearest)
+        group.append(nearest)
+        chain.append(nearest)
+    return chain
+
+
 def _greedy_groups(good: PointSet, bad: PointSet, planes, mode: NumericMode):
     """Cover the bad points with as few separating hyperplanes as the
     greedy merge finds: grow each candidate group outward from its
@@ -318,17 +339,35 @@ def _greedy_groups(good: PointSet, bad: PointSet, planes, mode: NumericMode):
     hyperplane still excludes the whole group.  `planes[i]` is the first
     pass's hyperplane for bad point i, which starts the group seeded there.
 
-    A candidate refused once is not tried again for the same group.  If
-    no hyperplane keeps the good hull and excludes G + {i}, none excludes
-    any superset of G + {i}: the margin rows of G + {i} are a subset of
-    the superset's.  As the group grows, that trial could only be refused
-    again, so in exact mode the first accepted candidate, its hyperplane
-    and the spec are those of re-solving every trial.  In float mode they
-    differ only where drift would accept a trial it once refused.  A
-    refused point stays in `remaining` and may seed or join a later
-    group."""
+    Acceptance is monotone: if no hyperplane keeps the good hull and
+    excludes G + {i}, none excludes any superset of G + {i}, whose margin
+    rows include those of G + {i}.  The merge uses this twice.
+
+    * From each group state it computes the chain, the order in which the
+      candidates would join if every trial were accepted (`_chain`), and
+      solves the trial of the whole chain first.  Only if that is refused
+      does it bisect on the prefix length for the longest accepted prefix;
+      the prefixes of a chain are nested, so those accepted form an
+      initial run.  The chain's next member is then known to be refused
+      with the grown group, and the other candidates are tried one at a
+      time, nearest first.
+    * A candidate refused once is not tried again for the same group:
+      with a larger group it could only be refused again.
+
+    In exact mode the last accepted trial of each group is the same LP,
+    rows in the same order, as that of the loop that tries each candidate
+    in turn, so the hyperplanes and the spec are the same.  In float mode
+    they can differ only where drift breaks monotonicity, accepting a
+    trial that contains a refused one.  A refused point stays in
+    `remaining` and may seed or join a later group."""
     zero = mode.zero
     dim = good.dimension
+    points = [_entries(p) for p in bad.points]
+
+    def trial(members):
+        separator, _ = _separate(good.points, [bad.points[g] for g in members], dim, mode)
+        return separator
+
     remaining = list(range(len(bad.points)))
     merged = []
     while remaining:
@@ -337,16 +376,24 @@ def _greedy_groups(good: PointSet, bad: PointSet, planes, mode: NumericMode):
         group_sep = planes[seed]
         candidates = [i for i in remaining if i != seed]
         while candidates:
-            centroid = [
-                sum((_entries(bad.points[i])[k] for i in group), zero) / len(group)
-                for k in range(dim)
-            ]
-            candidates.sort(
-                key=lambda i: (_squared_distance(_entries(bad.points[i]), centroid, zero), i)
-            )
-            for pos, i in enumerate(candidates):
-                trial = [bad.points[g] for g in group + [i]]
-                separator, _ = _separate(good.points, trial, dim, mode)
+            chain = _chain(points, group, candidates, zero)
+            # The prefixes up to `accepted` are accepted, from `refused` on
+            # refused; the whole chain is probed first.
+            accepted, refused, probe = 0, len(chain) + 1, len(chain)
+            while refused - accepted > 1:
+                separator = trial(group + chain[:probe])
+                if separator is None:
+                    refused = probe
+                else:
+                    accepted, group_sep = probe, separator
+                probe = (accepted + refused) // 2
+            group += chain[:accepted]
+            if accepted == len(chain):
+                break
+            # chain[accepted] heads the candidates and was refused.
+            candidates = _nearest_first(points, group, chain[accepted:], zero)
+            for pos, i in enumerate(candidates[1:], 1):
+                separator = trial(group + [i])
                 if separator is not None:
                     break
             else:
@@ -362,7 +409,7 @@ def _greedy_groups(good: PointSet, bad: PointSet, planes, mode: NumericMode):
         for i in remaining:
             if i in covered:
                 continue
-            score = sum((rk * pk for rk, pk in zip(r, _entries(bad.points[i]))), zero)
+            score = sum((rk * pk for rk, pk in zip(r, points[i])), zero)
             if score <= c - 1:
                 covered.add(i)
         merged.append(group_sep)
@@ -377,7 +424,14 @@ def design_multi(env: MarkovEnv, soap: Soap, mode: NumericMode = EXACT,
     -> stack their hyperplanes (d <= |bad|); one inside -> the convex
     coefficients read from that LP's Farkas multipliers are the
     obstruction.  With `reduce`, a greedy merge starts from these
-    hyperplanes and reuses them across bad points.
+    hyperplanes and reuses them across bad points (`_greedy_groups`).
+    From each group state it solves the margin LP of the whole chain,
+    the candidates in the order they would join if every trial were
+    accepted, and bisects on the prefix length only if that LP is
+    refused.  A prefix's exclude rows are a subset of a longer prefix's,
+    so acceptance is monotone along the chain, and in exact mode the
+    spec is the one that trying each candidate in turn gives; in float
+    mode it can differ only where drift breaks that monotonicity.
 
     The stochastic bad points are decided first, one LP each in bad
     order, and the first inside the hull is the obstruction.  Only then

@@ -6,9 +6,10 @@ rational Gaussian elimination, the LP certificate checks read only a
 `LinearProgram`'s own fields, the visitation oracles propagate the
 state distribution forward for a truncated horizon or sample
 trajectories, and the feasible-set oracle enumerates every deterministic
-policy.  The greedy-merge reference solves every merge trial, refused
-ones again and again, on the library's own margin LP, the first-pass
-reference solves one margin LP per bad point in bad order, the visitation
+policy.  The greedy-merge references solve every merge trial, refused
+ones again and again, or one trial at a time with no chain probe, on
+the library's own margin LP, the first-pass reference solves one
+margin LP per bad point in bad order, the visitation
 references solve one policy at a time, the float one in list arithmetic
 and the exact one by rational elimination, the standard-form reference
 builds each row entry by entry in Python lists, a column for each half
@@ -266,6 +267,52 @@ def resolving_greedy_groups(good, bad, planes, mode: NumericMode):
                 continue
             score = sum((conv(rk) * conv(pk) for rk, pk in zip(r, entries[i])), mode.zero)
             if score <= conv(c) - 1:
+                covered.add(i)
+        merged.append(group_sep)
+        remaining = [i for i in remaining if i not in covered]
+    return merged
+
+
+def sequential_greedy_groups(good, bad, planes, mode: NumericMode):
+    """The greedy merge of `separability._greedy_groups` as one trial at a
+    time: at every step of a group's growth it solves the trial LP of each
+    candidate in order of distance to the group's centroid, until one is
+    accepted, and drops the candidates refused before it.  The reference
+    for the chain probe and its bisection, which must reach the same last
+    accepted trial of each group."""
+    zero = mode.zero
+    dim = good.dimension
+    remaining = list(range(len(bad.points)))
+    merged = []
+    while remaining:
+        seed = remaining[0]
+        group = [seed]
+        group_sep = planes[seed]
+        candidates = [i for i in remaining if i != seed]
+        while candidates:
+            centroid = [
+                sum((_entries(bad.points[i])[k] for i in group), zero) / len(group)
+                for k in range(dim)
+            ]
+            candidates.sort(key=lambda i: (sum(
+                ((a - b) ** 2 for a, b in zip(_entries(bad.points[i]), centroid)), zero), i))
+            for pos, i in enumerate(candidates):
+                trial = [bad.points[g] for g in group + [i]]
+                separator, _ = _separate(good.points, trial, dim, mode)
+                if separator is not None:
+                    break
+            else:
+                break
+            group_sep = separator
+            group.append(i)
+            candidates = candidates[pos + 1:]
+        r, c = group_sep.normal, group_sep.offset
+        covered = set(group)
+        for i in remaining:
+            if i in covered:
+                continue
+            score = sum((rk * pk for rk, pk in zip(r, _entries(bad.points[i]))), zero)
+            if score <= c - 1:
                 covered.add(i)
         merged.append(group_sep)
         remaining = [i for i in remaining if i not in covered]

@@ -29,7 +29,12 @@ from rewardsep.soap import Soap, SoapError
 from rewardsep.verify import verify_realization
 
 from envs import GAMMA, PI11, PI12, PI21, PI22, entailment_env, steady_state_env
-from oracles import brute_force_feasible_set, resolving_greedy_groups, sequential_design_multi
+from oracles import (
+    brute_force_feasible_set,
+    resolving_greedy_groups,
+    sequential_design_multi,
+    sequential_greedy_groups,
+)
 
 F = Fraction
 
@@ -245,9 +250,9 @@ class TestOneLpPerHullQuery:
     def test_reduce_starts_from_first_pass_planes(self, lp_solves):
         outcome = design_multi(entailment_env(), SINGLE_GOOD_SOAP, EXACT, reduce=True)
         assert outcome.spec.dimension == 1
-        # One margin LP per bad point, then the two merge trials that grow
-        # the single group; no LP is solved twice.
-        assert len(lp_solves) == 3 + 2
+        # One margin LP per bad point, then the one probe of the whole
+        # chain that grows the single group; no LP is solved twice.
+        assert len(lp_solves) == 3 + 1
         assert len(set(lp_solves)) == len(lp_solves)
 
     def test_scalar_negative_keeps_the_intersection_lp(self, lp_solves):
@@ -576,3 +581,104 @@ class TestGreedyMergeReference:
             assert solved <= len(trials)
             fewer += solved < len(trials)
         assert fewer >= 1
+
+
+@pytest.fixture
+def merge_trials(monkeypatch):
+    """(program, excluded points in row order, feasible) of each
+    merge-trial LP solved through `lp.check_feasible`, in order;
+    first-pass LPs exclude one point and are left out."""
+    trials = []
+    real = lp.check_feasible
+
+    def spy(program, mode=EXACT):
+        result = real(program, mode)
+        excluded = [tuple(row[:-1]) for row, sense in zip(program.matrix, program.senses)
+                    if sense == lp.LE]
+        if len(excluded) > 1:
+            trials.append((program, excluded, result[0]))
+        return result
+
+    monkeypatch.setattr(lp, "check_feasible", spy)
+    return trials
+
+
+def _bisections_and_resumed_scans(trials):
+    """The merge steps that `trials` show.  A bisection follows a refused
+    chain probe with one of its prefixes, and here counts only when that
+    prefix is accepted, so the refusal fell mid-chain.  A resumed scan
+    tries another candidate in place of the refused chain member: a trial
+    as long as a refused one, equal to it but for its last point; it
+    counts here only when accepted."""
+    bisections = resumed = 0
+    refused = []
+    for _, excluded, feasible in trials:
+        if feasible:
+            last = refused[-1] if refused else []
+            bisections += len(excluded) < len(last) and last[:len(excluded)] == excluded
+            resumed += any(len(excluded) == len(r) and r[:-1] == excluded[:-1]
+                           for r in refused)
+        else:
+            refused.append(excluded)
+    return bisections, resumed
+
+
+class TestChainProbe:
+    """`design_multi(reduce=True)` probes each group's whole chain first
+    and bisects only on a refusal; the reference tries one candidate at a
+    time (`oracles.sequential_greedy_groups`)."""
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT], ids=["exact", "float"])
+    def test_same_spec_as_sequential_merge(self, reduce_cases, merge_trials, monkeypatch, mode):
+        bisected = resumed = 0
+        for env, soap in reduce_cases:
+            merge_trials.clear()
+            spec = design_multi(env, soap, mode, reduce=True).spec
+            bisections, scans = _bisections_and_resumed_scans(merge_trials)
+            bisected += bisections > 0
+            resumed += bisections > 0 and scans > 0
+            with monkeypatch.context() as patch:
+                patch.setattr(separability, "_greedy_groups", sequential_greedy_groups)
+                reference = design_multi(env, soap, mode, reduce=True).spec
+            assert _spec_key(spec, mode) == _spec_key(reference, mode)
+        # Some refusals fall mid-chain, and some of those cases also
+        # accept a candidate in the resumed scan.
+        assert bisected >= 1
+        assert resumed >= 1
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT], ids=["exact", "float"])
+    def test_an_accepted_chain_costs_one_merge_lp(self, finished_lps, mode):
+        """A deterministic good policy's visitation is a vertex of the
+        visitation polytope, outside the hull of any other visitations,
+        so one hyperplane excludes every bad point: the merge makes one
+        group, and its first probe accepts the whole chain."""
+        from rewardsep.soap import check_consistency
+
+        rng = random.Random(5)
+        checked = 0
+        while checked < 10:
+            env = random_env(rng)
+            policies = enumerate_deterministic_policies(env, limit=4096)
+            chosen = rng.sample(policies, min(len(policies), rng.randint(3, 9)))
+            soap = Soap.build(good=chosen[:1], bad=chosen[1:])
+            if not check_consistency(env, soap, EXACT).consistent:
+                continue
+            finished_lps.clear()
+            outcome = design_multi(env, soap, mode, reduce=True)
+            assert outcome.spec.dimension == 1
+            assert len(finished_lps) == len(soap.bad) + 1
+            checked += 1
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT], ids=["exact", "float"])
+    def test_no_lp_solved_twice(self, reduce_cases, merge_trials, mode):
+        for env, soap in reduce_cases:
+            merge_trials.clear()
+            design_multi(env, soap, mode, reduce=True)
+            programs = [program for program, _, _ in merge_trials]
+            assert len(set(programs)) == len(programs)
+            # A group whose first probe is accepted solves no other trial.
+            by_seed = {}
+            for _, excluded, feasible in merge_trials:
+                by_seed.setdefault(excluded[0], []).append(feasible)
+            for outcomes in by_seed.values():
+                assert not outcomes[0] or len(outcomes) == 1
