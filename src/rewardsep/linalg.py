@@ -1,10 +1,12 @@
-"""Dense square solves: every visitation, and the duals of a float LP.
+"""Dense square solves: every visitation, and the Farkas multipliers of an
+infeasible float LP.
 
-Exact solves serve the visitations only; exact LP multipliers are read off
-the simplex tableau instead (see `lp`).  They are fraction-free (Bareiss
-1968), run on a stack of integer systems at once: each column step is one
-object-array update of every system, with exact integer division, and back
-substitution gives y = det * x in integers, so an exact stack returns
+Exact solves serve the visitations only; exact Farkas multipliers are read
+off the simplex tableau instead, and a feasible LP solves no system (see
+`lp`).  Exact solves are fraction-free (Bareiss 1968), run on a stack of
+integer systems at once: each column step is one object-array update of
+every system, with exact integer division, and back substitution gives
+y = det * x in integers, so an exact stack returns
 (y, det) and forms no rational at all.  A lone exact system is scaled to
 integers row by row, by the lcm of each row's denominators, and solved as
 a stack of one; only its returned x_i = y_i / det are rationals.  Float

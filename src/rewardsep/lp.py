@@ -1,15 +1,16 @@
-"""Self-contained two-phase simplex with exact-rational and float backends.
+"""Self-contained phase-1 simplex feasibility solver with exact-rational and
+float backends.
 
 The solver is small and dense on purpose: every decision procedure in the
-package reduces to LPs with at most a few dozen rows and columns, and the
-questions they encode (hull membership, separation, optimality) are exact
-set statements.  One Bland's-rule driver (`_bland`) runs both phases of
-an LP over either of two tableaux, which supply only their arithmetic:
-pricing, pivoting, the entering-column scan and the ratio test.  The
-scan runs up to a column limit: every column in phase 1, the columns
-below the first artificial in phase 2.  Bland's rule keeps the pivot
-sequence finite, and all tie-breaking is by lowest index, so outputs are
-deterministic.
+package reduces to LP feasibility questions with at most a few dozen rows
+and columns, and the questions they encode (hull membership, separation,
+optimality) are exact set statements.  An LP is rows over variables that
+are each free or nonnegative, with no objective: phase 1 decides it, and
+its answer is a feasible point or a Farkas certificate.  One Bland's-rule
+driver (`_bland`) runs phase 1 over either of two tableaux, which supply
+only their arithmetic: pricing, pivoting, the entering-column scan and
+the ratio test.  Bland's rule keeps the pivot sequence finite, and all
+tie-breaking is by lowest index, so outputs are deterministic.
 
 The exact tableau pivots fraction-free: each row is a list of integers
 over one positive row denominator, reduced by a single gcd per updated
@@ -28,13 +29,11 @@ numbers: in exact mode ints over one row denominator, by
 float64 array, by the same rules, with the column split, the row
 negation and the slack and artificial columns applied to the array, so
 that every entry is the one a row-by-row set-up gives, the sign of each
-zero included.  Rationals appear only at the edges: the objective and
-bounds, and the basic values, rays and multipliers read out.  The exact
-reduced costs are integers over one denominator, so the simplex
-multipliers are read off the final tableau (Chvátal 1983, ch. 10): at
-the optimum they are the duals, at an infeasible phase 1 the Farkas
-multipliers, and no basis is solved.  Every zero in an exact answer is
-the shared `numeric.ZERO`.
+zero included.  Rationals appear only at the edges: the basic values and
+multipliers read out.  The exact reduced costs are integers over one
+denominator, so the Farkas multipliers of an infeasible phase 1 are read
+off the final tableau (Chvátal 1983, ch. 10), and no basis is solved.
+Every zero in an exact answer is the shared `numeric.ZERO`.
 
 The float tableau is one float64 array with the rhs as its last column,
 and its sign tests use a tolerance.  A float pivot is one masked rank-1
@@ -44,8 +43,9 @@ update, so the answers are those of plain float rows, bit for bit.  Its
 reduced costs are one float64 vector that each pivot updates in place
 with the same operations, and numpy scans it for the entering column.
 They carry rounding, so the tableau keeps a copy of its unpivoted array,
-and the float multipliers solve Bᵀy = c_B on its basis columns with
-`linalg.solve_square`.
+and the Farkas multipliers of an infeasible float LP solve Bᵀy = c_B on
+its basis columns with `linalg.solve_square`.  A feasible LP solves no
+square system.
 
 `check_feasible_many` decides a batch of LPs.  In float mode, two or
 more LPs whose standard forms have one shape run phase 1 in lockstep
@@ -54,19 +54,13 @@ their reduced costs one (k, w) array.  Each step makes, for every LP
 still running, the entering column, ratio ties, leaving row and pivot
 that `_bland` makes over its `_FloatTableau`, with the same IEEE
 operations per entry, so each LP ends phase 1 bit for bit as it would
-alone.  The rest of `solve` (`_finish`: the infeasibility test,
-artificial removal, phase 2, the readout and the duals) then runs per
-LP, only when its answer is drawn.  A lone float LP keeps the 2D
-tableau: a stack of one costs about 2.6 times as much per LP.  Exact
-LPs are solved one at a time.
+alone.  The rest of `solve` (`_finish`: the infeasibility test, then the
+multipliers, or the artificial removal and the point) then runs per LP,
+only when its answer is drawn.  Every other LP, exact or a lone float
+one, is solved by `solve`: a stack of one costs about 2.6 times as much
+per LP as the 2D tableau.
 
 A `LinearProgram` is validated once, when it is constructed.
-
-Certificates returned with each solution:
-  * optimal    -> per-row duals plus the dual objective (weak-duality check)
-  * infeasible -> Farkas multipliers: aggregating the rows with them yields
-                  a single inequality unsatisfiable over the variable box
-  * unbounded  -> a recession ray along which the objective decreases
 """
 
 from __future__ import annotations
@@ -80,30 +74,26 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .numeric import (
-    EXACT, FLOAT, NumericMode, as_exact, over_common_denominator, parse_rational,
-)
+from .numeric import EXACT, FLOAT, NumericMode, over_common_denominator
 
 log = logging.getLogger(__name__)
 
-OPTIMAL = "optimal"
+FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 LE, EQ, GE = "le", "eq", "ge"
-_SENSES = {
-    "le": LE, "<=": LE, "=<": LE,
-    "eq": EQ, "=": EQ, "==": EQ,
-    "ge": GE, ">=": GE, "=>": GE,
-}
 
-# Pivots per phase.  Bland's rule cannot cycle with exact sign tests, but
-# float drift can make it run on.  The largest count of any LP that
+# Pivots per phase 1.  Bland's rule cannot cycle with exact sign tests,
+# but float drift can make it run on.  The largest count of any LP that
 # finishes in the benchmark's first passes (seeds 1-10, all workloads) is
 # 477, on an 81-row float optimality LP.  The limit is ten times that,
 # rounded up: room for larger LPs, while a run-away float LP still stops
 # in well under a second.
 _MAX_PIVOTS = 5_000
+_PIVOT_LIMIT = "simplex pivot limit exceeded"
+# Float drift can leave a column that prices negative with no entry above
+# the tolerance; exact phase 1 is always bounded.
+_UNBOUNDED = "phase 1 cannot be unbounded"
 
 
 class LpInputError(ValueError):
@@ -112,41 +102,26 @@ class LpInputError(ValueError):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min objective . x  subject to  matrix x (senses) rhs,  bounds on x.
+    """Find x with  matrix x (senses) rhs,  x_j free where free[j] and
+    x_j >= 0 otherwise.  ``senses`` holds "le" | "eq" | "ge" per row."""
 
-    ``senses`` holds "le" | "eq" | "ge" per row.  ``bounds`` holds one
-    (lower, upper) pair per variable with None meaning unbounded; the
-    default bound is (0, None).
-    """
-
-    objective: tuple
     matrix: tuple
     rhs: tuple
     senses: tuple
-    bounds: tuple
+    free: tuple
 
     @staticmethod
-    def build(objective, matrix, rhs, senses, bounds=None) -> "LinearProgram":
-        objective = tuple(objective)
-        matrix = tuple(tuple(row) for row in matrix)
-        rhs = tuple(rhs)
-        try:
-            senses = tuple(_SENSES[s] for s in senses)
-        except KeyError as exc:
-            raise LpInputError(f"unknown constraint sense {exc.args[0]!r}") from exc
-        n = len(objective)
-        if bounds is None:
-            bounds = tuple((0, None) for _ in range(n))
-        else:
-            bounds = tuple((lo, hi) for lo, hi in bounds)
-        return LinearProgram(objective, matrix, rhs, senses, bounds)
+    def build(matrix, rhs, senses, free) -> "LinearProgram":
+        """An LP from sequences; rows that are tuples already are kept."""
+        matrix = tuple(row if type(row) is tuple else tuple(row) for row in matrix)
+        return LinearProgram(matrix, tuple(rhs), tuple(senses), tuple(free))
 
     def __post_init__(self):
         _validate(self)
 
     @property
     def n_vars(self) -> int:
-        return len(self.objective)
+        return len(self.free)
 
     @property
     def n_rows(self) -> int:
@@ -154,144 +129,96 @@ class LinearProgram:
 
 
 def _check_finite(values, where):
-    """Raise LpInputError at the first float NaN or infinity in `values`;
-    `where(k)` names the place of entry k.  A finite `fsum`, one C-level
-    pass, clears a vector that starts with a float; anything else is tested
-    entry by entry (on Fractions `fsum` is slower than this loop)."""
+    """Raise LpInputError at the first float NaN or infinity in `values`,
+    which are in `where`.  A finite `fsum`, one C-level pass, clears a
+    vector that starts with a float; anything else is tested entry by
+    entry (on Fractions `fsum` is slower than this loop)."""
     if isinstance(next(iter(values), None), float):
         try:
             if math.isfinite(math.fsum(values)):
                 return
         except (TypeError, OverflowError, ValueError):
             pass
-    for k, v in enumerate(values):
+    for v in values:
         if isinstance(v, float) and not math.isfinite(v):
-            raise LpInputError(f"non-finite coefficient in {where(k)}: {v!r}")
+            raise LpInputError(f"non-finite coefficient in {where}: {v!r}")
 
 
 def _validate(lp: LinearProgram):
     n = lp.n_vars
     if len(lp.rhs) != lp.n_rows or len(lp.senses) != lp.n_rows:
         raise LpInputError("rhs/senses length does not match the constraint count")
+    for sense in lp.senses:
+        if sense not in (LE, EQ, GE):
+            raise LpInputError(f"unknown constraint sense {sense!r}")
     for i, row in enumerate(lp.matrix):
         if len(row) != n:
             raise LpInputError(f"constraint row {i} has {len(row)} coefficients, expected {n}")
-        _check_finite(row, lambda k: f"row {i}")
-    _check_finite(lp.objective, lambda k: "objective")
-    _check_finite(lp.rhs, lambda k: "rhs")
-    if len(lp.bounds) != n:
-        raise LpInputError("bounds length does not match the variable count")
-    _check_finite([v for box in lp.bounds for v in box],
-                  lambda k: f"bounds of variable {k // 2}")
-    for j, (lo, hi) in enumerate(lp.bounds):
-        if lo is not None and hi is not None and _rational(lo) > _rational(hi):
-            raise LpInputError(f"empty box for variable {j}: lower bound {lo} > upper bound {hi}")
-
-
-def _rational(value):
-    """A bound as a number that compares exactly: strings are parsed."""
-    return parse_rational(value) if isinstance(value, str) else value
-
-
-@dataclass(frozen=True)
-class DualCertificate:
-    """Row duals of an optimal solution; dual_objective matches the primal."""
-
-    row_duals: tuple
-    dual_objective: object
+        _check_finite(row, f"row {i}")
+    _check_finite(lp.rhs, "rhs")
 
 
 @dataclass(frozen=True)
 class FarkasCertificate:
     """Row multipliers y witnessing infeasibility: y ≤ 0 on le rows, y ≥ 0
-    on ge rows, and yᵀb above the supremum of yᵀA·x over the variable box."""
+    on ge rows, yᵀA zero on the free columns and at most zero on the
+    nonnegative ones, and yᵀb > 0."""
 
     row_multipliers: tuple
 
 
 @dataclass(frozen=True)
-class UnboundedRay:
-    """Feasible recession direction with negative objective slope."""
-
-    direction: tuple
-
-
-@dataclass(frozen=True)
 class LpSolution:
+    """A feasible point (`primal`) or a `FarkasCertificate`."""
+
     status: str
     primal: Optional[tuple] = None
-    objective_value: object = None
-    certificate: object = None
+    certificate: Optional[FarkasCertificate] = None
 
 
 class _Std:
     """Standard form in the tableau's own numbers: nonnegative columns, and
     equality rows with their slack and artificial columns.
 
-    Free variables split into nonnegative pairs; finite lower/upper bounds
-    become shifts/reflections, two-sided bounds add an explicit row.  Each
-    row, rhs last, is negated if that rhs is negative.  In float mode
-    `rows` is one float64 array of shape (rows, width + 1), its slack
-    entries ±1.0 and its artificial entries 1.0, and `dens` is None.  In
-    exact mode row i is a list of ints over dens[i], [a_i1 … a_in | b_i]
-    for n LP variables, and standard-form column j is s times stored
-    column k for (k, s) = vmap[j]: column (v, ±1) of variable v is
-    ±column v, row i's slack is ±column n + i (+ for le, − for ge) and its
-    artificial is column n + i, which is basic in row i, dens[i] there and
-    0 elsewhere, and so not stored (see `_IntTableau`).  units[i] is the
-    (column, ±1) of row i's slack, or of its artificial if it has none,
-    and basis[i] starts at its artificial, or at its slack if it has
-    none: +1 times column n + i.
+    A free variable splits into a nonnegative pair.  Each row, rhs last,
+    is negated if that rhs is negative.  In float mode `rows` is one
+    float64 array of shape (rows, width + 1), its slack entries ±1.0 and
+    its artificial entries 1.0, and `dens` is None.  In exact mode row i
+    is a list of ints over dens[i], [a_i1 … a_in | b_i] for n LP
+    variables, and standard-form column j is s times stored column k for
+    (k, s) = vmap[j]: column (v, ±1) of variable v is ±column v, row i's
+    slack is ±column n + i (+ for le, − for ge) and its artificial is
+    column n + i, which is basic in row i, dens[i] there and 0 elsewhere,
+    and so not stored (see `_IntTableau`).  units[i] is the (column, ±1)
+    of row i's slack, or of its artificial if it has none, and basis[i]
+    starts at its artificial, or at its slack if it has none: +1 times
+    column n + i.
     """
 
-    __slots__ = ("cols", "var_cols", "shifts", "rows", "dens", "origin", "negated",
-                 "basis", "units", "art_first", "width", "vmap")
+    __slots__ = ("cols", "rows", "dens", "negated", "basis", "units", "art_first", "width",
+                 "vmap")
 
 
-def _standardize(lp: LinearProgram, bounds, mode: NumericMode) -> _Std:
+def _standardize(lp: LinearProgram, mode: NumericMode) -> _Std:
     std = _Std()
-    zero = mode.zero
-    std.cols = []       # (orig var index, +1 | -1)
-    std.shifts = []     # per orig var
-    var_cols = std.var_cols = [[] for _ in bounds]
-    boxes = []  # (var, upper bound) of the two-sided boxes
-    for j, (lo, hi) in enumerate(bounds):
-        if lo is None and hi is None:
-            std.shifts.append(zero)
-            for sign in (1, -1):
-                var_cols[j].append((len(std.cols), sign))
-                std.cols.append((j, sign))
-        elif hi is None:
-            std.shifts.append(lo)
-            var_cols[j].append((len(std.cols), 1))
-            std.cols.append((j, 1))
-        elif lo is None:
-            std.shifts.append(hi)
-            var_cols[j].append((len(std.cols), -1))
-            std.cols.append((j, -1))
-        else:
-            std.shifts.append(lo)
-            var_cols[j].append((len(std.cols), 1))
-            boxes.append((j, hi))
-            std.cols.append((j, 1))
+    std.cols = []  # (LP variable, +1 | -1) per structural column
+    for j, free in enumerate(lp.free):
+        std.cols += [(j, 1), (j, -1)] if free else [(j, 1)]
 
-    # Each row, a box x_j <= hi among them, is converted once with its rhs.
-    n = len(bounds)
-    rows = [*zip(lp.matrix, lp.rhs),
-            *(([int(k == j) for k in range(n)], hi) for j, hi in boxes)]
+    # Each row is converted once with its rhs.
+    rows = list(zip(lp.matrix, lp.rhs))
     if mode.exact:
-        coeffs, std.dens, std.negated = _exact_rows(rows, std.shifts)
+        coeffs, std.dens, std.negated = _exact_rows(rows)
     else:
-        coeffs, std.negated = _float_rows(rows, std)
+        coeffs, std.negated = _float_rows(rows, lp.n_vars, std.cols)
         std.dens = None
     flip = {LE: GE, GE: LE, EQ: EQ}
-    senses = [flip[sense] if negated else sense for sense, negated in
-              zip([*lp.senses, *[LE] * len(boxes)], std.negated)]
+    senses = [flip[sense] if negated else sense
+              for sense, negated in zip(lp.senses, std.negated)]
 
-    n_struct = len(std.cols)
+    n, n_struct = lp.n_vars, len(std.cols)
     std.art_first = n_struct + sum(sense != EQ for sense in senses)
     std.width = std.art_first + sum(sense != LE for sense in senses)
-    std.origin = list(range(lp.n_rows)) + [None] * len(boxes)
     std.basis, std.units, entries = [], [], []
     slack, art = n_struct, std.art_first
     for i, sense in enumerate(senses):
@@ -320,39 +247,28 @@ def _standardize(lp: LinearProgram, bounds, mode: NumericMode) -> _Std:
     return std
 
 
-def _exact_rows(rows, shifts):
+def _exact_rows(rows):
     """(rows, dens, negated) of an exact LP: each row as ints over its lcm
     denominator dens[i], one per LP variable and the rhs last, negated
-    when that rhs is negative.  The shifts move the rhs first."""
-    shifted = [j for j, s in enumerate(shifts) if s]
+    when that rhs is negative."""
     out, dens, negated = [], [], []
     for row, b in rows:
-        term = sum(v * shifts[j] for j in shifted if (v := as_exact(row[j])))
-        nums, den = over_common_denominator([*row, as_exact(b) - term if term else b])
+        nums, den = over_common_denominator([*row, b])
         negated.append(nums[-1] < 0)
         out.append([-v for v in nums] if nums[-1] < 0 else nums)
         dens.append(den)
     return out, dens, negated
 
 
-def _float_rows(rows, std):
+def _float_rows(rows, n, cols):
     """(rows, negated) of a float LP: one float64 array of the structural
     rows, rhs last, each row negated whole (its zeros become -0.0) when its
-    rhs is negative.  The shifts move the rhs first, summed left to right
-    over the shifted columns.  A zero coefficient is +0.0 in both halves
-    of a split column, whatever its sign in the LP."""
-    a = _float64([(*row, b) for row, b in rows], (len(rows), len(std.var_cols) + 1))
-    shifted = [j for j, s in enumerate(std.shifts) if s]
-    if shifted:
-        # A zero product leaves the sum unchanged: it starts at +0.0 and
-        # never becomes -0.0.
-        term = np.zeros(len(a))
-        for j in shifted:
-            term = term + a[:, j] * std.shifts[j]
-        a[:, -1] -= term
-    split = a[:, [j for j, _ in std.cols]]
-    signs = np.array([sign for _, sign in std.cols], dtype=float)
-    out = np.empty((len(a), len(std.cols) + 1))
+    rhs is negative.  A zero coefficient is +0.0 in every structural
+    column, whatever its sign in the LP."""
+    a = _float64([(*row, b) for row, b in rows], (len(rows), n + 1))
+    split = a[:, [j for j, _ in cols]]
+    signs = np.array([sign for _, sign in cols], dtype=float)
+    out = np.empty((len(a), len(cols) + 1))
     out[:, :-1] = np.where(split != 0, split * signs, 0.0)
     out[:, -1] = a[:, -1]
     negated = out[:, -1] < 0
@@ -369,21 +285,23 @@ def _float64(rows, shape):
     if array.dtype.kind not in "biuf" or array.shape != shape:  # Fractions, strings, huge ints
         array = np.array([FLOAT.scaled(row)[0] for row in rows])
     return array.astype(float, copy=False).reshape(shape)
-def _bland(tab, basis, limit):
-    """Bland's rule (Bland 1977), the one pivot loop of both phases and
-    both tableaux: the lowest-index column below `limit` with a negative
-    reduced cost enters, and of the rows at the minimum ratio the one
-    whose basic variable has the lowest index leaves.  Returns
-    (OPTIMAL, None) or (UNBOUNDED, entering column)."""
+
+
+def _bland(tab, basis):
+    """Phase 1 by Bland's rule (Bland 1977) over either tableau: the
+    lowest-index column with a negative reduced cost enters, and of the
+    rows at the minimum ratio the one whose basic variable has the lowest
+    index leaves.  Raises RuntimeError when a column enters with no row to
+    leave (float drift) or at the pivot limit."""
     for _ in range(_MAX_PIVOTS):
-        enter = tab.entering(limit)
+        enter = tab.entering()
         if enter is None:
-            return OPTIMAL, None
+            return
         ties = tab.ratio_ties(enter)
         if not ties:
-            return UNBOUNDED, enter
+            raise RuntimeError(_UNBOUNDED)
         tab.pivot(basis, min(ties, key=basis.__getitem__), enter)
-    raise RuntimeError("simplex pivot limit exceeded")
+    raise RuntimeError(_PIVOT_LIMIT)
 
 
 class _FloatTableau:
@@ -411,10 +329,9 @@ class _FloatTableau:
                 z = z - cb * row[:-1]
         self.z = z
 
-    def entering(self, limit):
-        """The lowest column below `limit` whose reduced cost is below
-        -tol, or None."""
-        neg = (self.z[:limit] < -self.tol).nonzero()[0]
+    def entering(self):
+        """The lowest column whose reduced cost is below -tol, or None."""
+        neg = (self.z < -self.tol).nonzero()[0]
         return int(neg[0]) if len(neg) else None
 
     def ratio_ties(self, enter):
@@ -444,22 +361,11 @@ class _FloatTableau:
     def nonzero(self, i, j) -> bool:
         return not -self.tol <= self.rows[i, j] <= self.tol
 
-    def entry(self, i, j) -> float:
-        return float(self.rows[i, j])
-
     def value(self, i) -> float:
         return float(self.rows[i, -1])
 
-    def keep(self, dead):
-        """Drop the tableau rows `dead`, and from the unpivoted copy the
-        original rows whose artificials were basic there."""
-        self.rows = np.delete(self.rows, list(dead), axis=0)
-        self.unpivoted = np.delete(self.unpivoted, list(dead.values()), axis=0)
-
     def duals(self, basis, costs, units):
         """Solve Bᵀy = c_B on the basis columns of the unpivoted rows."""
-        if not basis:
-            return []
         return linalg.solve_square(self.unpivoted[:, basis].T,
                                    [costs[j] for j in basis], FLOAT)
 
@@ -531,10 +437,9 @@ class _IntTableau:
                 zd *= d
         self._set_z(z, zd)
 
-    def entering(self, limit):
-        """The lowest column below `limit` with a negative reduced cost, or
-        None."""
-        return next((j for j, v in enumerate(self.z[:limit]) if v < 0), None)
+    def entering(self):
+        """The lowest column with a negative reduced cost, or None."""
+        return next((j for j, v in enumerate(self.z) if v < 0), None)
 
     def ratio_ties(self, enter):
         """The rows at the minimum ratio N_i[-1] / t_i over positive entries
@@ -598,17 +503,8 @@ class _IntTableau:
     def nonzero(self, i, j) -> bool:
         return self._at(i, j) != 0
 
-    def entry(self, i, j) -> Fraction:
-        return Fraction(self._at(i, j), self.dens[i])
-
     def value(self, i) -> Fraction:
         return Fraction(self.rows[i][-1], self.dens[i])
-
-    def keep(self, dead):
-        """Drop the tableau rows `dead`, whose basic columns are 0 in the rest."""
-        live = [i for i in range(len(self.rows)) if i not in dead]
-        self.rows, self.dens, self.basic, self.bsign = [
-            [v[i] for i in live] for v in (self.rows, self.dens, self.basic, self.bsign)]
 
     def duals(self, basis, costs, units):
         """The simplex multipliers y = B⁻ᵀ c_B, read off the reduced costs
@@ -619,157 +515,73 @@ class _IntTableau:
 
 
 def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
-    """Two-phase simplex.  Deterministic for identical inputs."""
+    """Phase-1 simplex: a feasible point or a Farkas certificate.
+    Deterministic for identical inputs."""
     setup = _Phase1(lp, mode)
-    status, _ = _bland(setup.tab, setup.std.basis, setup.std.width)
-    return _finish(setup, status)
+    _bland(setup.tab, setup.std.basis)
+    return _finish(setup)
 
 
 class _Phase1:
-    """An LP set up for phase 1: its objective and bounds in the mode's
-    numbers, its standard form, and its tableau priced by `costs`, 1 on
-    every artificial column and 0 elsewhere.  `row_of_art` maps each
-    artificial column to the row it starts basic in."""
+    """An LP set up for phase 1: its standard form, and its tableau priced
+    by `costs`, 1 on every artificial column and 0 elsewhere."""
 
-    __slots__ = ("lp", "mode", "c", "bounds", "std", "tab", "costs", "row_of_art")
+    __slots__ = ("lp", "mode", "std", "tab", "costs")
 
     def __init__(self, lp: LinearProgram, mode: NumericMode):
         if log.isEnabledFor(logging.DEBUG):
             log.debug("solving LP:\n%s", format_lp(lp))
-        conv, zero = mode.convert, mode.zero
+        zero = mode.zero
         self.lp, self.mode = lp, mode
-        self.c = [conv(v) for v in lp.objective]
-        self.bounds = [tuple(None if v is None else conv(v) for v in box)
-                       for box in lp.bounds]
-        std = self.std = _standardize(lp, self.bounds, mode)
+        std = self.std = _standardize(lp, mode)
         if mode.exact:
             self.tab = _IntTableau(std.rows, std.dens, std.vmap)
         else:
             self.tab = _FloatTableau(std.rows, mode.tolerance)
         self.costs = [zero] * std.art_first + [zero + 1] * (std.width - std.art_first)
-        self.row_of_art = {col: i for i, col in enumerate(std.basis) if col >= std.art_first}
         self.tab.price(std.basis, self.costs)
 
 
-def _finish(setup: _Phase1, status) -> LpSolution:
-    """What `solve` does once phase 1 has ended with `status`: the
-    infeasibility test, artificial removal, phase 2 and the readout."""
-    if status != OPTIMAL:  # pragma: no cover - phase 1 is always bounded
-        raise RuntimeError("phase 1 cannot be unbounded")
-    lp, mode, c, bounds, std, tab = (
-        setup.lp, setup.mode, setup.c, setup.bounds, setup.std, setup.tab)
-    tol, zero = mode.tolerance, mode.zero
-    m, n_struct, ncols = len(std.basis), len(std.cols), std.width
-    basis, units = std.basis, std.units
+def _finish(setup: _Phase1) -> LpSolution:
+    """What `solve` does once phase 1 has ended: the infeasibility test,
+    then the Farkas multipliers, or the artificial removal and the point."""
+    mode, std, tab = setup.mode, setup.std, setup.tab
+    tol, zero, basis = mode.tolerance, mode.zero, std.basis
     # The float tolerance grows with the rhs; the exact threshold is 0.
     scale = 1 + sum(map(abs, tab.unpivoted[:, -1].tolist())) if tol else 1
     # Phase 1 leaves every basic value >= 0, so an exact LP is infeasible
     # exactly when a basic artificial has a nonzero rhs.
-    arts = [i for i in range(m) if basis[i] >= std.art_first]
+    arts = [i for i, col in enumerate(basis) if col >= std.art_first]
     if (any(tab.rows[i][-1] for i in arts) if mode.exact
             else sum(tab.value(i) for i in arts) > tol * scale):
-        y_std = tab.duals(basis, setup.costs, units)
-        y = mode.share_zero(_map_duals(y_std, std, len(lp.matrix)))
+        y = tab.duals(basis, setup.costs, std.units)
+        y = mode.share_zero(-v if negated else v for v, negated in zip(y, std.negated))
         return LpSolution(status=INFEASIBLE, certificate=FarkasCertificate(y))
 
-    # Remove artificial variables from the basis.  A tableau row that is
-    # zero outside the artificial columns is redundant: drop it, and with
-    # it the original row whose artificial is basic there, so the basis
-    # left for the duals stays square and nonsingular.  The rows left are
-    # B'⁻¹ times the kept rows, so the multipliers read off them are those
-    # of the kept rows.
-    dead = {}  # tableau row -> original row
+    # Pivot each artificial left basic, at level zero, out of the basis on
+    # the first other column nonzero in its row; a row with none is
+    # redundant and keeps its artificial.
     for i in arts:
         enter = next((j for j in range(std.art_first) if tab.nonzero(i, j)), None)
-        if enter is None:
-            dead[i] = setup.row_of_art[basis[i]]
-        else:
+        if enter is not None:
             tab.pivot(basis, i, enter)
-    if dead:
-        gone = set(dead.values())
-        tab.keep(dead)
-        basis = [v for i, v in enumerate(basis) if i not in dead]
-        units = [v for i, v in enumerate(units) if i not in gone]
-        std.origin = [v for i, v in enumerate(std.origin) if i not in gone]
-        std.negated = [v for i, v in enumerate(std.negated) if i not in gone]
-        m = len(basis)
-
-    # Phase 2: the real objective over structural columns.
-    costs2 = [zero] * ncols
+    x_std = [zero] * std.width
+    for i, col in enumerate(basis):
+        x_std[col] = tab.value(i)
+    primal = [zero] * setup.lp.n_vars
     for col, (j, sign) in enumerate(std.cols):
-        costs2[col] = c[j] if sign == 1 else -c[j]
-    tab.price(basis, costs2)
-    status, enter = _bland(tab, basis, std.art_first)
-
-    if status == UNBOUNDED:
-        direction_std = [zero] * n_struct
-        if enter < n_struct:
-            direction_std[enter] = zero + 1
-        for i in range(m):
-            bcol = basis[i]
-            if bcol < n_struct:
-                direction_std[bcol] = -tab.entry(i, enter)
-        ray = [zero] * lp.n_vars
-        for j in range(lp.n_vars):
-            for col, sign in std.var_cols[j]:
-                ray[j] += direction_std[col] if sign == 1 else -direction_std[col]
-        return LpSolution(status=UNBOUNDED, certificate=UnboundedRay(tuple(ray)))
-
-    x_std = [zero] * ncols
-    for i in range(m):
-        x_std[basis[i]] = tab.value(i)
-    primal = []
-    for j in range(lp.n_vars):
-        value = std.shifts[j]
-        for col, sign in std.var_cols[j]:
-            value = value + (x_std[col] if sign == 1 else -x_std[col])
-        primal.append(value)
-    objective = sum((cj * xj for cj, xj in zip(c, primal)), zero)
-    y_std = tab.duals(basis, costs2, units)
-    duals = mode.share_zero(_map_duals(y_std, std, len(lp.matrix)))
-    dual_obj = _support(lp, c, bounds, duals, mode)
-    return LpSolution(
-        status=OPTIMAL,
-        primal=mode.share_zero(primal),
-        objective_value=objective,
-        certificate=DualCertificate(duals, dual_obj),
-    )
-
-
-def _map_duals(y_std, std, n_orig_rows):
-    zero = 0 * (y_std[0] if y_std else 0)
-    duals = [zero] * n_orig_rows
-    for k, y in enumerate(y_std):
-        orig = std.origin[k]
-        if orig is None:
-            continue
-        duals[orig] = -y if std.negated[k] else y
-    return tuple(duals)
+        primal[j] = primal[j] + (x_std[col] if sign == 1 else -x_std[col])
+    return LpSolution(status=FEASIBLE, primal=mode.share_zero(primal))
 
 
 def check_feasible(lp: LinearProgram, mode: NumericMode = EXACT):
-    """Feasibility via a zero objective.
-
-    Returns (True, witness point) or (False, Farkas certificate).  An
-    unbounded zero-objective solve cannot report a vertex and is treated
-    as feasible without a witness.  An LP whose objective is already zero
-    is solved as it is.
-    """
-    return _feasibility(solve(_zero_objective(lp), mode))
-
-
-def _zero_objective(lp: LinearProgram) -> LinearProgram:
-    if any(lp.objective):
-        lp = LinearProgram(tuple(0 for _ in lp.objective), lp.matrix, lp.rhs,
-                           lp.senses, lp.bounds)
-    return lp
+    """(True, witness point) or (False, Farkas certificate)."""
+    return _feasibility(solve(lp, mode))
 
 
 def _feasibility(sol: LpSolution):
-    if sol.status == OPTIMAL:
+    if sol.status == FEASIBLE:
         return True, sol.primal
-    if sol.status == UNBOUNDED:  # pragma: no cover - zero objective never is
-        return True, None
     return False, sol.certificate
 
 
@@ -777,41 +589,34 @@ def check_feasible_many(programs, mode: NumericMode = EXACT):
     """`check_feasible` of each program, in order, as an iterator.
 
     In float mode, two or more LPs whose standard forms have one shape run
-    phase 1 together (`_lockstep`) before the first answer is drawn.  Each
-    LP is finished (`_finish`) only when its answer is drawn, so a caller
-    that stops early skips the phase 2, readout and duals of the rest.  An
-    LP's error is raised when its answer is drawn, where a loop over
-    `check_feasible` would raise it.  Exact LPs and lone float LPs are
-    solved one at a time as `check_feasible` solves them: a stack of one
-    costs more per LP than the 2D tableau.
+    phase 1 together (`_lockstep`) when the first answer is drawn.  Each
+    of them is finished (`_finish`) only when its own answer is drawn, so
+    a caller that stops early skips the readout of the rest, and its error
+    is raised then, where a loop over `check_feasible` would raise it.
+    Every other LP, exact or lone float, goes through `check_feasible`
+    when its answer is drawn: a stack of one costs more per LP than the
+    2D tableau.
     """
     programs = list(programs)
-    if mode.exact:
-        return (check_feasible(program, mode) for program in programs)
-    setups, statuses, shapes = [], [None] * len(programs), {}
-    for k, program in enumerate(programs):
-        try:
-            setup = _Phase1(_zero_objective(program), mode)
-        except Exception as exc:  # raised again when its answer is drawn
-            setup, statuses[k] = None, exc
-        else:
-            shapes.setdefault(setup.tab.rows.shape, []).append(k)
-        setups.append(setup)
+    setups, shapes = {}, {}
+    if not mode.exact:
+        for k, program in enumerate(programs):
+            try:
+                setups[k] = _Phase1(program, mode)
+            except Exception:  # raised again by `check_feasible` when drawn
+                continue
+            shapes.setdefault(setups[k].tab.rows.shape, []).append(k)
+    stacked = {}  # LP -> the error of its lockstep phase 1, or None
     for group in shapes.values():
         if len(group) > 1:
-            for k, status in zip(group, _lockstep([setups[k] for k in group])):
-                statuses[k] = status or RuntimeError("simplex pivot limit exceeded")
-    return _answers(setups, statuses)
-
-
-def _answers(setups, statuses):
-    """Finish each set-up LP in turn; a status None runs its phase 1."""
-    for setup, status in zip(setups, statuses):
-        if isinstance(status, Exception):
-            raise status
-        if status is None:
-            status, _ = _bland(setup.tab, setup.std.basis, setup.std.width)
-        yield _feasibility(_finish(setup, status))
+            stacked.update(zip(group, _lockstep([setups[k] for k in group])))
+    for k, program in enumerate(programs):
+        if k not in stacked:
+            yield check_feasible(program, mode)
+        elif stacked[k] is not None:
+            raise stacked[k]
+        else:
+            yield _feasibility(_finish(setups[k]))
 
 
 def _lockstep(setups):
@@ -824,19 +629,16 @@ def _lockstep(setups):
     entry gets the same IEEE divide, multiply and subtract.  A row with a
     zero of either sign in the pivot column is not touched.  Each tableau
     then holds its slice of the stack and each basis its final columns.
-    Returns each LP's status: OPTIMAL, UNBOUNDED, or None at the pivot
-    limit."""
+    Returns per LP None, or the RuntimeError that `_bland` would raise."""
     tol = setups[0].tab.tol
     rows = np.stack([s.tab.rows for s in setups])
     z = np.stack([s.tab.z for s in setups])
     basis = np.array([s.std.basis for s in setups], dtype=np.intp)
-    status = [None] * len(setups)
+    errors = [None] * len(setups)
     live = np.arange(len(setups))
     for _ in range(_MAX_PIVOTS):
         neg = z[live] < -tol
         entering = neg.any(axis=1)
-        for t in live[~entering]:
-            status[t] = OPTIMAL
         live, enter = live[entering], neg[entering].argmax(axis=1)
         if not live.size:
             break
@@ -847,7 +649,7 @@ def _lockstep(setups):
         ties = positive & (ratios == ratios.min(axis=1, keepdims=True))
         bounded = ties.any(axis=1)
         for t in live[~bounded]:
-            status[t] = UNBOUNDED
+            errors[t] = RuntimeError(_UNBOUNDED)
         live, enter, ties, f = live[bounded], enter[bounded], ties[bounded], column[bounded]
         leave = np.where(ties, basis[live], rows.shape[2]).argmin(axis=1)
         a = np.arange(live.size)
@@ -865,49 +667,21 @@ def _lockstep(setups):
         z[live] -= f[:, None] * prow[:, :-1]
         z[live, enter] = 0 * f
         basis[live, leave] = enter
+    for t in live:  # still running at the pivot limit
+        errors[t] = RuntimeError(_PIVOT_LIMIT)
     for t, s in enumerate(setups):
         s.tab.rows, s.tab.z = rows[t], z[t]
         s.std.basis[:] = basis[t].tolist()
-    return status
-
-
-def _support(lp, c, bounds, y, mode):
-    """yᵀb plus the box-infimum of (c − yᵀA)·x, reading and converting only
-    the rows with a nonzero multiplier; None when the infimum diverges."""
-    conv, tol, zero = mode.convert, mode.tolerance, mode.zero
-    w = [zero] * len(c)
-    total = zero
-    for yi, row, bi in zip(y, lp.matrix, lp.rhs):
-        if yi:
-            w = [wj + yi * conv(aij) for wj, aij in zip(w, row)]
-            total += yi * conv(bi)
-    for j, (cj, wj) in enumerate(zip(c, w)):
-        coeff = cj - wj
-        if -tol <= coeff <= tol:
-            continue
-        lo, hi = bounds[j]
-        if coeff > 0:
-            if lo is None:
-                return None
-            total += coeff * lo
-        else:
-            if hi is None:
-                return None
-            total += coeff * hi
-    return total
+    return errors
 
 
 def format_lp(lp: LinearProgram) -> str:
-    """Plain-text standard-form listing (debugging aid)."""
+    """Plain-text listing of the rows and the free variables (debugging
+    aid)."""
     sense_sym = {LE: "<=", EQ: "=", GE: ">="}
-    lines = ["min " + " + ".join(f"{c}*x{j}" for j, c in enumerate(lp.objective))]
-    lines.append("s.t.")
+    lines = ["find x >= 0 except the free x_j, s.t."]
     for i, row in enumerate(lp.matrix):
         terms = " + ".join(f"{v}*x{j}" for j, v in enumerate(row))
         lines.append(f"  r{i}: {terms} {sense_sym[lp.senses[i]]} {lp.rhs[i]}")
-    lines.append("bounds")
-    for j, (lo, hi) in enumerate(lp.bounds):
-        lo_s = "-inf" if lo is None else str(lo)
-        hi_s = "+inf" if hi is None else str(hi)
-        lines.append(f"  x{j} in [{lo_s}, {hi_s}]")
+    lines.append("free: " + " ".join(f"x{j}" for j, free in enumerate(lp.free) if free))
     return "\n".join(lines)

@@ -160,20 +160,11 @@ def _entries(point) -> tuple:
 def _margin_lp(keep_points, exclude_points, dim):
     """Variables (r, c), free: r.p >= c on keep rows, r.q <= c - 1 on
     exclude rows."""
-    matrix = []
-    senses = []
-    rhs = []
-    for p in keep_points:
-        matrix.append(list(_entries(p)) + [-1])
-        senses.append("ge")
-        rhs.append(0)
-    for q in exclude_points:
-        matrix.append(list(_entries(q)) + [-1])
-        senses.append("le")
-        rhs.append(-1)
-    bounds = [(None, None)] * (dim + 1)
     return lp.LinearProgram.build(
-        objective=[0] * (dim + 1), matrix=matrix, rhs=rhs, senses=senses, bounds=bounds
+        matrix=[(*_entries(p), -1) for p in (*keep_points, *exclude_points)],
+        rhs=[0] * len(keep_points) + [-1] * len(exclude_points),
+        senses=[lp.GE] * len(keep_points) + [lp.LE] * len(exclude_points),
+        free=[True] * (dim + 1),
     )
 
 
@@ -238,15 +229,13 @@ def hulls_intersect(a: PointSet, b: PointSet, mode: NumericMode = EXACT) -> Hull
         return HullIntersection(intersects=False, separator=separator)
     ka, kb = len(a.points), len(b.points)
     matrix = [
-        [_entries(p)[row] for p in a.points] + [-_entries(q)[row] for q in b.points]
+        (*(_entries(p)[row] for p in a.points), *(-_entries(q)[row] for q in b.points))
         for row in range(dim)
     ]
-    matrix.append([1] * ka + [0] * kb)
-    matrix.append([0] * ka + [1] * kb)
-    rhs = [0] * dim + [1, 1]
-    senses = ["eq"] * (dim + 2)
+    matrix += [(1,) * ka + (0,) * kb, (0,) * ka + (1,) * kb]
     program = lp.LinearProgram.build(
-        objective=[0] * (ka + kb), matrix=matrix, rhs=rhs, senses=senses
+        matrix=matrix, rhs=[0] * dim + [1, 1], senses=[lp.EQ] * (dim + 2),
+        free=[False] * (ka + kb),
     )
     feasible, witness = lp.check_feasible(program, mode)
     if not feasible:  # pragma: no cover - LP duality excludes this
@@ -502,16 +491,11 @@ def check_scalar_optimality(env: MarkovEnv, soap: Soap, mode: NumericMode = EXAC
 
     soap_keys = {action_key(p) for p in soap.policies}
     others = [p for p in everyone if action_key(p) not in soap_keys]
-    matrix = [list(rho.entries) + [-1] for rho in table.many(soap.policies + tuple(others))]
-    senses = ["eq"] * len(soap.good) + ["le"] * (len(soap.bad) + len(others))
-    rhs = [0] * len(soap.good) + [-1] * len(soap.bad) + [0] * len(others)
-
     program = lp.LinearProgram.build(
-        objective=[0] * (dim + 1),
-        matrix=matrix,
-        rhs=rhs,
-        senses=senses,
-        bounds=[(None, None)] * (dim + 1),
+        matrix=[(*rho.entries, -1) for rho in table.many(soap.policies + tuple(others))],
+        rhs=[0] * len(soap.good) + [-1] * len(soap.bad) + [0] * len(others),
+        senses=[lp.EQ] * len(soap.good) + [lp.LE] * (len(soap.bad) + len(others)),
+        free=[True] * (dim + 1),
     )
     feasible, witness = lp.check_feasible(program, mode)
     if not feasible:

@@ -26,9 +26,9 @@ def finished_lps(monkeypatch):
     finished = []
     real_finish = lp._finish
 
-    def counting_finish(setup, status):
+    def counting_finish(setup):
         finished.append(setup.lp)
-        return real_finish(setup, status)
+        return real_finish(setup)
 
     monkeypatch.setattr(lp, "_finish", counting_finish)
     return finished

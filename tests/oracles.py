@@ -107,93 +107,81 @@ def _vertices(rows, senses, rhs, n):
     return vertices
 
 
-def brute_force_lp(program: lp.LinearProgram):
-    """(status, optimal objective or None) by exhaustive vertex enumeration.
+def brute_force_lp(program: lp.LinearProgram) -> str:
+    """FEASIBLE or INFEASIBLE by exhaustive vertex enumeration.
 
-    Requires every variable to carry a finite lower bound so the feasible
-    region is pointed (a nonempty pointed polyhedron has a vertex).
+    Requires every variable to be nonnegative, so that the feasible region
+    is pointed: a nonempty pointed polyhedron has a vertex.
     """
+    assert not any(program.free), "oracle requires nonnegative variables"
     n = program.n_vars
-    c = [as_exact(v) for v in program.objective]
     rows = [[as_exact(v) for v in row] for row in program.matrix]
     senses = list(program.senses)
     rhs = [as_exact(v) for v in program.rhs]
-    for j, (lo, hi) in enumerate(program.bounds):
-        assert lo is not None, "oracle requires lower-bounded variables"
-        unit = [Fraction(0)] * n
-        unit[j] = Fraction(1)
-        rows.append(unit)
+    for j in range(n):
+        rows.append([Fraction(int(k == j)) for k in range(n)])
         senses.append(GE)
-        rhs.append(as_exact(lo))
-        if hi is not None:
-            rows.append(unit)
-            senses.append(LE)
-            rhs.append(as_exact(hi))
+        rhs.append(Fraction(0))
+    return lp.FEASIBLE if _vertices(rows, senses, rhs, n) else lp.INFEASIBLE
 
-    verts = _vertices(rows, senses, rhs, n)
-    if not verts:
-        return lp.INFEASIBLE, None
 
-    # Recession directions: the homogeneous system intersected with the
-    # probability simplex (valid because every direction is nonnegative).
-    hom_rows = [row[:] for row in rows]
-    hom_senses = senses[:]
-    hom_rhs = [Fraction(0)] * len(rows)
-    hom_rows.append([Fraction(1)] * n)
-    hom_senses.append(EQ)
-    hom_rhs.append(Fraction(1))
-    for direction in _vertices(hom_rows, hom_senses, hom_rhs, n):
-        if sum(ci * di for ci, di in zip(c, direction)) < 0:
-            return lp.UNBOUNDED, None
-
-    best = min(sum(ci * xi for ci, xi in zip(c, v)) for v in verts)
-    return lp.OPTIMAL, best
+def bounds_as_rows(matrix, rhs, senses, bounds) -> lp.LinearProgram:
+    """The LP whose variable j lies in bounds[j] = (lower, upper), None
+    meaning unbounded: a variable with lower bound 0 is nonnegative and
+    any other is free, and every other finite bound is one more row."""
+    n = len(bounds)
+    matrix, rhs, senses = list(matrix), list(rhs), list(senses)
+    for j, (lo, hi) in enumerate(bounds):
+        for b, sense in ((lo, GE), (hi, LE)):
+            if b is not None and not (sense == GE and b == 0):
+                matrix.append([int(k == j) for k in range(n)])
+                rhs.append(b)
+                senses.append(sense)
+    return lp.LinearProgram.build(matrix, rhs, senses, [lo != 0 for lo, _ in bounds])
 
 
 def random_lp(rng: random.Random) -> lp.LinearProgram:
-    """Small integer LP with all variables bounded below by zero."""
+    """Small integer LP over nonnegative variables, about a third of them
+    bounded above by a row."""
     n = rng.randint(1, 4)
     m = rng.randint(1, 6)
-    objective = [rng.randint(-4, 4) for _ in range(n)]
+    for _ in range(n):  # objective draws, unused: each seed keeps its rows
+        rng.randint(-4, 4)
     matrix = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
     rhs = [rng.randint(-6, 6) for _ in range(m)]
-    senses = [rng.choice(["le", "ge", "eq"]) for _ in range(m)]
-    bounds = []
-    for _ in range(n):
-        upper = rng.randint(1, 6) if rng.random() < 0.3 else None
-        bounds.append((0, upper))
-    return lp.LinearProgram.build(objective, matrix, rhs, senses, bounds)
+    senses = [rng.choice([LE, GE, EQ]) for _ in range(m)]
+    bounds = [(0, rng.randint(1, 6) if rng.random() < 0.3 else None) for _ in range(n)]
+    return bounds_as_rows(matrix, rhs, senses, bounds)
 
 
-def farkas_signs_ok(program: lp.LinearProgram, multipliers) -> bool:
-    """Multipliers of le rows are at most 0 and of ge rows at least 0."""
-    return not any((sense == LE and y > 0) or (sense == GE and y < 0)
+def farkas_signs_ok(program: lp.LinearProgram, multipliers, mode: NumericMode = EXACT) -> bool:
+    """Multipliers of le rows are at most 0 and of ge rows at least 0,
+    within the tolerance."""
+    tol = mode.tolerance
+    return not any((sense == LE and y > tol) or (sense == GE and y < -tol)
                    for y, sense in zip(multipliers, program.senses))
 
 
 def farkas_gap(program: lp.LinearProgram, multipliers, mode: NumericMode = EXACT):
-    """yᵀb minus the supremum of yᵀA·x over the variable box, or None when
-    that supremum is infinite; columns of yᵀA within the tolerance of zero
-    are skipped.  When `farkas_signs_ok` holds, every x that meets the rows
-    has yᵀA·x >= yᵀb, so a positive gap proves the rows infeasible."""
+    """yᵀb minus the supremum of yᵀA·x over the variables (free, or x >= 0),
+    or None when that supremum is infinite; columns of yᵀA within the
+    tolerance of zero are skipped.  When `farkas_signs_ok` holds, every x
+    that meets the rows has yᵀA·x >= yᵀb, so a positive gap proves the
+    rows infeasible."""
     conv, tol = mode.convert, mode.tolerance
     y = [conv(v) for v in multipliers]
     if len(y) != program.n_rows:
         raise ValueError("multiplier count does not match the row count")
-    gap = sum((yi * conv(b) for yi, b in zip(y, program.rhs)), mode.zero)
-    for j, (lo, hi) in enumerate(program.bounds):
+    for j, free in enumerate(program.free):
         w = sum((yi * conv(row[j]) for yi, row in zip(y, program.matrix)), mode.zero)
-        if -tol <= w <= tol:
-            continue
-        end = hi if w > 0 else lo
-        if end is None:
+        if (free and not -tol <= w <= tol) or w > tol:
             return None
-        gap -= w * conv(end)
-    return gap
+    return sum((yi * conv(b) for yi, b in zip(y, program.rhs)), mode.zero)
 
 
 def satisfies(program: lp.LinearProgram, point, mode: NumericMode = EXACT) -> bool:
-    """Whether a point meets every row and bound, within the tolerance."""
+    """Whether a point meets every row and is nonnegative where the
+    variable is, within the tolerance."""
     conv, tol = mode.convert, mode.tolerance
     x = [conv(v) for v in point]
     if len(x) != program.n_vars:
@@ -202,8 +190,7 @@ def satisfies(program: lp.LinearProgram, point, mode: NumericMode = EXACT) -> bo
         r = sum((conv(a) * xj for a, xj in zip(row, x)), mode.zero) - conv(b)
         if (sense != GE and r > tol) or (sense != LE and r < -tol):
             return False
-    return all((lo is None or xj - conv(lo) >= -tol) and (hi is None or xj - conv(hi) <= tol)
-               for xj, (lo, hi) in zip(x, program.bounds))
+    return all(free or xj >= -tol for xj, free in zip(x, program.free))
 
 
 def pairwise_consistency(good, bad, tolerance) -> ConsistencyReport:
@@ -477,46 +464,26 @@ def brute_force_feasible_set(env: MarkovEnv, spec: RewardSpec,
     return tuple(feasible)
 
 
-def list_standard_form(program: lp.LinearProgram, bounds, mode: NumericMode) -> lp._Std:
+def list_standard_form(program: lp.LinearProgram, mode: NumericMode) -> lp._Std:
     """Standard form built entry by entry in Python lists, one column for
     each half of a free variable and for each slack and artificial: the
     split-column set-up that `lp._standardize` replaced, in float mode with
     one float64 array, which must match these rows bit for bit, the sign
     of every zero included, and in exact mode with the int rows of the
     nonbasic-column tableau, which must pivot as `SplitIntTableau` pivots
-    these.  `bounds` are converted as `lp.solve` converts them.  `vmap` is
-    None: column j is stored as column j."""
+    these.  `vmap` is None: column j is stored as column j."""
     std = lp._Std()
-    cols, shifts = std.cols, std.shifts = [], []
-    var_cols = std.var_cols = [[] for _ in bounds]
-    boxes = []
-    for j, (lo, hi) in enumerate(bounds):
-        if lo is None and hi is None:
-            shifts.append(mode.zero)
-            for sign in (1, -1):
-                var_cols[j].append((len(cols), sign))
-                cols.append((j, sign))
-        elif hi is None:
-            shifts.append(lo)
-            var_cols[j].append((len(cols), 1))
-            cols.append((j, 1))
-        elif lo is None:
-            shifts.append(hi)
-            var_cols[j].append((len(cols), -1))
-            cols.append((j, -1))
-        else:
-            shifts.append(lo)
-            var_cols[j].append((len(cols), 1))
-            boxes.append((j, hi))
-            cols.append((j, 1))
-    n, n_struct = len(bounds), len(cols)
-    shifted = [j for j, s in enumerate(shifts) if s]
+    cols = std.cols = []
+    var_cols = [[] for _ in program.free]
+    for j, free in enumerate(program.free):
+        for sign in (1, -1) if free else (1,):
+            var_cols[j].append((len(cols), sign))
+            cols.append((j, sign))
+    n_struct = len(cols)
     flip = {LE: GE, GE: LE, EQ: EQ}
     staged = []
-    for row, b, sense in [*zip(program.matrix, program.rhs, program.senses),
-                          *(([int(k == j) for k in range(n)], hi, LE) for j, hi in boxes)]:
-        term = sum(v * shifts[j] for j in shifted if (v := mode.convert(row[j])))
-        nums, den = mode.scaled([*row, mode.convert(b) - term if term else b])
+    for row, b, sense in zip(program.matrix, program.rhs, program.senses):
+        nums, den = mode.scaled([*row, b])
         b = nums.pop()
         coeffs = [0 if mode.exact else 0.0] * n_struct  # negated, a float zero is -0.0
         for j, v in enumerate(nums):
@@ -529,7 +496,6 @@ def list_standard_form(program: lp.LinearProgram, bounds, mode: NumericMode) -> 
         staged.append((coeffs, b, den, sense, negated))
     std.art_first = n_struct + sum(sense != EQ for *_, sense, _ in staged)
     std.width = std.art_first + sum(sense != LE for *_, sense, _ in staged)
-    std.origin = list(range(program.n_rows)) + [None] * len(boxes)
     std.rows, std.negated, std.basis, std.units = [], [], [], []
     std.dens = [den for _, _, den, _, _ in staged] if mode.exact else None
     std.vmap = None
@@ -585,8 +551,8 @@ class SplitIntTableau:
                 zd *= d
         self._set_z(z, zd)
 
-    def entering(self, limit):
-        return next((j for j, v in enumerate(self.z[:limit]) if v < 0), None)
+    def entering(self):
+        return next((j for j, v in enumerate(self.z) if v < 0), None)
 
     def ratio_ties(self, enter):
         rows = self.rows
@@ -631,15 +597,8 @@ class SplitIntTableau:
     def nonzero(self, i, j) -> bool:
         return self.rows[i][j] != 0
 
-    def entry(self, i, j) -> Fraction:
-        return Fraction(self.rows[i][j], self.dens[i])
-
     def value(self, i) -> Fraction:
         return Fraction(self.rows[i][-1], self.dens[i])
-
-    def keep(self, dead):
-        self.rows = [row for i, row in enumerate(self.rows) if i not in dead]
-        self.dens = [d for i, d in enumerate(self.dens) if i not in dead]
 
     def duals(self, basis, costs, units):
         zd = self.zd

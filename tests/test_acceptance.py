@@ -33,7 +33,10 @@ from rewardsep.separability import (
 from rewardsep.soap import Soap, check_consistency
 from rewardsep.verify import verify_realization
 
-from oracles import brute_force_lp, estimate_visitation_monte_carlo, random_lp
+from oracles import (
+    brute_force_lp, estimate_visitation_monte_carlo, farkas_gap, farkas_signs_ok, random_lp,
+    satisfies,
+)
 from test_separability import random_consistent_soap, random_env
 
 F = Fraction
@@ -201,15 +204,15 @@ def test_criterion_09_lp_oracle(capfd):
         rng = random.Random(424242)
         for _ in range(500):
             program = random_lp(rng)
-            want_status, want_obj = brute_force_lp(program)
-            exact_sol = lp.solve(program, EXACT)
-            assert exact_sol.status == want_status
-            if want_status == lp.OPTIMAL:
-                assert exact_sol.objective_value == want_obj
-            float_sol = lp.solve(program, FLOAT)
-            assert float_sol.status == want_status
-            if want_status == lp.OPTIMAL:
-                assert abs(float_sol.objective_value - float(want_obj)) <= 1e-6
+            want = brute_force_lp(program)
+            for mode in (EXACT, FLOAT):
+                sol = lp.solve(program, mode)
+                assert sol.status == want
+                if want == lp.FEASIBLE:
+                    assert satisfies(program, sol.primal, mode)
+                else:
+                    y = sol.certificate.row_multipliers
+                    assert farkas_signs_ok(program, y, mode) and farkas_gap(program, y, mode) > 0
 
 
 def test_criterion_10_invariant_suite(entailment, random_suite):

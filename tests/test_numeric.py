@@ -110,15 +110,9 @@ def test_exact_answers_hold_no_float(mode, monkeypatch):
         if bundle_name == "entailment.json":
             reward = load_reward("entailment_reward.json", env)
             results.append(verify_realization(env, soap, reward, mode))
-    # Each LP met again with a nonzero objective: optimal duals and rays.
-    for program, _ in list(solves):
-        objective = [0] * (program.n_vars - 1) + [1]
-        program = lp.LinearProgram(tuple(objective), program.matrix, program.rhs,
-                                   program.senses, program.bounds)
-        recording(program, mode)
     results += [solution for _, solution in solves]
     statuses = {solution.status for _, solution in solves}
-    assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
+    assert statuses == {lp.FEASIBLE, lp.INFEASIBLE}
     assert len(results) > 40
     numbers = [n for result in results for n in _numbers(result)]
     assert numbers
@@ -165,14 +159,9 @@ def test_float_answers_hold_no_numpy_scalar(tolerance, monkeypatch):
         if bundle_name == "entailment.json":
             reward = load_reward("entailment_reward.json", env)
             results.append(verify_realization(env, soap, reward, mode))
-    for program, _ in list(solves):
-        objective = [0] * (program.n_vars - 1) + [1]
-        program = lp.LinearProgram(tuple(objective), program.matrix, program.rhs,
-                                   program.senses, program.bounds)
-        recording(program, mode)
     results += [solution for _, solution in solves]
     statuses = {solution.status for _, solution in solves}
-    assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
+    assert statuses == {lp.FEASIBLE, lp.INFEASIBLE}
     assert len(results) > 40
     numbers = [n for result in results for n in _numbers(result)]
     assert any(isinstance(n, float) for n in numbers)
