@@ -117,6 +117,16 @@ class _Report:
     payload: dict
 
 
+def _write(path, text):
+    """Write `text` to `path`; a path that cannot be written is an input
+    error naming it."""
+    try:
+        with open(path, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot write: {exc.strerror}") from None
+
+
 def _emit(args, report: _Report) -> int:
     output = (
         json.dumps(report.payload, indent=2)
@@ -124,8 +134,7 @@ def _emit(args, report: _Report) -> int:
         else report.text
     )
     if getattr(args, "out", None):
-        with open(args.out, "w") as handle:
-            handle.write(output + "\n")
+        _write(args.out, output + "\n")
     print(output)
     return report.code
 
@@ -367,8 +376,7 @@ def _cmd_export_plot(args) -> _Report:
     export = build_plot_export(bundle, axis_x, axis_y, mode)
     text = plot_export_csv(export, mode)
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+        _write(args.out, text)
         out_path, args.out = args.out, None  # the CSV itself is the artifact
         return _Report(0, f"wrote {out_path}", {"command": "export-plot", "out": out_path})
     return _Report(0, text.rstrip("\n"), {"command": "export-plot", "csv": text})
@@ -454,14 +462,13 @@ def run_command(argv) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        report = args.func(args)
+        return _emit(args, args.func(args))
     except _INTERNAL_ERRORS as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:  # every input error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return _emit(args, report)
 
 
 def main():

@@ -1,27 +1,20 @@
-"""Dense square solves: every visitation, and the Farkas multipliers of an
-infeasible float LP.
+"""Dense square solves, a stack of systems at a time: every visitation,
+and the Farkas multipliers of an infeasible float LP.
 
 Exact solves serve the visitations only; exact Farkas multipliers are read
 off the simplex tableau instead, and a feasible LP solves no system (see
-`lp`).  Exact solves are fraction-free (Bareiss 1968), run on a stack of
-integer systems at once: each column step is one object-array update of
-every system, with exact integer division, and back substitution gives
-y = det * x in integers, so an exact stack returns
-(y, det) and forms no rational at all.  A lone exact system is scaled to
-integers row by row, by the lcm of each row's denominators, and solved as
-a stack of one; only its returned x_i = y_i / det are rationals.  Float
-visitations come as one stack of systems too, solved by one numpy call.
-A singular system in a stack raises `SingularSystemError` as a lone one
-does.
+`lp`).  Exact solves are fraction-free (Bareiss 1968) on integer systems:
+each column step is one object-array update of every system, with exact
+integer division, and back substitution gives y = det * x in integers,
+so an exact stack returns (y, det) and forms no rational at all.  A float
+stack is solved by one numpy call.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
-from .numeric import ZERO, NumericMode, over_common_denominator
+from .numeric import NumericMode
 
 
 class SingularSystemError(ValueError):
@@ -29,41 +22,25 @@ class SingularSystemError(ValueError):
 
 
 def solve_square(rows, rhs, mode: NumericMode):
-    """Solve A x = b for square A.
+    """Solve A_i x_i = b_i for the (k, n, n) array `rows` of square
+    systems and the (k, n) array `rhs`.
 
-    Exact mode runs Bareiss elimination (pivot = first nonzero entry at or
-    below the diagonal, deterministic); float mode defers to numpy.  A lone
-    system (`rows` a sequence of rows) returns the list x.  `rows` may also
-    be a (k, n, n) array with `rhs` (k, n): numpy solves the k float
-    systems in one call, each as it would alone, and returns the (k, n)
-    array of solutions; exact systems must then hold Python ints, and the
-    call returns (y, det), a (k, n) and a (k,) array of ints with
-    A_i y_i = det_i b_i.
+    Float mode defers to numpy, which solves each system as it would
+    alone, and returns the (k, n) array of solutions.  Exact systems hold
+    Python ints and run Bareiss elimination (pivot = first nonzero entry
+    at or below the diagonal, deterministic); the call returns (y, det), a
+    (k, n) and a (k,) array of ints with A_i y_i = det_i b_i.  A singular
+    system raises `SingularSystemError`.
     """
-    if isinstance(rows, np.ndarray) and rows.ndim == 3:
-        if rows.shape[1] != rows.shape[2] or rhs.shape != rows.shape[:2]:
-            raise ValueError("solve_square expects a stack of square systems")
-        if mode.exact:
-            m = np.concatenate([rows, rhs[..., None]], axis=2)
-            return _bareiss(m.astype(object, copy=False))
-        try:
-            return np.linalg.solve(rows, rhs[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(str(exc)) from exc
-    n = len(rows)
-    if any(len(r) != n for r in rows) or len(rhs) != n:
-        raise ValueError("solve_square expects a square system")
-    if not mode.exact:
-        a = np.array(rows, dtype=float)
-        b = np.array(rhs, dtype=float)
-        try:
-            return np.linalg.solve(a, b).tolist()
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(str(exc)) from exc
-    m = np.array([over_common_denominator([*row, b])[0] for row, b in zip(rows, rhs)],
-                 object).reshape(1, n, n + 1)
-    y, det = _bareiss(m)
-    return [Fraction(v, det[0]) if v else ZERO for v in y[0].tolist()]
+    if rows.ndim != 3 or rows.shape[1] != rows.shape[2] or rhs.shape != rows.shape[:2]:
+        raise ValueError("solve_square expects a stack of square systems")
+    if mode.exact:
+        m = np.concatenate([rows, rhs[..., None]], axis=2)
+        return _bareiss(m.astype(object, copy=False))
+    try:
+        return np.linalg.solve(rows, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(str(exc)) from exc
 
 
 def _bareiss(m):

@@ -366,8 +366,9 @@ class _FloatTableau:
 
     def duals(self, basis, costs, units):
         """Solve Bᵀy = c_B on the basis columns of the unpivoted rows."""
-        return linalg.solve_square(self.unpivoted[:, basis].T,
-                                   [costs[j] for j in basis], FLOAT)
+        y = linalg.solve_square(self.unpivoted[:, basis].T[None],
+                                np.array([[costs[j] for j in basis]], float), FLOAT)
+        return y[0].tolist()
 
 
 def _divide(values, g):

@@ -13,14 +13,16 @@ arrays over the kernel, gamma and policies on common denominators: exact
 mode over integers (object arrays), the whole stack solved by one
 batched fraction-free elimination that returns integer solutions y and
 determinants det, and float mode over the float values with unit
-denominators, the whole stack solved by one numpy call.  The kernel is
-converted once per `VisitationTable`, and validated on that one
-conversion (see `_ScaledEnv`).  The self-check every visitation passes
-(normalisation and per-state flow) is one vectorised test of the stack,
-computed independently of the solve from the converted inputs alone,
-through the residual routine `flow_residuals` uses; in exact mode it is
-an integer identity on the numerators y * Q_pi over det * Q, and a
-Fraction is formed only for each nonzero entry returned.
+denominators, the whole stack solved by one numpy call.  Every route
+from an environment to its visitations, `compute_visitation` and
+`flow_residuals` included, goes through a `VisitationTable`: it validates
+the environment once and keeps the kernel as validation converted it.
+The self-check every visitation passes (normalisation and per-state
+flow) is one vectorised test of the stack, computed independently of the
+solve from the converted inputs alone, through the residual routine
+`flow_residuals` uses; in exact mode it is an integer identity on the
+numerators y * Q_pi over det * Q, and a Fraction is formed only for each
+nonzero entry returned.
 Every value question reduces to inner products with rho: V_i = r_i . rho.
 
 All types are immutable after construction and all operations are pure.
@@ -379,6 +381,13 @@ class RewardSpec:
     def dimension(self) -> int:
         return len(self.rows)
 
+    def require_width(self, env: MarkovEnv):
+        """Refuse rows that are not one entry per (state, action) of `env`."""
+        if any(len(row) != env.n_sa for row in self.rows):
+            raise ValueError(
+                f"reward rows have width {len(self.rows[0])}, environment needs {env.n_sa}"
+            )
+
 
 def compute_visitation(env: MarkovEnv, policy: Policy, mode: NumericMode = EXACT) -> Visitation:
     """Solve the state flow system and multiply in the action choices.
@@ -388,14 +397,67 @@ def compute_visitation(env: MarkovEnv, policy: Policy, mode: NumericMode = EXACT
     The result is checked against the flow identities before returning, so
     every visitation the package ever produces satisfies them.
     """
-    kernel = require_valid_env(env, mode)
-    return _visitations(_scaled(env, mode, kernel), [policy], mode)[0]
+    return VisitationTable(env, mode)(policy)
 
 
-def _visitations(env: MarkovEnv, policies, mode: NumericMode) -> list:
-    """`compute_visitation` of each policy, in order, on an environment
-    already validated.  Every policy is validated, in order, before any
-    solve.
+class VisitationTable:
+    """The visitations of one query's policies, keyed by policy name: each
+    is solved the first time it is asked for (a different policy under a
+    known name is solved afresh, not stored).  Before the first solve the
+    environment is validated, and gamma and the kernel converted, once per
+    table: gamma == g_n / g_d and T(k, s2) == scaled_kernel[k, s2] / d_t
+    (see `NumericMode.scaled`), an (|S||A|, |S|) array of floats, or of
+    ints in exact mode.  Build one per query; it is never shared across
+    calls."""
+
+    def __init__(self, env: MarkovEnv, mode: NumericMode = EXACT):
+        self.env = env
+        self.mode = mode
+        self._rows = {}
+        self.scaled_kernel = None
+
+    def __call__(self, policy: Policy) -> Visitation:
+        return self.many([policy])[0]
+
+    def many(self, policies) -> list:
+        """The visitations of `policies`, in order.  Those not known yet
+        are validated in order, after the environment, and then solved
+        together, in one `_visitations` call."""
+        policies = list(policies)
+        out = []
+        for policy in policies:
+            known = self._rows.get(policy.name)
+            out.append(known[1] if known is not None and known[0] == policy else None)
+        fresh = [p for p, rho in zip(policies, out) if rho is None]
+        if not fresh:
+            return out
+        self._convert()
+        for policy in fresh:
+            policy.validate_for(self.env, self.mode)
+        solved = iter(_visitations(self, fresh))
+        for i, (policy, rho) in enumerate(zip(policies, out)):
+            if rho is None:
+                out[i] = next(solved)
+                self._rows.setdefault(policy.name, (policy, out[i]))
+        return out
+
+    def _convert(self):
+        """Validate the environment and convert gamma and the kernel, the
+        first time only."""
+        if self.scaled_kernel is not None:
+            return
+        kernel = require_valid_env(self.env, self.mode)
+        (self.g_n,), self.g_d = self.mode.scaled([self.env.gamma])
+        self.d_t = 1
+        if self.mode.exact:
+            flat, self.d_t = over_common_denominator(kernel.ravel().tolist())
+            kernel = np.array(flat, object).reshape(kernel.shape)
+        self.scaled_kernel = kernel
+
+
+def _visitations(table: VisitationTable, policies) -> list:
+    """The visitations of `policies`, in order, on the table's converted
+    environment; the policies are valid for it.
 
     With gamma = g_n / g_d, T = K / D_T and pi = Q_pi / Q (see
     `NumericMode.scaled`), d solves (g_d D I - g_n (D P_pi)^T) d =
@@ -403,20 +465,18 @@ def _visitations(env: MarkovEnv, policies, mode: NumericMode) -> list:
     systems are built as one stack and solved in one call: float mode by
     numpy, exact mode fraction-free, to integer y and det with d = y / det,
     whose numerators y Q_pi over det Q go to the self-check as they are."""
-    for policy in policies:
-        policy.validate_for(env, mode)
     if not policies:
         return []
-    env = _scaled(env, mode)
+    env, mode = table.env, table.mode
     k, n_s, n_a = len(policies), env.n_states, env.n_actions
     pol, q = _policy_rows(env, policies, mode)
-    kernel = env.scaled_kernel.reshape(n_s, n_a, n_s)
+    kernel = table.scaled_kernel.reshape(n_s, n_a, n_s)
     p_pi = np.zeros((k, n_s, n_s), pol.dtype)  # D P_pi, summed over actions in order
     for a in range(n_a):
         p_pi += pol[:, :, a, None] * kernel[:, a]
-    scale = env.g_d * env.d_t * q
+    scale = table.g_d * table.d_t * q
     system = (scale[:, None, None] * np.eye(n_s, dtype=pol.dtype)
-              - env.g_n * p_pi.transpose(0, 2, 1))
+              - table.g_n * p_pi.transpose(0, 2, 1))
     rhs = np.zeros((k, n_s), pol.dtype)
     rhs[:, env.state_index(env.start)] = scale
 
@@ -431,7 +491,7 @@ def _visitations(env: MarkovEnv, policies, mode: NumericMode) -> list:
                 for row, den in zip(nums.tolist(), q.tolist())]
     else:
         rhos = [tuple(row) for row in nums.tolist()]
-    _self_check(env, nums, q, mode)
+    _self_check(table, nums, q)
     return [Visitation(rho) for rho in rhos]
 
 
@@ -462,90 +522,7 @@ def _policy_rows(env: MarkovEnv, policies, mode: NumericMode):
     return pol, q
 
 
-def _numerators(rhos, mode: NumericMode):
-    """(nums, q) with rhos[i] == nums[i] / q[i]: one row of numerators per
-    entry sequence, over its own denominator (see `NumericMode.scaled`)."""
-    dtype = float if not mode.exact else object
-    pairs = [mode.scaled(rho) for rho in rhos]
-    return (np.array([n for n, _ in pairs], dtype).reshape(len(pairs), -1),
-            np.array([q for _, q in pairs], dtype))
-
-
-@dataclass(frozen=True, eq=False)
-class _ScaledEnv(MarkovEnv):
-    """An environment with gamma and its kernel converted for the one mode
-    it is solved in: gamma == g_n / g_d and T(k, s2) ==
-    scaled_kernel[k, s2] / d_t (see `NumericMode.scaled`), an
-    (|S||A|, |S|) array of floats, or of ints in exact mode.  The
-    visitation solve, its self-check and `flow_residuals` read these
-    instead of converting again."""
-
-    g_n: Number
-    g_d: Number
-    scaled_kernel: np.ndarray
-    d_t: Number
-
-
-def _scaled(env: MarkovEnv, mode: NumericMode, kernel=None) -> _ScaledEnv:
-    """`env` converted for `mode`, unless it already is.  `kernel` is its
-    transition array as `require_valid_env` returns it; without it the
-    kernel is converted here, unchecked."""
-    if isinstance(env, _ScaledEnv):
-        return env
-    if kernel is None:
-        kernel, unusable = _converted_kernel(env, mode)
-        if unusable or len(kernel) != env.n_sa:
-            raise EnvError("; ".join(f"transition row {k} {why}" for k, why in unusable.items())
-                           or f"kernel has {len(kernel)} rows, expected {env.n_sa}")
-    (g_n,), g_d = mode.scaled([env.gamma])
-    d_t = 1
-    if mode.exact:
-        flat, d_t = over_common_denominator(kernel.ravel().tolist())
-        kernel = np.array(flat, object).reshape(kernel.shape)
-    return _ScaledEnv(env.states, env.actions, env.kernel, env.gamma, env.start,
-                      g_n, g_d, kernel, d_t)
-
-
-class VisitationTable:
-    """The visitations of one query's policies, keyed by policy name: each
-    is solved the first time it is asked for (a different policy under a
-    known name is solved afresh, not stored).  Before the first solve the
-    environment is validated, and gamma and the kernel are converted, once
-    per table.  Build one per query; it is never shared across calls."""
-
-    def __init__(self, env: MarkovEnv, mode: NumericMode = EXACT):
-        self.env = env
-        self.mode = mode
-        self._rows = {}
-        self._scaled = None
-
-    def __call__(self, policy: Policy) -> Visitation:
-        return self.many([policy])[0]
-
-    def many(self, policies) -> list:
-        """The visitations of `policies`, in order.  Those not known yet
-        are validated in order and then solved together, in one
-        `_visitations` call."""
-        policies = list(policies)
-        out = []
-        for policy in policies:
-            known = self._rows.get(policy.name)
-            out.append(known[1] if known is not None and known[0] == policy else None)
-        fresh = [p for p, rho in zip(policies, out) if rho is None]
-        if not fresh:
-            return out
-        if self._scaled is None:  # nothing solved yet: this is the first solve
-            kernel = require_valid_env(self.env, self.mode)
-            self._scaled = _scaled(self.env, self.mode, kernel)
-        solved = iter(_visitations(self._scaled, fresh, self.mode))
-        for i, (policy, rho) in enumerate(zip(policies, out)):
-            if rho is None:
-                out[i] = next(solved)
-                self._rows.setdefault(policy.name, (policy, out[i]))
-        return out
-
-
-def _self_check(env, nums, q, mode):
+def _self_check(table: VisitationTable, nums, q):
     """Refuse visitations rho_i = nums[i] / q[i] that break normalisation
     or flow conservation: the whole stack is tested at once, and the first
     visitation at fault is reported.
@@ -553,10 +530,9 @@ def _self_check(env, nums, q, mode):
     sum(rho) == 1 / (1 - gamma) reads sum(R) * (g_d - g_n) == g_d * q for
     rho = R / q, gamma = g_n / g_d; exact mode tests it in integers.  The
     flow residuals are those of `flow_residuals`, from `_imbalance`."""
-    env = _scaled(env, mode)
-    g_n, g_d = env.g_n, env.g_d
+    mode, g_n, g_d = table.mode, table.g_n, table.g_d
     total = nums.sum(axis=1)
-    num, den = _imbalance(env, nums, q)
+    num, den = _imbalance(table, nums, q)
     if mode.exact:
         tol = scale = 0
         unnormal = total * (g_d - g_n) != g_d * q
@@ -577,48 +553,49 @@ def _self_check(env, nums, q, mode):
         )
     s = int(np.argmax(unbalanced[i]))
     residual = mode.ratio(num[i].tolist()[s], den.tolist()[i])
-    raise RuntimeError(f"Bellman flow violated at state {env.states[s]}: residual {residual}")
+    raise RuntimeError(
+        f"Bellman flow violated at state {table.env.states[s]}: residual {residual}")
 
 
 def flow_residuals(env: MarkovEnv, rho: Visitation, mode: NumericMode = EXACT):
     """Per-state residual of
     sum_a rho(s, a) - 1[s = start] - gamma * sum_{s', a'} T(s', a', s) rho(s', a').
 
-    It is computed independently of the solve, by `_imbalance`."""
-    nums, q = _numerators([rho.entries], mode)
-    num, den = _imbalance(_scaled(env, mode), nums, q)
+    The environment is validated first, as for a solve; the residuals are
+    computed independently of the solve, by `_imbalance`."""
+    table = VisitationTable(env, mode)
+    table._convert()
+    entries, q = mode.scaled(rho.entries)
+    dtype = object if mode.exact else float
+    num, den = _imbalance(table, np.array([entries], dtype), np.array([q], dtype))
     den = den.tolist()[0]
     return tuple(mode.ratio(r, den) for r in num[0].tolist())
 
 
-def _imbalance(env: _ScaledEnv, nums, q):
+def _imbalance(table: VisitationTable, nums, q):
     """(num, den): the flow residual of rho_i = nums[i] / q[i] at state s
     is num[i, s] / den[i], for every visitation of the stack at once.
 
     With T = K / D_T and gamma = g_n / g_d (see `NumericMode.scaled`), the
     residual times g_d D_T q is g_d D_T (sum_a R(s, a) - q 1[s = start]) -
     g_n sum K R; both sums are added in index order."""
-    n_s, n_a = env.n_states, env.n_actions
-    inflow = np.zeros((len(nums), n_s), nums.dtype)
-    for k, row in enumerate(env.scaled_kernel):
+    env = table.env
+    inflow = np.zeros((len(nums), env.n_states), nums.dtype)
+    for k, row in enumerate(table.scaled_kernel):
         inflow += nums[:, k, None] * row
     outflow = np.zeros_like(inflow)
-    for a in range(n_a):
-        outflow += nums[:, a::n_a]
+    for a in range(env.n_actions):
+        outflow += nums[:, a::env.n_actions]
     outflow[:, env.state_index(env.start)] -= q
-    scale = env.g_d * env.d_t
-    return scale * outflow - env.g_n * inflow, scale * q
+    scale = table.g_d * table.d_t
+    return scale * outflow - table.g_n * inflow, scale * q
 
 
 def policy_value(env: MarkovEnv, policy: Policy, reward: RewardSpec,
                  mode: NumericMode = EXACT) -> tuple:
     """V_i(start) = r_i . rho, one entry per reward dimension."""
-    if any(len(row) != env.n_sa for row in reward.rows):
-        raise ValueError(
-            f"reward rows have width {len(reward.rows[0])}, environment needs {env.n_sa}"
-        )
-    rho = compute_visitation(env, policy, mode)
-    return value_of_visitation(rho, reward, mode)
+    reward.require_width(env)
+    return value_of_visitation(compute_visitation(env, policy, mode), reward, mode)
 
 
 def value_of_visitation(rho: Visitation, reward: RewardSpec,

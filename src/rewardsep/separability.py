@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import lp
+from . import lp, mdp
 from .mdp import (
     MarkovEnv,
     RewardSpec,
@@ -348,7 +348,9 @@ def _greedy_groups(good: PointSet, bad: PointSet, planes, mode: NumericMode):
     in turn, so the hyperplanes and the spec are the same.  In float mode
     they can differ only where drift breaks monotonicity, accepting a
     trial that contains a refused one.  A refused point stays in
-    `remaining` and may seed or join a later group."""
+    `remaining` and may seed or join a later group: it was refused with a
+    subset of the group, so by monotonicity the group's hyperplane does
+    not exclude it too, and a group covers its members only."""
     zero = mode.zero
     dim = good.dimension
     points = [_entries(p) for p in bad.points]
@@ -391,18 +393,8 @@ def _greedy_groups(good: PointSet, bad: PointSet, planes, mode: NumericMode):
             group.append(i)
             # candidates[:pos] were refused with a subset of the new group.
             candidates = candidates[pos + 1:]
-        r, c = group_sep.normal, group_sep.offset
-        # The hyperplane may exclude stragglers beyond the group it was
-        # grown for; count anything a full margin below as covered.
-        covered = set(group)
-        for i in remaining:
-            if i in covered:
-                continue
-            score = sum((rk * pk for rk, pk in zip(r, points[i])), zero)
-            if score <= c - 1:
-                covered.add(i)
         merged.append(group_sep)
-        remaining = [i for i in remaining if i not in covered]
+        remaining = [i for i in remaining if i not in group]
     return merged
 
 
@@ -491,8 +483,10 @@ def check_scalar_optimality(env: MarkovEnv, soap: Soap, mode: NumericMode = EXAC
 
     soap_keys = {action_key(p) for p in soap.policies}
     others = [p for p in everyone if action_key(p) not in soap_keys]
+    # The enumerated policies are valid by construction; the SOAP's are validated.
+    rhos = table.many(soap.policies) + mdp._visitations(table, others)
     program = lp.LinearProgram.build(
-        matrix=[(*rho.entries, -1) for rho in table.many(soap.policies + tuple(others))],
+        matrix=[(*rho.entries, -1) for rho in rhos],
         rhs=[0] * len(soap.good) + [-1] * len(soap.bad) + [0] * len(others),
         senses=[lp.EQ] * len(soap.good) + [lp.LE] * (len(soap.bad) + len(others)),
         free=[True] * (dim + 1),

@@ -44,13 +44,6 @@ class RealizationReport:
         raise KeyError(name)
 
 
-def _check_spec_dims(env: MarkovEnv, spec: RewardSpec):
-    if any(len(row) != env.n_sa for row in spec.rows):
-        raise ValueError(
-            f"reward rows have width {len(spec.rows[0])}, environment needs {env.n_sa}"
-        )
-
-
 def _judge(values, bounds, mode: NumericMode):
     """Dimensions short of their bound by more than the tolerance, and in
     float mode those within it (exact ties are not flagged)."""
@@ -74,7 +67,7 @@ def verify_realization(env: MarkovEnv, soap: Soap, spec: RewardSpec,
 
 def _verify(table: VisitationTable, soap: Soap, spec: RewardSpec) -> RealizationReport:
     mode = table.mode
-    _check_spec_dims(table.env, spec)
+    spec.require_width(table.env)
     verdicts = []
     realized = True
     rhos = iter(table.many(soap.policies))

@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from rewardsep import linalg, lp
+from rewardsep import lp
 from rewardsep.linalg import SingularSystemError
 from rewardsep.mdp import (
     MarkovEnv,
@@ -327,7 +327,7 @@ def sequential_design_multi(env: MarkovEnv, soap, mode: NumericMode, reduce: boo
 def one_float_visitation(env: MarkovEnv, policy: Policy, mode: NumericMode) -> tuple:
     """The float visitation of one policy, solved alone in list arithmetic:
     P_pi summed over actions in order (zero terms skipped), one
-    `linalg.solve_square` of (I - gamma P_pi^T) d = e_start, then
+    `np.linalg.solve` of (I - gamma P_pi^T) d = e_start, then
     rho = d * pi.  The one-policy path that the batched solve replaced;
     the batch must match it bit for bit."""
     require_valid_env(env, mode)
@@ -346,7 +346,8 @@ def one_float_visitation(env: MarkovEnv, policy: Policy, mode: NumericMode) -> t
     system = [[(1 if s == s2 else 0) - gamma * p_pi[s2][s] for s2 in range(n_s)]
               for s in range(n_s)]
     start = env.state_index(env.start)
-    d = linalg.solve_square(system, [1 if s == start else 0 for s in range(n_s)], mode)
+    d = np.linalg.solve(np.array(system, float),
+                        np.array([1 if s == start else 0 for s in range(n_s)], float)).tolist()
     return tuple(ds * p for ds, row in zip(d, pol) for p in row)
 
 

@@ -151,6 +151,17 @@ class TestOtherCommands:
         assert "hyperplane,rx,ry,c" in lines
         assert "h1,1,1,2" in lines
 
+    @pytest.mark.parametrize("argv", [
+        ["design-multi", "entailment.json", "--soap", "xor_soap.json"],
+        ["export-plot", "entailment.json", "--axis-x", "s0,a2", "--axis-y", "s1,a2"],
+    ], ids=lambda argv: argv[0])
+    def test_unwritable_out_is_an_input_error(self, capsys, tmp_path, argv):
+        target = tmp_path / "no-such-dir" / "x.json"
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {target}: cannot write: No such file or directory\n"
+
     def test_export_plot_without_reward_has_empty_hyperplanes(self, capsys):
         code, out, _ = run(
             capsys, "export-plot", "entailment.json",
@@ -486,7 +497,8 @@ class TestInternalFaults:
     def test_failed_flow_self_check(self, capsys, monkeypatch):
         # `_imbalance` gives the self-check and `flow_residuals` their residuals.
         monkeypatch.setattr(
-            mdp, "_imbalance", lambda env, nums, q: (np.ones((len(nums), env.n_states), int), q)
+            mdp, "_imbalance",
+            lambda table, nums, q: (np.ones((len(nums), table.env.n_states), int), q)
         )
         code, _, err = run(capsys, "visitation", "entailment.json")
         assert code == 3

@@ -4,6 +4,7 @@ import hashlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rewardsep import mdp
@@ -137,7 +138,11 @@ class TestPinnedFloatVisitations:
 
 def self_check(env, rho, mode):
     """`mdp._self_check` on one visitation, as a stack of one."""
-    mdp._self_check(env, *mdp._numerators([rho.entries], mode), mode)
+    table = mdp.VisitationTable(env, mode)
+    table._convert()
+    entries, q = mode.scaled(rho.entries)
+    dtype = object if mode.exact else float
+    mdp._self_check(table, np.array([entries], dtype), np.array([q], dtype))
 
 
 class TestSelfCheckRejects:

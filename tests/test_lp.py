@@ -968,9 +968,9 @@ def test_square_solves_are_the_visitations_and_float_duals(monkeypatch, soap_fil
         squares.append(len(rows) if np.ndim(rows) == 3 else 1)
         return real_square(rows, rhs, mode)
 
-    def counting_visitation(env, policies, mode):
+    def counting_visitation(table, policies):
         visitations.extend(policies)
-        return real_visitation(env, policies, mode)
+        return real_visitation(table, policies)
 
     def finish(setup):
         sol = real_finish(setup)

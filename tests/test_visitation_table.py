@@ -16,6 +16,7 @@ import pytest
 from rewardsep import linalg, mdp
 from rewardsep.cli import run_command
 from rewardsep.mdp import (
+    EnvError,
     MarkovEnv,
     Policy,
     PolicyError,
@@ -33,6 +34,7 @@ from rewardsep.verify import verify_realization
 from envs import PI11, PI12, PI21, PI22, entailment_env
 from oracles import one_exact_visitation, one_float_visitation
 
+F = Fraction
 XOR_SOAP = Soap.build(good=[PI12, PI21], bad=[PI11, PI22])
 SINGLE_GOOD_SOAP = Soap.build(good=[PI22], bad=[PI11, PI12, PI21])
 
@@ -44,9 +46,9 @@ def solves(monkeypatch):
     counts = Counter()
     real = mdp._visitations
 
-    def counting(env, policies, mode):
+    def counting(table, policies):
         counts.update(p.name for p in policies)
-        return real(env, policies, mode)
+        return real(table, policies)
 
     monkeypatch.setattr(mdp, "_visitations", counting)
     return counts
@@ -129,6 +131,32 @@ def test_optimality_solves_each_deterministic_policy_once(solves):
     # The enumerated twins of the SOAP's policies are skipped, so the
     # 2^2 deterministic policies are solved once each under SOAP names.
     assert solves == once_each(soap)
+
+
+def test_optimality_validates_only_the_soap_policies(monkeypatch):
+    """The enumerated deterministic policies are built from the
+    environment's own states and actions, so only the SOAP's policies are
+    validated: |SOAP| checks, not |A|^|S|."""
+    checked = []
+    real = Policy.validate_for
+    monkeypatch.setattr(Policy, "validate_for",
+                        lambda policy, env, mode=EXACT: checked.append(policy.name)
+                        or real(policy, env, mode))
+    env = MarkovEnv(("s0", "s1", "s2"), ("a1", "a2"),
+                    tuple((F(1, 2), F(1, 2), 0) if k % 2 else (0, 0, 1) for k in range(6)),
+                    F(9, 10), "s0")
+    soap = Soap.build(good=[Policy.deterministic("g", {"s0": "a1", "s1": "a1", "s2": "a1"})],
+                      bad=[Policy.deterministic("b", {"s0": "a2", "s1": "a1", "s2": "a1"})])
+    check_scalar_optimality(env, soap, EXACT)
+    assert checked == ["g", "b"]
+
+
+def test_flow_residuals_validates_the_environment():
+    env = entailment_env()
+    kernel = ((F(1, 2), F(1, 3)),) + env.kernel[1:]  # row (s0, a1) sums to 5/6
+    with pytest.raises(EnvError, match=re.escape("transition row for (s0, a1) sums to 5/6")):
+        flow_residuals(MarkovEnv(env.states, env.actions, kernel, env.gamma, env.start),
+                       compute_visitation(env, PI11, EXACT), EXACT)
 
 
 def test_name_clash_is_solved_afresh():
@@ -265,36 +293,50 @@ def test_exact_batch_matches_one_policy_solves(seed):
         assert rho.entries == one_exact_visitation(env, policy)
 
 
+def solved_stack(monkeypatch, env, policies, mode):
+    """(table, rhos, nums, q): the table that solved `policies`, their
+    visitations and the numerators and denominators its self-check was
+    handed."""
+    table, handed = VisitationTable(env, mode), []
+    real = mdp._self_check
+    with monkeypatch.context() as m:
+        m.setattr(mdp, "_self_check", lambda *args: handed.append(args) or real(*args))
+        rhos = table.many(policies)
+    [(_, nums, q)] = handed
+    return table, rhos, nums, q
+
+
 class TestBatchSelfCheckRejects:
     """The vectorised float self-check refuses a stack in which one
     visitation breaks either identity."""
 
-    def setup_method(self):
+    @pytest.fixture(autouse=True)
+    def stack(self, monkeypatch):
         env, self.policies = random_stack(11)  # 8 states, 3 actions, 6 policies
         assert env.n_states >= 2 and len(self.policies) >= 3
-        self.env = mdp._scaled(env, FLOAT, mdp.require_valid_env(env, FLOAT))
-        rhos = mdp._visitations(self.env, self.policies, FLOAT)
-        self.nums, self.q = mdp._numerators([rho.entries for rho in rhos], FLOAT)
+        self.table, rhos, self.nums, self.q = solved_stack(monkeypatch, env, self.policies, FLOAT)
+        assert [tuple(row) for row in self.nums.tolist()] == [rho.entries for rho in rhos]
+        assert self.q.tolist() == [1.0] * len(rhos)
 
     def test_accepts_the_solved_stack(self):
-        mdp._self_check(self.env, self.nums, self.q, FLOAT)
+        mdp._self_check(self.table, self.nums, self.q)
 
     def test_scaled_entry_breaks_normalisation(self):
         k = int(np.argmax(self.nums[1]))
         self.nums[1, k] *= 1.5
         with pytest.raises(RuntimeError, match="visitation normalization violated"):
-            mdp._self_check(self.env, self.nums, self.q, FLOAT)
+            mdp._self_check(self.table, self.nums, self.q)
 
     def test_moved_mass_breaks_flow(self):
-        n_a = self.env.n_actions
+        env = self.table.env
         row = self.nums[2]
         source = int(np.argmax(row))
-        target = (source + n_a) % self.env.n_sa  # the same action, the next state
+        target = (source + env.n_actions) % env.n_sa  # the same action, the next state
         moved = row[source] / 2
         row[source] -= moved
         row[target] += moved
         with pytest.raises(RuntimeError, match="Bellman flow violated at state"):
-            mdp._self_check(self.env, self.nums, self.q, FLOAT)
+            mdp._self_check(self.table, self.nums, self.q)
 
 
 class TestExactBatchSelfCheckRejects:
@@ -306,21 +348,15 @@ class TestExactBatchSelfCheckRejects:
     @pytest.fixture(autouse=True)
     def stack(self, monkeypatch):
         env, self.policies = random_stack(11, exact=True)  # 8 states, 3 actions
-        self.env = mdp._scaled(env, EXACT, mdp.require_valid_env(env, EXACT))
-        handed = []
-        real = mdp._self_check
-        with monkeypatch.context() as m:
-            m.setattr(mdp, "_self_check", lambda *args: handed.append(args) or real(*args))
-            rhos = mdp._visitations(self.env, self.policies, EXACT)
-        [(_, self.nums, self.q, _)] = handed
+        self.table, rhos, self.nums, self.q = solved_stack(monkeypatch, env, self.policies, EXACT)
         assert [tuple(EXACT.ratio(v, q) for v in row)
                 for row, q in zip(self.nums.tolist(), self.q.tolist())] == [
             rho.entries for rho in rhos]
-        lcms = mdp._numerators([rho.entries for rho in rhos], EXACT)[1]
-        assert self.q.tolist() != lcms.tolist()
+        lcms = [EXACT.scaled(rho.entries)[1] for rho in rhos]
+        assert self.q.tolist() != lcms
 
     def test_accepts_the_solved_stack(self):
-        mdp._self_check(self.env, self.nums, self.q, EXACT)
+        mdp._self_check(self.table, self.nums, self.q)
 
     def test_scaled_entry_breaks_normalisation(self):
         k = int(np.argmax(self.nums[1]))
@@ -329,22 +365,22 @@ class TestExactBatchSelfCheckRejects:
         assert math.gcd(total, q) > 1  # so the reduced sum is not total/q
         with pytest.raises(RuntimeError, match=re.escape(
                 f"visitation normalization violated: sum={Fraction(total, q)}, expected=10")):
-            mdp._self_check(self.env, self.nums, self.q, EXACT)
+            mdp._self_check(self.table, self.nums, self.q)
 
     def test_moved_mass_breaks_flow(self):
-        n_a = self.env.n_actions
+        env = self.table.env
         row = self.nums[2]
         source = int(np.argmax(row))
-        target = (source + n_a) % self.env.n_sa  # the same action, the next state
+        target = (source + env.n_actions) % env.n_sa  # the same action, the next state
         moved = row[source] // 2
         row[source] -= moved
         row[target] += moved
         rho = Visitation(tuple(EXACT.ratio(v, self.q[2]) for v in row.tolist()))
-        residuals = flow_residuals(self.env, rho, EXACT)
+        residuals = flow_residuals(env, rho, EXACT)
         s = next(s for s, r in enumerate(residuals) if r)
         with pytest.raises(RuntimeError, match=re.escape(
-                f"Bellman flow violated at state {self.env.states[s]}: residual {residuals[s]}")):
-            mdp._self_check(self.env, self.nums, self.q, EXACT)
+                f"Bellman flow violated at state {env.states[s]}: residual {residuals[s]}")):
+            mdp._self_check(self.table, self.nums, self.q)
 
 
 def test_float_batch_validates_every_policy_in_order_before_solving(monkeypatch):
