@@ -139,6 +139,8 @@ def _number(value, where, parsed):
 def _parse_env(data, where, parsed):
     states = _names(data, "states", where, unique=True)
     actions = _names(data, "actions", where, unique=True)
+    if not actions:
+        raise BundleError(f"{where}.actions: no actions declared")
     gamma = _number(_expect(data, "gamma", None, where), f"{where}.gamma", parsed)
     if not 0 <= gamma < 1:
         raise BundleError(f"{where}.gamma: {format_number(gamma)} is out of range [0, 1)")
@@ -240,7 +242,10 @@ def _parse_reward(data, env, where, parsed):
         rows.append(tuple(entries))
     bounds = [_number(b, f"{where}.lower_bounds[{i}]", parsed)
               for i, b in enumerate(bounds_data)]
-    return RewardSpec.build(rows=rows, lower_bounds=bounds)
+    try:
+        return RewardSpec.build(rows=rows, lower_bounds=bounds)
+    except ValueError as exc:
+        raise BundleError(f"{where}: {exc}") from exc
 
 
 def _json(text: str, source) -> object:

@@ -6,11 +6,12 @@ package reduces to LP feasibility questions with at most a few dozen rows
 and columns, and the questions they encode (hull membership, separation,
 optimality) are exact set statements.  An LP is rows over variables that
 are each free or nonnegative, with no objective: phase 1 decides it, and
-its answer is a feasible point or a Farkas certificate.  One Bland's-rule
-driver (`_bland`) runs phase 1 over either of two tableaux, which supply
-only their arithmetic: pricing, pivoting, the entering-column scan and
-the ratio test.  Bland's rule keeps the pivot sequence finite, and all
-tie-breaking is by lowest index, so outputs are deterministic.
+its answer is a feasible point, read off the basis it ends with, or a
+Farkas certificate.  One Bland's-rule driver (`_bland`) runs phase 1
+over either of two tableaux, which supply only their arithmetic:
+pricing, pivoting, the entering-column scan and the ratio test.  Bland's
+rule keeps the pivot sequence finite, and all tie-breaking is by lowest
+index, so outputs are deterministic.
 
 The exact tableau pivots fraction-free: each row is a list of integers
 over one positive row denominator, reduced by a single gcd per updated
@@ -55,10 +56,9 @@ still running, the entering column, ratio ties, leaving row and pivot
 that `_bland` makes over its `_FloatTableau`, with the same IEEE
 operations per entry, so each LP ends phase 1 bit for bit as it would
 alone.  The rest of `solve` (`_finish`: the infeasibility test, then the
-multipliers, or the artificial removal and the point) then runs per LP,
-only when its answer is drawn.  Every other LP, exact or a lone float
-one, is solved by `solve`: a stack of one costs about 2.6 times as much
-per LP as the 2D tableau.
+multipliers or the point) then runs per LP, only when its answer is
+drawn.  Every other LP, exact or a lone float one, is solved by `solve`:
+a stack of one costs about 2.6 times as much per LP as the 2D tableau.
 
 A `LinearProgram` is validated once, when it is constructed.
 """
@@ -358,9 +358,6 @@ class _FloatTableau:
             z[col] = 0 * f
         basis[row] = col
 
-    def nonzero(self, i, j) -> bool:
-        return not -self.tol <= self.rows[i, j] <= self.tol
-
     def value(self, i) -> float:
         return float(self.rows[i, -1])
 
@@ -418,13 +415,6 @@ class _IntTableau:
             out[j] = s * e
         return out
 
-    def _at(self, i, j):
-        """The numerator of standard-form column j in row i."""
-        k, s = self.vmap[j]
-        if self.slot[k] is None:
-            return s * self.bsign[i] * self.dens[i] if self.basic[i] == k else 0
-        return s * self.rows[i][self.slot[k]]
-
     def _set_z(self, z, zd):
         g = math.gcd(zd, *z)
         self.z, self.zd = _divide(z, g), zd // g
@@ -467,42 +457,36 @@ class _IntTableau:
         return ties
 
     def pivot(self, basis, row, col):
+        """Bland's ratio test pivots only on a positive entry of a column
+        that is neither basic nor a basic column's twin (see `ratio_ties`),
+        so that column is stored, at q, and every d_i stays positive.  The
+        pivot row is reduced already: gcd(d_i, *N_i) is 1 for every row."""
         k, s = self.vmap[col]
         q, leave = self.slot[k], self.basic[row]
         prow, lead = self.rows[row], self.bsign[row] * self.dens[row]
-        if self._at(row, col) < 0:  # artificial removal may pivot on a negative entry
-            prow, lead = [-v for v in prow], -lead
-        g = math.gcd(lead, *prow)
-        prow, lead = _divide(prow, g), lead // g
-        if q is None:  # the twin of the row's basic column enters: no other row moves
-            p = s * lead
-        else:
-            p = s * prow[q]
-            prow[q] = lead  # the leaving column takes the entering one's place
-            for i, other in enumerate(self.rows):
-                f = s * other[q]
-                if f == 0 or i == row:
-                    continue
-                new = [p * u - f * v for u, v in zip(other, prow)]
-                new[q] = -f * lead
-                d = self.dens[i] * p
-                g = math.gcd(d, *new)
-                self.rows[i] = _divide(new, g)
-                self.dens[i] = d // g
-            self.slot[k], self.slot[leave] = None, q
-            for j, _ in self.std_cols[k]:
-                self.view[j] = (-1, 0)
-            for j, sj in self.std_cols[leave]:
-                self.view[j] = (q, sj)
+        p = s * prow[q]
+        prow[q] = lead  # the leaving column takes the entering one's place
+        for i, other in enumerate(self.rows):
+            f = s * other[q]
+            if f == 0 or i == row:
+                continue
+            new = [p * u - f * v for u, v in zip(other, prow)]
+            new[q] = -f * lead
+            d = self.dens[i] * p
+            g = math.gcd(d, *new)
+            self.rows[i] = _divide(new, g)
+            self.dens[i] = d // g
+        self.slot[k], self.slot[leave] = None, q
+        for j, _ in self.std_cols[k]:
+            self.view[j] = (-1, 0)
+        for j, sj in self.std_cols[leave]:
+            self.view[j] = (q, sj)
         self.rows[row], self.dens[row] = prow, p
         self.basic[row], self.bsign[row] = k, s
         f = self.z[col]
         if f:
             self._set_z([p * u - f * v for u, v in zip(self.z, self._std(row))], self.zd * p)
         basis[row] = col
-
-    def nonzero(self, i, j) -> bool:
-        return self._at(i, j) != 0
 
     def value(self, i) -> Fraction:
         return Fraction(self.rows[i][-1], self.dens[i])
@@ -545,7 +529,9 @@ class _Phase1:
 
 def _finish(setup: _Phase1) -> LpSolution:
     """What `solve` does once phase 1 has ended: the infeasibility test,
-    then the Farkas multipliers, or the artificial removal and the point."""
+    then the Farkas multipliers, or the point read off the final basis.
+    An artificial left basic is dropped: 0 in exact mode, it may leave its
+    row short in float mode by as much as the infeasibility test allows."""
     mode, std, tab = setup.mode, setup.std, setup.tab
     tol, zero, basis = mode.tolerance, mode.zero, std.basis
     # The float tolerance grows with the rhs; the exact threshold is 0.
@@ -559,19 +545,11 @@ def _finish(setup: _Phase1) -> LpSolution:
         y = mode.share_zero(-v if negated else v for v, negated in zip(y, std.negated))
         return LpSolution(status=INFEASIBLE, certificate=FarkasCertificate(y))
 
-    # Pivot each artificial left basic, at level zero, out of the basis on
-    # the first other column nonzero in its row; a row with none is
-    # redundant and keeps its artificial.
-    for i in arts:
-        enter = next((j for j in range(std.art_first) if tab.nonzero(i, j)), None)
-        if enter is not None:
-            tab.pivot(basis, i, enter)
-    x_std = [zero] * std.width
-    for i, col in enumerate(basis):
-        x_std[col] = tab.value(i)
     primal = [zero] * setup.lp.n_vars
-    for col, (j, sign) in enumerate(std.cols):
-        primal[j] = primal[j] + (x_std[col] if sign == 1 else -x_std[col])
+    for i, col in enumerate(basis):
+        if col < len(std.cols):  # a basic slack or artificial is no LP variable
+            j, sign = std.cols[col]
+            primal[j] = primal[j] + (tab.value(i) if sign == 1 else -tab.value(i))
     return LpSolution(status=FEASIBLE, primal=mode.share_zero(primal))
 
 

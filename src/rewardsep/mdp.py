@@ -295,6 +295,8 @@ class Policy:
             probs = [mode.convert(row.get(a, 0)) for a in env.actions]
             if any(p < -tol for p in probs):
                 raise PolicyError(f"policy {self.name!r} has a negative probability at {s!r}")
+            if any(p != p for p in probs):  # NaN passes the sign and sum tests
+                raise PolicyError(f"policy {self.name!r} has a non-finite probability at {s!r}")
             total = sum(probs)
             if abs(total - 1) > tol:
                 raise PolicyError(
@@ -514,11 +516,6 @@ def _policy_rows(env: MarkovEnv, policies, mode: NumericMode):
             flat, q[i] = mode.scaled(
                 [p for s in env.states for p in policy.distribution_row(env, s)])
             pol[i] = np.array(flat, dtype).reshape(n_s, n_a)
-            if not mode.exact:  # NaN passes every sign and sum test
-                finite = np.isfinite(pol[i]).all(axis=1)
-                if not finite.all():
-                    raise PolicyError(f"policy {policy.name!r} has a non-finite probability "
-                                      f"at {env.states[int(finite.argmin())]!r}")
     return pol, q
 
 
@@ -606,10 +603,10 @@ def value_of_visitation(rho: Visitation, reward: RewardSpec,
     its bits are those of the full sum."""
     entries, den = mode.scaled(rho.entries)
     support = [(k, e) for k, e in enumerate(entries) if e]
+    if reward.rows and len(reward.rows[0]) != len(entries):  # RewardSpec.build: one width
+        raise ValueError("reward row width does not match the visitation")
     out = []
     for row in reward.rows:
-        if len(row) != len(entries):
-            raise ValueError("reward row width does not match the visitation")
         nums, row_den = mode.scaled(row)
         total = sum(nums[k] * e for k, e in support)
         out.append(mode.ratio(total, den * row_den))

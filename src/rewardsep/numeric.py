@@ -12,6 +12,7 @@ results start from and share, and scales values to a common denominator.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -22,6 +23,9 @@ Number = int | float | Fraction
 ZERO = Fraction(0)
 # The one exact one that deterministic policy tables share.
 ONE = Fraction(1)
+# A decimal exponent beyond Python's default limit on int string digits
+# makes a number too long to print and slow to use, so it is refused.
+_MAX_EXPONENT, _EXPONENT = 4300, re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 
 class ExactInputError(ValueError):
@@ -37,6 +41,10 @@ def parse_rational(text) -> Fraction:
     if isinstance(text, Fraction):
         return text
     if isinstance(text, str):
+        exponent = _EXPONENT.search(text)  # without leading zeros, 5 digits exceed 4300
+        if exponent and int(exponent[1].replace("_", "").lstrip("0")[:5] or 0) > _MAX_EXPONENT:
+            raise ExactInputError(f"cannot parse {text!r} as a rational: "
+                                  f"its exponent is beyond ±{_MAX_EXPONENT}")
         try:
             return Fraction(text.strip())
         except (ValueError, ZeroDivisionError) as exc:

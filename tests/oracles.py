@@ -575,8 +575,6 @@ class SplitIntTableau:
 
     def pivot(self, basis, row, col):
         prow = self.rows[row]
-        if prow[col] < 0:
-            prow = [-v for v in prow]
         prow = _divide(prow, math.gcd(*prow))
         p = prow[col]
         self.rows[row] = prow
@@ -594,9 +592,6 @@ class SplitIntTableau:
         if f:
             self._set_z([p * u - f * v for u, v in zip(self.z, prow)], self.zd * p)
         basis[row] = col
-
-    def nonzero(self, i, j) -> bool:
-        return self.rows[i][j] != 0
 
     def value(self, i) -> Fraction:
         return Fraction(self.rows[i][-1], self.dens[i])

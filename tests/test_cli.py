@@ -344,6 +344,14 @@ def _negative_probability(doc):
     doc["env"]["transitions"][1]["to"] = {"s0": "-1/2", "s1": "3/2"}
 
 
+def _huge_exponent(doc):
+    doc["env"]["transitions"][0]["to"] = {"s0": "1e-5000", "s1": "1"}
+
+
+def _huge_exponent_gamma(doc):
+    doc["env"]["gamma"] = "1e-5000"
+
+
 def _two_malformed_policies(doc):
     """Good: pi11, then a row summing to 11/10; bad: an unknown action,
     then pi22.  The bad one comes first in the file."""
@@ -387,9 +395,13 @@ class TestMalformedBundles:
         (_gamma_out_of_range, ".env.gamma: 1.5 is out of range [0, 1)"),
         (_row_sums_to_two, ".env.transitions[1].to: probabilities sum to 2, not 1"),
         (_negative_probability, ".env.transitions[1].to.s0: negative probability -0.5"),
+        (_huge_exponent, ".env.transitions[0].to.s0: cannot parse '1e-5000' as a rational: "
+                         "its exponent is beyond ±4300"),
+        (_huge_exponent_gamma, ".env.gamma: cannot parse '1e-5000' as a rational: "
+                               "its exponent is beyond ±4300"),
     ], ids=["stochastic-row", "state-name", "action-name", "soap-name", "policies",
             "start", "repeated-state", "policy-action", "gamma", "row-sum",
-            "negative-probability"])
+            "negative-probability", "huge-exponent", "huge-exponent-gamma"])
     def test_exit_2_with_field_path(self, capsys, tmp_path, corrupt, message):
         doc = _bundle_doc()
         path = tmp_path / "bundle.json"
@@ -401,6 +413,26 @@ class TestMalformedBundles:
         assert code == 2
         assert out == ""
         assert err == f"error: {path}{message}\n"
+
+    @pytest.mark.parametrize("command", ["visitation", "enumerate"])
+    def test_no_actions_exits_2(self, capsys, tmp_path, command):
+        doc = {"env": {"states": ["s0"], "actions": [], "gamma": "0.5", "start": "s0",
+                       "transitions": []}}
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}.env.actions: no actions declared\n"
+
+    def test_reward_without_rows_exits_2(self, capsys, tmp_path):
+        doc = _bundle_doc()
+        doc["reward"] = {"rows": [], "lower_bounds": []}
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}.reward: reward rows and lower bounds must pair up, "
+                       "d >= 1\n")
 
     @pytest.mark.parametrize("nested_soap", [False, True], ids=["bundle", "soap"])
     def test_deeply_nested_json_exits_2(self, capsys, tmp_path, nested_soap):

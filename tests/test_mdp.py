@@ -132,6 +132,18 @@ class TestVisitation:
         with pytest.raises(PolicyError, match="'mix' has a non-finite probability at 's1'"):
             compute_visitation(entailment_env(), mix, FLOAT)
 
+    def test_validate_for_refuses_nan(self):
+        # NaN passes the sign and sum tests, so it is refused on its own; an
+        # infinity is refused by the sum test.
+        nan = Policy.stochastic("mix", {"s0": {"a1": 0.5, "a2": 0.5},
+                                        "s1": {"a1": float("nan"), "a2": 1.0}})
+        with pytest.raises(PolicyError, match="'mix' has a non-finite probability at 's1'"):
+            nan.validate_for(entailment_env(), FLOAT)
+        inf = Policy.stochastic("mix", {"s0": {"a1": 0.5, "a2": 0.5},
+                                        "s1": {"a1": float("inf"), "a2": 1.0}})
+        with pytest.raises(PolicyError, match="'mix' row at 's1' sums to inf, expected 1"):
+            inf.validate_for(entailment_env(), FLOAT)
+
     def test_unknown_policy_state_raises(self):
         env = entailment_env()
         bad = Policy.deterministic("bad", {"s0": "a1"})

@@ -11,7 +11,9 @@ import pytest
 from rewardsep import lp
 from rewardsep.bundles import load_reward, load_soap, parse_bundle
 from rewardsep.mdp import RewardSpec
-from rewardsep.numeric import EXACT, FLOAT, ZERO, NumericMode, as_exact, as_float
+from rewardsep.numeric import (
+    EXACT, FLOAT, ZERO, ExactInputError, NumericMode, as_exact, as_float, parse_rational,
+)
 from rewardsep.separability import (
     DeterministicSoapRequired,
     InconsistentSoapError,
@@ -27,6 +29,20 @@ from envs import PI11, PI22, entailment_env
 BUNDLES = ("entailment.json", "steady_state.json")
 SOAPS = ("xor_soap.json", "always_a2_soap.json", "degenerate_soap.json",
          "optimal_a1_soap.json")
+
+
+@pytest.mark.parametrize("text", ["1e-5000", "2E+4301", "1e-4_301", "1e0004301",
+                                  "3.5e" + "9" * 5000],
+                         ids=["negative", "positive", "underscore", "leading-zeros",
+                              "5000-digits"])
+def test_parse_rational_refuses_a_huge_exponent(text):
+    with pytest.raises(ExactInputError, match="its exponent is beyond ±4300"):
+        parse_rational(text)
+
+
+def test_parse_rational_keeps_an_exponent_within_the_limit():
+    assert parse_rational("1e-4300") == Fraction(1, 10**4300)
+    assert parse_rational(" 2.5E+0_4300 ") == Fraction(25 * 10**4299)
 
 
 class TestTolerance:
