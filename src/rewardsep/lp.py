@@ -48,18 +48,6 @@ and the Farkas multipliers of an infeasible float LP solve Bᵀy = c_B on
 its basis columns with `linalg.solve_square`.  A feasible LP solves no
 square system.
 
-`check_feasible_many` decides a batch of LPs.  In float mode, two or
-more LPs whose standard forms have one shape run phase 1 in lockstep
-(`_lockstep`): their tableaux are one (k, m, w + 1) float64 array and
-their reduced costs one (k, w) array.  Each step makes, for every LP
-still running, the entering column, ratio ties, leaving row and pivot
-that `_bland` makes over its `_FloatTableau`, with the same IEEE
-operations per entry, so each LP ends phase 1 bit for bit as it would
-alone.  The rest of `solve` (`_finish`: the infeasibility test, then the
-multipliers or the point) then runs per LP, only when its answer is
-drawn.  Every other LP, exact or a lone float one, is solved by `solve`:
-a stack of one costs about 2.6 times as much per LP as the 2D tableau.
-
 A `LinearProgram` is validated once, when it is constructed.
 """
 
@@ -501,39 +489,24 @@ class _IntTableau:
 
 def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
     """Phase-1 simplex: a feasible point or a Farkas certificate.
-    Deterministic for identical inputs."""
-    setup = _Phase1(lp, mode)
-    _bland(setup.tab, setup.std.basis)
-    return _finish(setup)
+    Deterministic for identical inputs.  The tableau is priced by `costs`,
+    1 on every artificial column and 0 elsewhere.  An artificial left
+    basic at the end is dropped from the point: 0 in exact mode, it may
+    leave its row short in float mode by as much as the infeasibility test
+    allows."""
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("solving LP:\n%s", format_lp(lp))
+    tol, zero = mode.tolerance, mode.zero
+    std = _standardize(lp, mode)
+    basis = std.basis
+    if mode.exact:
+        tab = _IntTableau(std.rows, std.dens, std.vmap)
+    else:
+        tab = _FloatTableau(std.rows, tol)
+    costs = [zero] * std.art_first + [zero + 1] * (std.width - std.art_first)
+    tab.price(basis, costs)
+    _bland(tab, basis)
 
-
-class _Phase1:
-    """An LP set up for phase 1: its standard form, and its tableau priced
-    by `costs`, 1 on every artificial column and 0 elsewhere."""
-
-    __slots__ = ("lp", "mode", "std", "tab", "costs")
-
-    def __init__(self, lp: LinearProgram, mode: NumericMode):
-        if log.isEnabledFor(logging.DEBUG):
-            log.debug("solving LP:\n%s", format_lp(lp))
-        zero = mode.zero
-        self.lp, self.mode = lp, mode
-        std = self.std = _standardize(lp, mode)
-        if mode.exact:
-            self.tab = _IntTableau(std.rows, std.dens, std.vmap)
-        else:
-            self.tab = _FloatTableau(std.rows, mode.tolerance)
-        self.costs = [zero] * std.art_first + [zero + 1] * (std.width - std.art_first)
-        self.tab.price(std.basis, self.costs)
-
-
-def _finish(setup: _Phase1) -> LpSolution:
-    """What `solve` does once phase 1 has ended: the infeasibility test,
-    then the Farkas multipliers, or the point read off the final basis.
-    An artificial left basic is dropped: 0 in exact mode, it may leave its
-    row short in float mode by as much as the infeasibility test allows."""
-    mode, std, tab = setup.mode, setup.std, setup.tab
-    tol, zero, basis = mode.tolerance, mode.zero, std.basis
     # The float tolerance grows with the rhs; the exact threshold is 0.
     scale = 1 + sum(map(abs, tab.unpivoted[:, -1].tolist())) if tol else 1
     # Phase 1 leaves every basic value >= 0, so an exact LP is infeasible
@@ -541,11 +514,11 @@ def _finish(setup: _Phase1) -> LpSolution:
     arts = [i for i, col in enumerate(basis) if col >= std.art_first]
     if (any(tab.rows[i][-1] for i in arts) if mode.exact
             else sum(tab.value(i) for i in arts) > tol * scale):
-        y = tab.duals(basis, setup.costs, std.units)
+        y = tab.duals(basis, costs, std.units)
         y = mode.share_zero(-v if negated else v for v, negated in zip(y, std.negated))
         return LpSolution(status=INFEASIBLE, certificate=FarkasCertificate(y))
 
-    primal = [zero] * setup.lp.n_vars
+    primal = [zero] * lp.n_vars
     for i, col in enumerate(basis):
         if col < len(std.cols):  # a basic slack or artificial is no LP variable
             j, sign = std.cols[col]
@@ -555,103 +528,10 @@ def _finish(setup: _Phase1) -> LpSolution:
 
 def check_feasible(lp: LinearProgram, mode: NumericMode = EXACT):
     """(True, witness point) or (False, Farkas certificate)."""
-    return _feasibility(solve(lp, mode))
-
-
-def _feasibility(sol: LpSolution):
+    sol = solve(lp, mode)
     if sol.status == FEASIBLE:
         return True, sol.primal
     return False, sol.certificate
-
-
-def check_feasible_many(programs, mode: NumericMode = EXACT):
-    """`check_feasible` of each program, in order, as an iterator.
-
-    In float mode, two or more LPs whose standard forms have one shape run
-    phase 1 together (`_lockstep`) when the first answer is drawn.  Each
-    of them is finished (`_finish`) only when its own answer is drawn, so
-    a caller that stops early skips the readout of the rest, and its error
-    is raised then, where a loop over `check_feasible` would raise it.
-    Every other LP, exact or lone float, goes through `check_feasible`
-    when its answer is drawn: a stack of one costs more per LP than the
-    2D tableau.
-    """
-    programs = list(programs)
-    setups, shapes = {}, {}
-    if not mode.exact:
-        for k, program in enumerate(programs):
-            try:
-                setups[k] = _Phase1(program, mode)
-            except Exception:  # raised again by `check_feasible` when drawn
-                continue
-            shapes.setdefault(setups[k].tab.rows.shape, []).append(k)
-    stacked = {}  # LP -> the error of its lockstep phase 1, or None
-    for group in shapes.values():
-        if len(group) > 1:
-            stacked.update(zip(group, _lockstep([setups[k] for k in group])))
-    for k, program in enumerate(programs):
-        if k not in stacked:
-            yield check_feasible(program, mode)
-        elif stacked[k] is not None:
-            raise stacked[k]
-        else:
-            yield _feasibility(_finish(setups[k]))
-
-
-def _lockstep(setups):
-    """Phase 1 of k float LPs of one standard-form shape, in lockstep on
-    one (k, m, w + 1) float64 array, with the reduced costs as one (k, w)
-    array.  Each step makes, for every LP still running, the choice and
-    the pivot that `_bland` makes over its `_FloatTableau`: the lowest
-    column with a reduced cost below -tol enters, the ratio ties are the
-    same, the tied row with the lowest basic column leaves, and every
-    entry gets the same IEEE divide, multiply and subtract.  A row with a
-    zero of either sign in the pivot column is not touched.  Each tableau
-    then holds its slice of the stack and each basis its final columns.
-    Returns per LP None, or the RuntimeError that `_bland` would raise."""
-    tol = setups[0].tab.tol
-    rows = np.stack([s.tab.rows for s in setups])
-    z = np.stack([s.tab.z for s in setups])
-    basis = np.array([s.std.basis for s in setups], dtype=np.intp)
-    errors = [None] * len(setups)
-    live = np.arange(len(setups))
-    for _ in range(_MAX_PIVOTS):
-        neg = z[live] < -tol
-        entering = neg.any(axis=1)
-        live, enter = live[entering], neg[entering].argmax(axis=1)
-        if not live.size:
-            break
-        column = rows[live, :, enter]
-        positive = column > tol
-        ratios = np.full(column.shape, np.inf)
-        np.divide(rows[live, :, -1], column, out=ratios, where=positive)
-        ties = positive & (ratios == ratios.min(axis=1, keepdims=True))
-        bounded = ties.any(axis=1)
-        for t in live[~bounded]:
-            errors[t] = RuntimeError(_UNBOUNDED)
-        live, enter, ties, f = live[bounded], enter[bounded], ties[bounded], column[bounded]
-        leave = np.where(ties, basis[live], rows.shape[2]).argmin(axis=1)
-        a = np.arange(live.size)
-        prow = rows[live, leave] / f[a, leave][:, None]
-        rows[live, leave] = prow
-        # f is the pivot column read before the pivot row was divided: the
-        # other rows' entries are those the update reads.
-        f[a, leave] = 0
-        k, i = f.nonzero()
-        f = f[k, i]
-        rows[live[k], i] -= f[:, None] * prow[k]
-        rows[live[k], i, enter[k]] = 0 * f
-        # The entering reduced cost is below -tol, so never zero.
-        f = z[live, enter]
-        z[live] -= f[:, None] * prow[:, :-1]
-        z[live, enter] = 0 * f
-        basis[live, leave] = enter
-    for t in live:  # still running at the pivot limit
-        errors[t] = RuntimeError(_PIVOT_LIMIT)
-    for t, s in enumerate(setups):
-        s.tab.rows, s.tab.z = rows[t], z[t]
-        s.std.basis[:] = basis[t].tolist()
-    return errors
 
 
 def format_lp(lp: LinearProgram) -> str:

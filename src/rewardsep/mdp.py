@@ -41,7 +41,8 @@ import numpy as np
 
 from . import linalg
 from .numeric import (
-    EXACT, ONE, ZERO, Number, NumericMode, as_exact, as_float, over_common_denominator,
+    EXACT, ONE, ZERO, Number, NumericMode, as_exact, as_float, format_number,
+    over_common_denominator,
 )
 
 # Float-mode validation tolerance: fixed, so that a looser comparison
@@ -197,7 +198,8 @@ def validate_env(env: MarkovEnv, mode: NumericMode = EXACT) -> EnvReport:
         if has_negative:
             violations.append(f"negative probability in row ({s}, {a})")
         if abs(total - 1) > tol:
-            violations.append(f"transition row for ({s}, {a}) sums to {total}")
+            violations.append(
+                f"transition row for ({s}, {a}) sums to {format_number(total)}")
     return EnvReport(ok=not violations, violations=tuple(violations), kernel=kernel)
 
 
@@ -300,7 +302,8 @@ class Policy:
             total = sum(probs)
             if abs(total - 1) > tol:
                 raise PolicyError(
-                    f"policy {self.name!r} row at {s!r} sums to {total}, expected 1"
+                    f"policy {self.name!r} row at {s!r} sums to {format_number(total)}, "
+                    "expected 1"
                 )
         extra = set(self.table) - set(env.states)
         if extra:
@@ -575,11 +578,15 @@ def _imbalance(table: VisitationTable, nums, q):
 
     With T = K / D_T and gamma = g_n / g_d (see `NumericMode.scaled`), the
     residual times g_d D_T q is g_d D_T (sum_a R(s, a) - q 1[s = start]) -
-    g_n sum K R; both sums are added in index order."""
+    g_n sum K R.  Exact mode takes the inflow as one product of ints; float
+    mode adds both sums in index order, which fixes their bits."""
     env = table.env
-    inflow = np.zeros((len(nums), env.n_states), nums.dtype)
-    for k, row in enumerate(table.scaled_kernel):
-        inflow += nums[:, k, None] * row
+    if table.mode.exact:
+        inflow = nums @ table.scaled_kernel
+    else:
+        inflow = np.zeros((len(nums), env.n_states), nums.dtype)
+        for k, row in enumerate(table.scaled_kernel):
+            inflow += nums[:, k, None] * row
     outflow = np.zeros_like(inflow)
     for a in range(env.n_actions):
         outflow += nums[:, a::env.n_actions]

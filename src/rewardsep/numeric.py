@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 
 Number = int | float | Fraction
@@ -155,13 +156,21 @@ def format_number(value) -> str:
     if isinstance(value, bool):
         raise ValueError(f"not a number: {value!r}")
     if isinstance(value, int):
-        return str(value)
+        return _int_string(value)
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, Fraction):
         dec = _decimal_string(value)
-        return dec if dec is not None else f"{value.numerator}/{value.denominator}"
+        return (dec if dec is not None
+                else f"{_int_string(value.numerator)}/{_int_string(value.denominator)}")
     raise ValueError(f"not a number: {value!r}")
+
+
+def _int_string(n: int) -> str:
+    """str(n) for an int of any length.  Python's `str` refuses ints past
+    4300 digits (`sys.get_int_max_str_digits`); `Decimal` takes the int
+    without going through text, and its `str` has no such limit."""
+    return str(n) if n.bit_length() < 14_000 else str(Decimal(n))
 
 
 def _decimal_string(value: Fraction) -> str | None:
@@ -178,7 +187,7 @@ def _decimal_string(value: Fraction) -> str | None:
     digits = max(twos, fives)
     scaled = abs(value.numerator) * 10**digits // value.denominator
     sign = "-" if value < 0 else ""
-    text = str(scaled).rjust(digits + 1, "0")
+    text = _int_string(scaled).rjust(digits + 1, "0")
     if digits == 0:
         return sign + text
     return f"{sign}{text[:-digits]}.{text[-digits:]}"

@@ -23,21 +23,25 @@ Farkas coefficients would name another, equally valid one.  Each
 synthesized spec is re-checked through the verifier before it is returned.
 
 The multidimensional design decides its stochastic bad points first, in
-bad order, and then all its deterministic bad points in one batch of
-margin LPs.  The vertex argument makes this order safe: for a
-deterministic bad policy pi_b, the reward r_b(s, a) = [a != pi_b(s)]
-scores pi_b's visitation at 0 and every other visitation above 0, since
-a policy that puts no mass off pi_b's actions has pi_b's visitation.  So
-pi_b's visitation lies in the good hull only if it equals a good
-visitation, which the consistency check refuses.  In exact arithmetic
-the first member in bad order is therefore the first stochastic member,
-and a negative with a stochastic member solves no deterministic LP.
+bad order, and then its deterministic ones.  For a deterministic bad
+policy pi_b, the reward r_b(s, a) = [a != pi_b(s)] scores pi_b's
+visitation at 0 and every other visitation above 0, since a policy that
+puts no mass off pi_b's actions has pi_b's visitation (the paper's
+construction).  So pi_b's visitation lies in the good hull only if it
+equals a good visitation, which the consistency check refuses, and in
+exact arithmetic the first member in bad order is the first stochastic
+member.  Float mode takes r_b, scaled, as the plane of each
+deterministic bad point and solves no LP for it; exact mode solves one
+margin LP per point, in bad order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from . import lp, mdp
 from .mdp import (
@@ -180,20 +184,31 @@ def _separate(keep, exclude, dim, mode):
     give lambda and the `le` rows mu, convex coefficients of one common
     point; the callers need lambda only: (None, lambda).
     """
-    answer = lp.check_feasible(_margin_lp(keep, exclude, dim), mode)
-    return _separation(answer, len(keep), dim, mode)
-
-
-def _separation(answer, n_keep, dim, mode):
-    """(separator, None) or (None, lambda) from a margin LP's
-    `check_feasible` answer (see `_separate`)."""
-    feasible, witness = answer
+    feasible, witness = lp.check_feasible(_margin_lp(keep, exclude, dim), mode)
     if feasible:
         separator = SeparatingHyperplane(normal=tuple(witness[:dim]), offset=witness[dim])
         return separator, None
-    lam = witness.row_multipliers[:n_keep]
+    lam = witness.row_multipliers[:len(keep)]
     total = sum(lam)
     return None, mode.share_zero(v / total for v in lam)
+
+
+def _indicator_plane(env, policy, goods, tol):
+    """The plane of a deterministic bad policy pi_b without an LP, from
+    the indicator reward r_b(s, a) = [a != pi_b(s)]: r_b scores pi_b's
+    visitation at 0 and each good one at least m, the least row sum of
+    `goods` (the float good visitations, one per row) off pi_b's actions.
+    With k = ceil(1 / m), normal k r_b and offset k m keep every good
+    point, and pi_b's scores 0 <= k m - 1.  None when m is within `tol`
+    of 0 (or so small that 1 / m overflows): that point needs its LP."""
+    indicator = [float(a != policy.action_map[s]) for s in env.states for a in env.actions]
+    m = float((goods @ indicator).min())
+    if m <= tol or math.isinf(1 / m):
+        return None
+    k = math.ceil(1 / m)
+    if k * m < 1:  # 1 / m rounded down onto an integer
+        k += 1
+    return SeparatingHyperplane(normal=tuple(k * r for r in indicator), offset=k * m)
 
 
 def in_convex_hull(target, hull: PointSet, mode: NumericMode = EXACT) -> HullMembership:
@@ -401,7 +416,9 @@ def _greedy_groups(good: PointSet, bad: PointSet, planes, mode: NumericMode):
 def design_multi(env: MarkovEnv, soap: Soap, mode: NumericMode = EXACT,
                  reduce: bool = False) -> DesignOutcome:
     """Multidimensional design: `in_convex_hull` of each bad visitation
-    against all good ones, i.e. one margin LP per bad point.  All outside
+    against all good ones, i.e. one separating plane per bad point (a
+    margin LP, or in float mode the indicator plane of a deterministic
+    one; see below).  All outside
     -> stack their hyperplanes (d <= |bad|); one inside -> the convex
     coefficients read from that LP's Farkas multipliers are the
     obstruction.  With `reduce`, a greedy merge starts from these
@@ -416,37 +433,30 @@ def design_multi(env: MarkovEnv, soap: Soap, mode: NumericMode = EXACT,
 
     The stochastic bad points are decided first, one LP each in bad
     order, and the first inside the hull is the obstruction.  Only then
-    are the deterministic bad points decided, all through one
-    `lp.check_feasible_many` call.  By the vertex argument a deterministic
-    bad point is never inside the good hull of a consistent SOAP, so in
-    exact arithmetic the obstruction is the one the bad order gives, and
-    a negative with a stochastic member pays for no deterministic LP."""
+    are the deterministic bad points decided, in bad order: in float mode
+    each by its indicator plane (`_indicator_plane`), with no LP, unless
+    the good points come within the tolerance of pi_b's actions; in exact
+    mode, and in float mode there, by its margin LP.  By the vertex
+    argument a deterministic bad point is never inside the good hull of a
+    consistent SOAP, so in exact arithmetic the obstruction is the one
+    the bad order gives, and a negative with a stochastic member pays for
+    no deterministic LP."""
     table, good, bad = _consistent_points(env, soap, mode)
     dim = good.dimension
-
-    def obstruction(i, coefficients):
-        return DesignOutcome(
-            realizable=False,
-            obstruction=HullObstruction(
-                policy=bad.names[i],
-                point=tuple(bad.points[i].entries),
-                coefficients=coefficients,
-            ),
-        )
+    goods = None if mode.exact else np.array([p.entries for p in good.points])
 
     planes = [None] * len(bad)
-    stochastic = [i for i, policy in enumerate(soap.bad) if not policy.is_deterministic]
-    deterministic = [i for i, policy in enumerate(soap.bad) if policy.is_deterministic]
-    for i in stochastic:
-        planes[i], coefficients = _separate(good.points, [bad.points[i]], dim, mode)
-        if coefficients is not None:
-            return obstruction(i, coefficients)
-    answers = lp.check_feasible_many(
-        [_margin_lp(good.points, [bad.points[i]], dim) for i in deterministic], mode)
-    for i, answer in zip(deterministic, answers):
-        planes[i], coefficients = _separation(answer, len(good), dim, mode)
-        if coefficients is not None:
-            return obstruction(i, coefficients)
+    # Stochastic bad points first; each kind in bad order.
+    for i in sorted(range(len(bad)), key=lambda i: soap.bad[i].is_deterministic):
+        policy = soap.bad[i]
+        if goods is not None and policy.is_deterministic:
+            planes[i] = _indicator_plane(env, policy, goods, mode.tolerance)
+        if planes[i] is None:
+            planes[i], coefficients = _separate(good.points, [bad.points[i]], dim, mode)
+            if coefficients is not None:
+                return DesignOutcome(realizable=False, obstruction=HullObstruction(
+                    policy=bad.names[i], point=tuple(bad.points[i].entries),
+                    coefficients=coefficients))
 
     if reduce:
         planes = _greedy_groups(good, bad, planes, mode)

@@ -17,18 +17,17 @@ settings.load_profile("suite")
 
 
 @pytest.fixture
-def finished_lps(monkeypatch):
-    """The LPs that reach `lp._finish`, in order.  Every LP solved ends
-    there: one solved by `lp.solve`, and one whose phase 1 ran in
-    `lp.check_feasible_many`'s stack and whose answer was drawn."""
+def solved_lps(monkeypatch):
+    """The LPs that reach `lp.solve`, in order: every LP the package
+    decides goes through it."""
     from rewardsep import lp
 
-    finished = []
-    real_finish = lp._finish
+    solved = []
+    real_solve = lp.solve
 
-    def counting_finish(setup):
-        finished.append(setup.lp)
-        return real_finish(setup)
+    def counting_solve(program, *mode):
+        solved.append(program)
+        return real_solve(program, *mode)
 
-    monkeypatch.setattr(lp, "_finish", counting_finish)
-    return finished
+    monkeypatch.setattr(lp, "solve", counting_solve)
+    return solved

@@ -310,7 +310,7 @@ def sequential_design_multi(env: MarkovEnv, soap, mode: NumericMode, reduce: boo
     """`separability.design_multi` with its first pass as one loop in bad
     order: one `in_convex_hull` margin LP per bad point, each solved
     alone, the first member the obstruction.  The reference for the
-    stochastic-first order and the batched deterministic LPs."""
+    stochastic-first order, and in exact mode for the spec."""
     table, good, bad = _consistent_points(env, soap, mode)
     planes = []
     for name, point in zip(bad.names, bad.points):

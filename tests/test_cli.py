@@ -260,9 +260,10 @@ class TestParserReuse:
 
 class TestPinnedFloatCli:
     # SHA-256 over (exit code, stdout) of every float subcommand below on
-    # the bundled fixtures, recorded before bundle parsing and float LP
-    # set-up were vectorised.  Any changed byte of a float report moves it.
-    DIGEST = "813c3928dabf6fc0be37995f223ebcfe0c377a9e2e5019ade2927c3ec6c4e0a0"
+    # the bundled fixtures, recorded when float design-multi took the
+    # indicator plane of each deterministic bad policy.  Any changed byte
+    # of a float report moves it.
+    DIGEST = "ed231b4f4d118c1da1ca21c77fd98ae2b5d1a16a22607a5b6739d2ef7b4fe090"
     COMMANDS = (("consistency",), ("design-scalar",), ("design-multi",),
                 ("design-multi", "--reduce"),
                 ("verify", "--reward", "entailment_reward.json"))
@@ -412,6 +413,28 @@ class TestMalformedBundles:
         code, out, err = run(capsys, "design-multi", str(path))
         assert code == 2
         assert out == ""
+        assert err == f"error: {path}{message}\n"
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda doc: doc["env"]["transitions"][0].update(to={"s0": "1e-4300", "s1": "1"}),
+         ".env.transitions[0].to: probabilities sum to 1." + "0" * 4299 + "1, not 1"),
+        (lambda doc: doc["env"].update(gamma="1e4300"),
+         ".env.gamma: 1" + "0" * 4300 + " is out of range [0, 1)"),
+        (lambda doc: doc["policies"][1].update(stochastic={"s0": {"a1": "1", "a2": "1e-4300"},
+                                                           "s1": {"a2": "1"}}),
+         ".policies[1]: policy 'pi12' row at 's0' sums to 1." + "0" * 4299 + "1, expected 1"),
+    ], ids=["row-sum", "gamma", "policy-row-sum"])
+    @pytest.mark.parametrize("tol", [[], ["--tol", "1e-9"]], ids=["exact", "float"])
+    def test_numbers_past_4300_digits_are_written_out(self, capsys, tmp_path, corrupt,
+                                                      message, tol):
+        """A number within the ±4300 exponent limit whose message needs
+        more than Python's 4300 int string digits is written out in full."""
+        doc = _bundle_doc()
+        corrupt(doc)
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "visitation", str(path), *tol)
+        assert (code, out) == (2, "")
         assert err == f"error: {path}{message}\n"
 
     @pytest.mark.parametrize("command", ["visitation", "enumerate"])

@@ -231,24 +231,24 @@ class TestPinnedExactAnswers:
     TALL_DIGEST = "888e0e603e808244bee51ba4a0f39dcbda120ae8ad44731b6636719a613bc9b2"
 
     def test_tall_lp_answers_unchanged(self, monkeypatch):
-        redundant = []
-        finish = lp._finish
+        forms = []
+        standardize = lp._standardize
 
-        def spy(setup):
-            sol = finish(setup)
-            std = setup.std
-            redundant.append(sum(col >= std.art_first for col in std.basis)
-                             if sol.status == lp.FEASIBLE else 0)
-            return sol
+        def spy(program, mode):
+            forms.append(standardize(program, mode))
+            return forms[-1]
 
-        monkeypatch.setattr(lp, "_finish", spy)
+        monkeypatch.setattr(lp, "_standardize", spy)
         rng = random.Random(20261019)
         digest = hashlib.sha256()
-        statuses = []
+        statuses, redundant = [], []
         for _ in range(100):
-            sol = lp.solve(tall_lp(rng), EXACT)
-            statuses.append(sol.status)
-            digest.update(repr(lp._feasibility(sol)).encode() + b"\n")
+            answer = lp.check_feasible(tall_lp(rng), EXACT)
+            statuses.append(lp.FEASIBLE if answer[0] else lp.INFEASIBLE)
+            # The final basis: phase 1 pivots `std.basis` in place.
+            std = forms[-1]
+            redundant.append(sum(col >= std.art_first for col in std.basis) if answer[0] else 0)
+            digest.update(repr(answer).encode() + b"\n")
         assert statuses.count(lp.FEASIBLE) >= 30
         assert statuses.count(lp.INFEASIBLE) >= 10
         assert sum(map(bool, redundant)) >= 20  # redundant rows kept their artificials
@@ -264,8 +264,13 @@ class TestPinnedExactAnswers:
         assert {sol.status for _, sol in solved} == {lp.FEASIBLE, lp.INFEASIBLE}
         digest = hashlib.sha256()
         for _, sol in solved:
-            digest.update(repr(lp._feasibility(sol)).encode() + b"\n")
+            digest.update(repr(check_feasible_answer(sol)).encode() + b"\n")
         assert digest.hexdigest() == self.FIXTURE_DIGEST
+
+
+def check_feasible_answer(sol):
+    """What `lp.check_feasible` returns for the solution `sol`."""
+    return (True, sol.primal) if sol.status == lp.FEASIBLE else (False, sol.certificate)
 
 
 def fixture_lps():
@@ -444,19 +449,13 @@ class TestFloatStandardForm:
     @pytest.mark.parametrize("soap_file", ["xor_soap.json", "always_a2_soap.json"])
     def test_margin_and_intersection_lps_of_a_fixture(self, monkeypatch, soap_file):
         programs = []
-        real, real_many = lp.check_feasible, lp.check_feasible_many
+        real = lp.check_feasible
 
         def recording(program, mode=EXACT):
             programs.append(program)
             return real(program, mode)
 
-        def recording_many(batch, mode=EXACT):
-            batch = list(batch)
-            programs.extend(batch)
-            return real_many(batch, mode)
-
         monkeypatch.setattr(lp, "check_feasible", recording)
-        monkeypatch.setattr(lp, "check_feasible_many", recording_many)
         bundle = parse_bundle(fixture_path("entailment.json"))
         soap = load_soap(fixture_path(soap_file), bundle)
         design_scalar(bundle.env, soap, FLOAT)
@@ -465,143 +464,6 @@ class TestFloatStandardForm:
         assert programs
         for program in programs:
             self.assert_matches(program)
-
-
-def _phase1_state(setup):
-    """The basis, tableau rows and reduced costs of a float LP's phase 1,
-    each number as `float.hex`."""
-    return (list(setup.std.basis), [[v.hex() for v in row] for row in setup.tab.rows.tolist()],
-            [v.hex() for v in setup.tab.z.tolist()])
-
-
-def _margin_lp_groups(n_soaps, mode):
-    """The first-pass margin LPs of random consistent SOAPs, one list per
-    SOAP: one LP per bad point, all of one shape."""
-    from rewardsep.separability import PointSet, _margin_lp
-    from test_separability import random_env, random_mixed_soap
-
-    rng = random.Random(14)
-    groups = []
-    while len(groups) < n_soaps:
-        env = random_env(rng)
-        soap = random_mixed_soap(env, rng)
-        if soap is None:
-            continue
-        good = PointSet.from_policies(env, soap.good, mode)
-        bad = PointSet.from_policies(env, soap.bad, mode)
-        groups.append([_margin_lp(good.points, [q], env.n_sa) for q in bad.points])
-    return groups
-
-
-class TestLockstepPhase1:
-    """Phase 1 of a stack of float LPs (`lp._lockstep`) against `_bland`
-    over each LP's own `_FloatTableau`, bit for bit: the error, and the
-    final basis, rows and reduced costs as `float.hex`."""
-
-    # Entries of 0.05 lie within this tolerance, so 10 rows 0.05·x >= 1
-    # price x at -0.5 and leave it no positive entry: phase 1 "unbounded".
-    WIDE = NumericMode.floating(0.1)
-
-    @staticmethod
-    def alone(program, mode):
-        setup = lp._Phase1(program, mode)
-        pivots = 0
-        pivot = setup.tab.pivot
-
-        def counting(*args):
-            nonlocal pivots
-            pivots += 1
-            pivot(*args)
-
-        setup.tab.pivot = counting
-        try:
-            lp._bland(setup.tab, setup.std.basis)
-        except RuntimeError as exc:
-            return str(exc), pivots, setup
-        return None, pivots, setup
-
-    def compare(self, programs, mode=FLOAT):
-        """Stack each group of programs of one standard-form shape and
-        compare it with the LPs alone; returns (error, pivots, infeasible)
-        of each LP stacked, and the number of stacks whose LPs stop after
-        different numbers of pivots."""
-        shapes = {}
-        for program in programs:
-            shapes.setdefault(lp._Phase1(program, mode).tab.rows.shape, []).append(program)
-        seen, staggered = [], 0
-        for group in shapes.values():
-            if len(group) < 2:
-                continue
-            alone = [self.alone(program, mode) for program in group]
-            stacked = [lp._Phase1(program, mode) for program in group]
-            errors = lp._lockstep(stacked)
-            assert [e and str(e) for e in errors] == [error for error, _, _ in alone]
-            assert ([_phase1_state(setup) for setup in stacked]
-                    == [_phase1_state(setup) for _, _, setup in alone])
-            for error, pivots, setup in alone:
-                arts = [i for i, col in enumerate(setup.std.basis) if col >= setup.std.art_first]
-                infeasible = sum(setup.tab.value(i) for i in arts) > mode.tolerance
-                seen.append((error, pivots, error is None and infeasible))
-            staggered += len({pivots for _, pivots, _ in alone}) > 1
-        return seen, staggered
-
-    def test_random_lps_grouped_by_shape(self):
-        rng = random.Random(2024)
-        programs = [random_lp(rng) for _ in range(300)] + [sparse_lp(rng) for _ in range(300)]
-        seen, staggered = self.compare(programs)
-        assert len(seen) > 300 and staggered > 10
-        assert any(infeasible for _, _, infeasible in seen)
-
-    def test_margin_lps_of_random_soaps(self):
-        seen, staggered = [], 0
-        for group in _margin_lp_groups(30, FLOAT):
-            more, stacks = self.compare(group)
-            seen, staggered = seen + more, staggered + stacks
-        assert len(seen) > 100 and staggered > 5
-        assert any(infeasible for _, _, infeasible in seen)
-
-    def test_phase_1_unbounded_in_a_stack(self):
-        def rows(coefficient, rhs):
-            return build([[coefficient]] * 10, [rhs] * 10, ["ge"] * 10)
-
-        seen, _ = self.compare([rows(1.0, 1), rows(0.05, 1), rows(0.5, 2), rows(0.05, 3)],
-                               self.WIDE)
-        assert [error for error, _, _ in seen] == [None, "phase 1 cannot be unbounded"] * 2
-
-
-class TestCheckFeasibleMany:
-    """`lp.check_feasible_many` gives `check_feasible`'s answers, bit for
-    bit, and raises each LP's error where a loop would raise it."""
-
-    @pytest.mark.parametrize("mode", [EXACT, FLOAT], ids=["exact", "float"])
-    def test_answers_match_check_feasible(self, mode):
-        rng = random.Random(5)
-        programs = [random_lp(rng) for _ in range(200)]
-        if not mode.exact:
-            programs += [sparse_lp(rng) for _ in range(100)]
-            programs += [p for group in _margin_lp_groups(10, mode) for p in group]
-        answers = list(lp.check_feasible_many(programs, mode))
-        assert repr(answers) == repr([lp.check_feasible(p, mode) for p in programs])
-        assert {feasible for feasible, _ in answers} == {True, False}
-
-    def test_errors_are_raised_in_order(self):
-        ok = build([[1.0]] * 10, [1] * 10, ["ge"] * 10)
-        unbounded = build([[0.05]] * 10, [1] * 10, ["ge"] * 10)
-        unparsable = build([["x"]] * 10, [1] * 10, ["ge"] * 10)
-        mode = TestLockstepPhase1.WIDE
-        for bad, error in ((unbounded, "phase 1 cannot be unbounded"), (unparsable, "'x'")):
-            answers = lp.check_feasible_many([ok, bad, ok], mode)
-            assert repr(next(answers)) == repr(lp.check_feasible(ok, mode))
-            with pytest.raises(Exception, match=error) as raised:
-                next(answers)
-            with pytest.raises(type(raised.value)):
-                lp.check_feasible(bad, mode)
-
-    def test_a_caller_that_stops_early_finishes_no_more(self, finished_lps):
-        program = build([[1.0]] * 3, [1] * 3, ["ge"] * 3)
-        answers = lp.check_feasible_many([program] * 5, FLOAT)
-        next(answers)
-        assert len(finished_lps) == 1
 
 
 def exact_copy(program):
@@ -876,7 +738,7 @@ def run_fixture_designs(soap_file, mode):
 
 @MODES
 @FIXTURE_DESIGNS
-def test_each_lp_solved_is_validated_once(monkeypatch, finished_lps, soap_file, mode):
+def test_each_lp_solved_is_validated_once(monkeypatch, solved_lps, soap_file, mode):
     validated = []
     real_validate = lp._validate
 
@@ -886,18 +748,17 @@ def test_each_lp_solved_is_validated_once(monkeypatch, finished_lps, soap_file, 
 
     monkeypatch.setattr(lp, "_validate", counting_validate)
     run_fixture_designs(soap_file, mode)
-    assert finished_lps
-    assert validated == finished_lps
+    assert solved_lps
+    assert validated == solved_lps
 
 
 @MODES
 @FIXTURE_DESIGNS
 def test_lp_solve_sees_every_lp_outside_the_lockstep(monkeypatch, soap_file, mode):
-    # A monkeypatched module-level `lp.solve` sees every LP built whose
-    # phase 1 does not run in `_lockstep`, and each result it sees has a
-    # status, a point and a certificate.
-    built, solved, stacked = [], [], []
-    real_validate, real_solve, real_lockstep = lp._validate, lp.solve, lp._lockstep
+    # A monkeypatched module-level `lp.solve` sees every LP built, and
+    # each result it sees has a status, a point and a certificate.
+    built, solved = [], []
+    real_validate, real_solve = lp._validate, lp.solve
 
     def counting_validate(program):
         built.append(program)
@@ -910,16 +771,11 @@ def test_lp_solve_sees_every_lp_outside_the_lockstep(monkeypatch, soap_file, mod
             (True, False) if sol.status == "infeasible" else (False, True))
         return sol
 
-    def lockstep(setups):
-        stacked.extend(setup.lp for setup in setups)
-        return real_lockstep(setups)
-
     monkeypatch.setattr(lp, "_validate", counting_validate)
     monkeypatch.setattr(lp, "solve", recording)
-    monkeypatch.setattr(lp, "_lockstep", lockstep)
     run_fixture_designs(soap_file, mode)
-    assert solved and not (mode.exact and stacked)
-    assert sorted(map(id, built)) == sorted(map(id, solved + stacked))
+    assert solved
+    assert list(map(id, built)) == list(map(id, solved))
 
 
 @MODES
@@ -929,7 +785,7 @@ def test_square_solves_are_the_visitations_and_float_duals(monkeypatch, soap_fil
     # float LP solves its basis for the Farkas multipliers.  A float stack
     # of k visitation systems is one call that solves k systems.
     squares, visitations, infeasible = [], [], []
-    real_square, real_visitation, real_finish = linalg.solve_square, mdp._visitations, lp._finish
+    real_square, real_visitation, real_solve = linalg.solve_square, mdp._visitations, lp.solve
 
     def counting_square(rows, rhs, mode):
         squares.append(len(rows) if np.ndim(rows) == 3 else 1)
@@ -939,14 +795,14 @@ def test_square_solves_are_the_visitations_and_float_duals(monkeypatch, soap_fil
         visitations.extend(policies)
         return real_visitation(table, policies)
 
-    def finish(setup):
-        sol = real_finish(setup)
+    def solve(program, mode):
+        sol = real_solve(program, mode)
         infeasible.append(sol.status == lp.INFEASIBLE)
         return sol
 
     monkeypatch.setattr(linalg, "solve_square", counting_square)
     monkeypatch.setattr(mdp, "_visitations", counting_visitation)
-    monkeypatch.setattr(lp, "_finish", finish)
+    monkeypatch.setattr(lp, "solve", solve)
     run_fixture_designs(soap_file, mode)
     assert visitations and infeasible
     assert sum(squares) == len(visitations) + (0 if mode.exact else sum(infeasible))

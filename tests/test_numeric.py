@@ -12,7 +12,8 @@ from rewardsep import lp
 from rewardsep.bundles import load_reward, load_soap, parse_bundle
 from rewardsep.mdp import RewardSpec
 from rewardsep.numeric import (
-    EXACT, FLOAT, ZERO, ExactInputError, NumericMode, as_exact, as_float, parse_rational,
+    EXACT, FLOAT, ZERO, ExactInputError, NumericMode, as_exact, as_float, format_number,
+    parse_rational,
 )
 from rewardsep.separability import (
     DeterministicSoapRequired,
@@ -43,6 +44,13 @@ def test_parse_rational_refuses_a_huge_exponent(text):
 def test_parse_rational_keeps_an_exponent_within_the_limit():
     assert parse_rational("1e-4300") == Fraction(1, 10**4300)
     assert parse_rational(" 2.5E+0_4300 ") == Fraction(25 * 10**4299)
+
+
+def test_format_number_writes_out_more_than_4300_digits():
+    big = 10**5000 + 7
+    assert format_number(-big) == "-1" + "0" * 4999 + "7"
+    assert format_number(Fraction(1, 10**4300)) == "0." + "0" * 4299 + "1"
+    assert format_number(Fraction(big, 3)) == f"1{'0' * 4999}7/3"
 
 
 class TestTolerance:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -411,9 +412,12 @@ def mixed_cases():
 
 
 class TestStochasticFirstOrder:
-    """`design_multi` decides the stochastic bad points first and the
-    deterministic ones in one batch; the reference decides them one by
-    one in bad order (`oracles.sequential_design_multi`)."""
+    """`design_multi` decides the stochastic bad points first and then the
+    deterministic ones; the reference decides them one by one in bad
+    order, one margin LP each (`oracles.sequential_design_multi`).  Float
+    mode gives a deterministic bad point its indicator plane instead of
+    its LP's, so there the decision, the obstruction and the dimension
+    must agree."""
 
     @pytest.mark.parametrize("reduce", [False, True], ids=["multi", "reduce"])
     @pytest.mark.parametrize("mode", [EXACT, FLOAT], ids=["exact", "float"])
@@ -421,7 +425,12 @@ class TestStochasticFirstOrder:
         negatives = 0
         for env, soap in mixed_cases:
             outcome = design_multi(env, soap, mode, reduce=reduce)
-            assert outcome == sequential_design_multi(env, soap, mode, reduce=reduce)
+            reference = sequential_design_multi(env, soap, mode, reduce=reduce)
+            if mode.exact:
+                assert outcome == reference
+            else:
+                assert ((outcome.realizable, outcome.obstruction, outcome.dimension)
+                        == (reference.realizable, reference.obstruction, reference.dimension))
             negatives += not outcome.realizable
         # Both answers occur, and some negatives have a deterministic bad
         # point ahead of their stochastic member.
@@ -459,12 +468,66 @@ class TestStochasticFirstOrder:
 
     @pytest.mark.parametrize("position", [0, 1, 2])
     @pytest.mark.parametrize("mode", [EXACT, FLOAT], ids=["exact", "float"])
-    def test_a_stochastic_member_solves_one_lp(self, finished_lps, mode, position):
+    def test_a_stochastic_member_solves_one_lp(self, solved_lps, mode, position):
         bad = [PI11, PI22]
         bad.insert(position, BLEND)
         outcome = design_multi(entailment_env(), Soap.build(good=[PI12, PI21], bad=bad), mode)
         assert outcome.obstruction.policy == "blend"
-        assert len(finished_lps) == 1
+        assert len(solved_lps) == 1
+
+
+def rare_deviation_soap():
+    """A good policy that leaves the bad one's actions only at `rare`,
+    which is reached with probability 1e-12: the good visitation's mass
+    off the bad policy's actions is about 1e-12, within the float
+    tolerance, while the mass it then keeps in `kept` is about 1e-8."""
+    eps = F(1, 10**12)
+    env = MarkovEnv.from_tables(
+        ["s0", "rare", "kept", "sink"], ["a", "b"],
+        {("s0", "a"): {"rare": eps, "sink": 1 - eps}, ("s0", "b"): {"sink": F(1)},
+         ("rare", "a"): {"sink": F(1)}, ("rare", "b"): {"kept": F(1)},
+         ("kept", "a"): {"kept": F(1)}, ("kept", "b"): {"kept": F(1)},
+         ("sink", "a"): {"sink": F(1)}, ("sink", "b"): {"sink": F(1)}},
+        F(9999, 10000), "s0")
+    bad = Policy.deterministic("bad", {"s0": "a", "rare": "a", "kept": "a", "sink": "a"})
+    good = Policy.deterministic("good", {"s0": "a", "rare": "b", "kept": "a", "sink": "a"})
+    return env, Soap.build(good=[good], bad=[bad])
+
+
+class TestIndicatorPlanes:
+    """Float `design_multi` gives each deterministic bad policy pi_b the
+    plane of the indicator reward r_b(s, a) = [a != pi_b(s)], scaled by
+    k = ceil(1 / m) for m the least good score under r_b, and solves no LP
+    for it."""
+
+    def test_deterministic_bad_points_solve_no_lp(self, reduce_cases, lp_solves):
+        for env, soap in reduce_cases:
+            assert design_multi(env, soap, FLOAT).realizable
+        assert lp_solves == []
+
+    def test_rows_are_scaled_indicators(self, reduce_cases):
+        for env, soap in reduce_cases:
+            outcome = design_multi(env, soap, FLOAT)
+            good = [compute_visitation(env, p, FLOAT).entries for p in soap.good]
+            assert outcome.spec.dimension == len(soap.bad)
+            for policy, row, offset in zip(soap.bad, outcome.spec.rows,
+                                           outcome.spec.lower_bounds):
+                indicator = [int(a != policy.action_map[s])
+                             for s in env.states for a in env.actions]
+                m = min(math.fsum(v for v, r in zip(rho, indicator) if r) for rho in good)
+                k = max(row)
+                assert k == int(k) and row == tuple(k * r for r in indicator)
+                assert k * m >= 1 and (k - 1) * m < 1
+                assert offset == pytest.approx(k * m, rel=1e-12)
+            assert outcome.verification.realized
+            assert verify_realization(env, soap, outcome.spec, FLOAT).realized
+
+    def test_a_rare_deviation_falls_back_to_the_margin_lp(self, lp_solves):
+        env, soap = rare_deviation_soap()
+        outcome = design_multi(env, soap, FLOAT)
+        assert len(lp_solves) == 1
+        assert outcome.realizable and outcome.verification.realized
+        assert design_multi(env, soap, EXACT).realizable
 
 
 class TestRandomizedEquivalences:
@@ -647,11 +710,13 @@ class TestChainProbe:
         assert resumed >= 1
 
     @pytest.mark.parametrize("mode", [EXACT, FLOAT], ids=["exact", "float"])
-    def test_an_accepted_chain_costs_one_merge_lp(self, finished_lps, mode):
+    def test_an_accepted_chain_costs_one_merge_lp(self, solved_lps, mode):
         """A deterministic good policy's visitation is a vertex of the
         visitation polytope, outside the hull of any other visitations,
         so one hyperplane excludes every bad point: the merge makes one
-        group, and its first probe accepts the whole chain."""
+        group, and its first probe accepts the whole chain.  Before it,
+        exact mode solves one margin LP per bad point, and float mode
+        none."""
         from rewardsep.soap import check_consistency
 
         rng = random.Random(5)
@@ -663,10 +728,10 @@ class TestChainProbe:
             soap = Soap.build(good=chosen[:1], bad=chosen[1:])
             if not check_consistency(env, soap, EXACT).consistent:
                 continue
-            finished_lps.clear()
+            solved_lps.clear()
             outcome = design_multi(env, soap, mode, reduce=True)
             assert outcome.spec.dimension == 1
-            assert len(finished_lps) == len(soap.bad) + 1
+            assert len(solved_lps) == (len(soap.bad) if mode.exact else 0) + 1
             checked += 1
 
     @pytest.mark.parametrize("mode", [EXACT, FLOAT], ids=["exact", "float"])
