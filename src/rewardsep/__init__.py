@@ -29,12 +29,9 @@ from .separability import (
     DesignOutcome,
     DeterministicSoapRequired,
     InconsistentSoapError,
-    PointSet,
     check_scalar_optimality,
     design_multi,
     design_scalar,
-    hulls_intersect,
-    in_convex_hull,
 )
 from .soap import ConsistencyReport, Soap, SoapError, check_consistency
 from .verify import RealizationReport, verify_realization
@@ -58,7 +55,6 @@ __all__ = [
     "NumericMode",
     "Policy",
     "PolicyError",
-    "PointSet",
     "ProblemBundle",
     "RealizationReport",
     "RewardSpec",
@@ -74,8 +70,6 @@ __all__ = [
     "enumerate_deterministic_policies",
     "fixture_path",
     "flow_residuals",
-    "hulls_intersect",
-    "in_convex_hull",
     "parse_bundle",
     "parse_bundle_text",
     "parse_rational",

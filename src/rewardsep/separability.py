@@ -18,8 +18,8 @@ Strict separation of finite point sets always admits a positive gap, so
 witness is the separating hyperplane as it stands, and when it is
 infeasible its Farkas multipliers, normalised, are the convex coefficients
 of a common point.  Scalar negatives alone still solve the intersection
-LP after it, because that LP's vertex is the common point reported; the
-Farkas coefficients would name another, equally valid one.  Each
+LP after it (`_overlap`), because that LP's vertex is the common point
+reported; the Farkas coefficients would name another, equally valid one.  Each
 synthesized spec is re-checked through the verifier before it is returned.
 
 The multidimensional design decides its stochastic bad points first, in
@@ -47,7 +47,6 @@ from . import lp, mdp
 from .mdp import (
     MarkovEnv,
     RewardSpec,
-    Visitation,
     VisitationTable,
     enumerate_deterministic_policies,
 )
@@ -71,51 +70,12 @@ class DeterministicSoapRequired(ValueError):
 
 
 @dataclass(frozen=True)
-class PointSet:
-    """Visitation vectors tagged with their policy names."""
-
-    names: tuple
-    points: tuple
-
-    @staticmethod
-    def from_policies(env: MarkovEnv, policies, mode: NumericMode = EXACT) -> "PointSet":
-        return PointSet._of(VisitationTable(env, mode), policies)
-
-    @staticmethod
-    def _of(table: VisitationTable, policies) -> "PointSet":
-        return PointSet(tuple(p.name for p in policies), tuple(table.many(policies)))
-
-    def __len__(self):
-        return len(self.points)
-
-    @property
-    def dimension(self) -> Optional[int]:
-        return len(self.points[0]) if self.points else None
-
-
-@dataclass(frozen=True)
 class SeparatingHyperplane:
     """normal . kept >= offset for every kept point, while
     normal . excluded <= offset - 1."""
 
     normal: tuple
     offset: object
-
-
-@dataclass(frozen=True)
-class HullMembership:
-    member: bool
-    coefficients: Optional[tuple] = None
-    separator: Optional[SeparatingHyperplane] = None
-
-
-@dataclass(frozen=True)
-class HullIntersection:
-    intersects: bool
-    point: Optional[tuple] = None
-    coefficients_a: Optional[tuple] = None
-    coefficients_b: Optional[tuple] = None
-    separator: Optional[SeparatingHyperplane] = None
 
 
 @dataclass(frozen=True)
@@ -157,15 +117,11 @@ class DesignOutcome:
         return self.spec.dimension if self.spec else None
 
 
-def _entries(point) -> tuple:
-    return point.entries if isinstance(point, Visitation) else tuple(point)
-
-
 def _margin_lp(keep_points, exclude_points, dim):
     """Variables (r, c), free: r.p >= c on keep rows, r.q <= c - 1 on
     exclude rows."""
     return lp.LinearProgram.build(
-        matrix=[(*_entries(p), -1) for p in (*keep_points, *exclude_points)],
+        matrix=[(*p, -1) for p in (*keep_points, *exclude_points)],
         rhs=[0] * len(keep_points) + [-1] * len(exclude_points),
         senses=[lp.GE] * len(keep_points) + [lp.LE] * len(exclude_points),
         free=[True] * (dim + 1),
@@ -211,74 +167,42 @@ def _indicator_plane(env, policy, goods, tol):
     return SeparatingHyperplane(normal=tuple(k * r for r in indicator), offset=k * m)
 
 
-def in_convex_hull(target, hull: PointSet, mode: NumericMode = EXACT) -> HullMembership:
-    """Is `target` a convex combination of the hull points?  Decided by one
-    margin LP keeping the hull and excluding the target: a negative answer
-    carries its witness as the separating hyperplane, a positive one the
-    convex coefficients read from its Farkas multipliers."""
-    t = _entries(target)
-    dim = len(t)
-    if any(len(p) != dim for p in hull.points):
-        raise ValueError("hull points and target differ in dimension")
-    separator, lam = _separate(hull.points, [t], dim, mode)
-    if separator is None:
-        return HullMembership(member=True, coefficients=lam)
-    return HullMembership(member=False, separator=separator)
-
-
-def hulls_intersect(a: PointSet, b: PointSet, mode: NumericMode = EXACT) -> HullIntersection:
-    """Decided by one margin LP keeping `a` and excluding `b`: disjoint
-    hulls yield its witness, a hyperplane keeping `a` above and pushing
-    `b` a unit margin below.  Meeting hulls solve the intersection LP,
+def _overlap(good, bad, mode):
+    """The common point of the good and bad hulls, once the margin LP has
+    found that they meet: the vertex of the intersection LP,
     sum lambda_i p_i = sum mu_j q_j with both coefficient vectors on the
-    simplex, for the common point: its vertex is the witness reported,
-    where the margin LP's Farkas multipliers would give another, equally
-    valid one."""
-    if not a.points or not b.points:
-        raise ValueError("hull intersection needs two nonempty point sets")
-    dim = a.dimension
-    if b.dimension != dim:
-        raise ValueError("point sets differ in dimension")
-    separator, _ = _separate(a.points, b.points, dim, mode)
-    if separator is not None:
-        return HullIntersection(intersects=False, separator=separator)
-    ka, kb = len(a.points), len(b.points)
-    matrix = [
-        (*(_entries(p)[row] for p in a.points), *(-_entries(q)[row] for q in b.points))
-        for row in range(dim)
-    ]
-    matrix += [(1,) * ka + (0,) * kb, (0,) * ka + (1,) * kb]
+    simplex.  The margin LP's Farkas multipliers would give another,
+    equally valid one."""
+    dim, kg, kb = len(good[0]), len(good), len(bad)
+    matrix = [(*(p[row] for p in good), *(-q[row] for q in bad)) for row in range(dim)]
+    matrix += [(1,) * kg + (0,) * kb, (0,) * kg + (1,) * kb]
     program = lp.LinearProgram.build(
         matrix=matrix, rhs=[0] * dim + [1, 1], senses=[lp.EQ] * (dim + 2),
-        free=[False] * (ka + kb),
+        free=[False] * (kg + kb),
     )
     feasible, witness = lp.check_feasible(program, mode)
     if not feasible:  # pragma: no cover - LP duality excludes this
         raise RuntimeError("margin LP and hull-intersection LP disagree")
     conv = mode.convert
-    lam = witness[:ka]
-    mu = witness[ka:]
+    lam = witness[:kg]
     point = mode.share_zero(
-        sum((conv(l) * conv(_entries(p)[row]) for l, p in zip(lam, a.points)), mode.zero)
+        sum((conv(l) * conv(p[row]) for l, p in zip(lam, good)), mode.zero)
         for row in range(dim)
     )
-    return HullIntersection(
-        intersects=True,
-        point=point,
-        coefficients_a=tuple(lam),
-        coefficients_b=tuple(mu),
-    )
+    return OverlapObstruction(point=point, good_coefficients=lam,
+                              bad_coefficients=witness[kg:])
 
 
 def _consistent_points(env, soap, mode):
-    """The query's visitation table and its good and bad point sets, once
-    the SOAP is known to be consistent."""
+    """The query's visitation table and the entries of its good and bad
+    visitations, once the SOAP is known to be consistent."""
     soap.require_nonempty()
     table = VisitationTable(env, mode)
     report = _consistency(table, soap)
     if not report.consistent:
         raise InconsistentSoapError(report)
-    return table, PointSet._of(table, soap.good), PointSet._of(table, soap.bad)
+    rhos = tuple(rho.entries for rho in table.many(soap.policies))
+    return table, rhos[:len(soap.good)], rhos[len(soap.good):]
 
 
 def _realized(table, soap, rows, lower_bounds) -> DesignOutcome:
@@ -290,25 +214,18 @@ def _realized(table, soap, rows, lower_bounds) -> DesignOutcome:
 
 
 def design_scalar(env: MarkovEnv, soap: Soap, mode: NumericMode = EXACT) -> DesignOutcome:
-    """Scalar feasibility-based design: `hulls_intersect(good, bad)`.
+    """Scalar feasibility-based design: are the good and bad hulls disjoint?
 
     One margin LP (r, c with good >= c and bad <= c - 1) decides; its
     witness is the reward.  When it is infeasible the hulls meet, and the
-    intersection LP's vertex is the common point given as the obstruction.
+    intersection LP's vertex is the common point given as the obstruction
+    (`_overlap`).
     """
     table, good, bad = _consistent_points(env, soap, mode)
-    crossing = hulls_intersect(good, bad, mode)
-    if not crossing.intersects:
-        separator = crossing.separator
-        return _realized(table, soap, [separator.normal], [separator.offset])
-    return DesignOutcome(
-        realizable=False,
-        obstruction=OverlapObstruction(
-            point=crossing.point,
-            good_coefficients=crossing.coefficients_a,
-            bad_coefficients=crossing.coefficients_b,
-        ),
-    )
+    separator, _ = _separate(good, bad, len(good[0]), mode)
+    if separator is None:
+        return DesignOutcome(realizable=False, obstruction=_overlap(good, bad, mode))
+    return _realized(table, soap, [separator.normal], [separator.offset])
 
 
 def _squared_distance(p, q, zero):
@@ -336,12 +253,13 @@ def _chain(points, group, candidates, zero):
     return chain
 
 
-def _greedy_groups(good: PointSet, bad: PointSet, planes, mode: NumericMode):
+def _greedy_groups(good, bad, planes, mode: NumericMode):
     """Cover the bad points with as few separating hyperplanes as the
     greedy merge finds: grow each candidate group outward from its
     centroid in visitation distance, keeping additions whose single
-    hyperplane still excludes the whole group.  `planes[i]` is the first
-    pass's hyperplane for bad point i, which starts the group seeded there.
+    hyperplane still excludes the whole group.  `good` and `bad` are
+    visitation entry tuples, and `planes[i]` is the first pass's
+    hyperplane for bad point i, which starts the group seeded there.
 
     Acceptance is monotone: if no hyperplane keeps the good hull and
     excludes G + {i}, none excludes any superset of G + {i}, whose margin
@@ -367,14 +285,13 @@ def _greedy_groups(good: PointSet, bad: PointSet, planes, mode: NumericMode):
     subset of the group, so by monotonicity the group's hyperplane does
     not exclude it too, and a group covers its members only."""
     zero = mode.zero
-    dim = good.dimension
-    points = [_entries(p) for p in bad.points]
+    dim = len(good[0])
 
     def trial(members):
-        separator, _ = _separate(good.points, [bad.points[g] for g in members], dim, mode)
+        separator, _ = _separate(good, [bad[g] for g in members], dim, mode)
         return separator
 
-    remaining = list(range(len(bad.points)))
+    remaining = list(range(len(bad)))
     merged = []
     while remaining:
         seed = remaining[0]
@@ -382,7 +299,7 @@ def _greedy_groups(good: PointSet, bad: PointSet, planes, mode: NumericMode):
         group_sep = planes[seed]
         candidates = [i for i in remaining if i != seed]
         while candidates:
-            chain = _chain(points, group, candidates, zero)
+            chain = _chain(bad, group, candidates, zero)
             # The prefixes up to `accepted` are accepted, from `refused` on
             # refused; the whole chain is probed first.
             accepted, refused, probe = 0, len(chain) + 1, len(chain)
@@ -397,7 +314,7 @@ def _greedy_groups(good: PointSet, bad: PointSet, planes, mode: NumericMode):
             if accepted == len(chain):
                 break
             # chain[accepted] heads the candidates and was refused.
-            candidates = _nearest_first(points, group, chain[accepted:], zero)
+            candidates = _nearest_first(bad, group, chain[accepted:], zero)
             for pos, i in enumerate(candidates[1:], 1):
                 separator = trial(group + [i])
                 if separator is not None:
@@ -415,10 +332,10 @@ def _greedy_groups(good: PointSet, bad: PointSet, planes, mode: NumericMode):
 
 def design_multi(env: MarkovEnv, soap: Soap, mode: NumericMode = EXACT,
                  reduce: bool = False) -> DesignOutcome:
-    """Multidimensional design: `in_convex_hull` of each bad visitation
-    against all good ones, i.e. one separating plane per bad point (a
-    margin LP, or in float mode the indicator plane of a deterministic
-    one; see below).  All outside
+    """Multidimensional design: is each bad visitation outside the hull of
+    the good ones?  One separating plane per bad point (a margin LP, or in
+    float mode the indicator plane of a deterministic one; see below).
+    All outside
     -> stack their hyperplanes (d <= |bad|); one inside -> the convex
     coefficients read from that LP's Farkas multipliers are the
     obstruction.  With `reduce`, a greedy merge starts from these
@@ -442,8 +359,8 @@ def design_multi(env: MarkovEnv, soap: Soap, mode: NumericMode = EXACT,
     the bad order gives, and a negative with a stochastic member pays for
     no deterministic LP."""
     table, good, bad = _consistent_points(env, soap, mode)
-    dim = good.dimension
-    goods = None if mode.exact else np.array([p.entries for p in good.points])
+    dim = len(good[0])
+    goods = None if mode.exact else np.array(good)
 
     planes = [None] * len(bad)
     # Stochastic bad points first; each kind in bad order.
@@ -452,11 +369,10 @@ def design_multi(env: MarkovEnv, soap: Soap, mode: NumericMode = EXACT,
         if goods is not None and policy.is_deterministic:
             planes[i] = _indicator_plane(env, policy, goods, mode.tolerance)
         if planes[i] is None:
-            planes[i], coefficients = _separate(good.points, [bad.points[i]], dim, mode)
+            planes[i], coefficients = _separate(good, [bad[i]], dim, mode)
             if coefficients is not None:
                 return DesignOutcome(realizable=False, obstruction=HullObstruction(
-                    policy=bad.names[i], point=tuple(bad.points[i].entries),
-                    coefficients=coefficients))
+                    policy=policy.name, point=bad[i], coefficients=coefficients))
 
     if reduce:
         planes = _greedy_groups(good, bad, planes, mode)

@@ -9,7 +9,8 @@ trajectories, and the feasible-set oracle enumerates every deterministic
 policy.  The greedy-merge references solve every merge trial, refused
 ones again and again, or one trial at a time with no chain probe, on
 the library's own margin LP, the first-pass reference solves one
-margin LP per bad point in bad order, the visitation
+margin LP per bad point in bad order, the hull oracles solve the primal
+membership and intersection LPs, whose dual is that margin LP, the visitation
 references solve one policy at a time, the float one in list arithmetic
 and the exact one by rational elimination, the standard-form reference
 builds each row entry by entry in Python lists, a column for each half
@@ -40,8 +41,7 @@ from rewardsep.mdp import (
 )
 from rewardsep.numeric import EXACT, NumericMode, as_exact, as_float
 from rewardsep.separability import (
-    DesignOutcome, HullObstruction, _consistent_points, _entries, _greedy_groups, _realized,
-    _separate, in_convex_hull,
+    DesignOutcome, HullObstruction, _consistent_points, _greedy_groups, _realized, _separate,
 )
 from rewardsep.soap import ConsistencyReport
 
@@ -219,13 +219,12 @@ def resolving_greedy_groups(good, bad, planes, mode: NumericMode):
     ones this group already refused included.  The reference for the
     merge's specs and LP counts."""
     conv = mode.convert
-    dim = good.dimension
-    entries = [tuple(_entries(p)) for p in bad.points]
+    dim = len(good[0])
 
     def squared_distance(p, q):
         return sum(((conv(a) - conv(b)) ** 2 for a, b in zip(p, q)), conv(0))
 
-    remaining = list(range(len(bad.points)))
+    remaining = list(range(len(bad)))
     merged = []
     while remaining:
         seed = remaining[0]
@@ -233,13 +232,13 @@ def resolving_greedy_groups(good, bad, planes, mode: NumericMode):
         group_sep = planes[seed]
         candidates = [i for i in remaining if i != seed]
         while candidates:
-            centroid = [sum((conv(entries[i][k]) for i in group), mode.zero) / len(group)
+            centroid = [sum((conv(bad[i][k]) for i in group), mode.zero) / len(group)
                         for k in range(dim)]
-            candidates.sort(key=lambda i: (squared_distance(entries[i], centroid), i))
+            candidates.sort(key=lambda i: (squared_distance(bad[i], centroid), i))
             accepted = None
             for pos, i in enumerate(candidates):
-                trial = [bad.points[g] for g in group + [i]]
-                separator, _ = _separate(good.points, trial, dim, mode)
+                trial = [bad[g] for g in group + [i]]
+                separator, _ = _separate(good, trial, dim, mode)
                 if separator is not None:
                     accepted = (pos, separator)
                     break
@@ -252,7 +251,7 @@ def resolving_greedy_groups(good, bad, planes, mode: NumericMode):
         for i in remaining:
             if i in covered:
                 continue
-            score = sum((conv(rk) * conv(pk) for rk, pk in zip(r, entries[i])), mode.zero)
+            score = sum((conv(rk) * conv(pk) for rk, pk in zip(r, bad[i])), mode.zero)
             if score <= conv(c) - 1:
                 covered.add(i)
         merged.append(group_sep)
@@ -268,8 +267,8 @@ def sequential_greedy_groups(good, bad, planes, mode: NumericMode):
     for the chain probe and its bisection, which must reach the same last
     accepted trial of each group."""
     zero = mode.zero
-    dim = good.dimension
-    remaining = list(range(len(bad.points)))
+    dim = len(good[0])
+    remaining = list(range(len(bad)))
     merged = []
     while remaining:
         seed = remaining[0]
@@ -277,15 +276,12 @@ def sequential_greedy_groups(good, bad, planes, mode: NumericMode):
         group_sep = planes[seed]
         candidates = [i for i in remaining if i != seed]
         while candidates:
-            centroid = [
-                sum((_entries(bad.points[i])[k] for i in group), zero) / len(group)
-                for k in range(dim)
-            ]
+            centroid = [sum((bad[i][k] for i in group), zero) / len(group) for k in range(dim)]
             candidates.sort(key=lambda i: (sum(
-                ((a - b) ** 2 for a, b in zip(_entries(bad.points[i]), centroid)), zero), i))
+                ((a - b) ** 2 for a, b in zip(bad[i], centroid)), zero), i))
             for pos, i in enumerate(candidates):
-                trial = [bad.points[g] for g in group + [i]]
-                separator, _ = _separate(good.points, trial, dim, mode)
+                trial = [bad[g] for g in group + [i]]
+                separator, _ = _separate(good, trial, dim, mode)
                 if separator is not None:
                     break
             else:
@@ -298,7 +294,7 @@ def sequential_greedy_groups(good, bad, planes, mode: NumericMode):
         for i in remaining:
             if i in covered:
                 continue
-            score = sum((rk * pk for rk, pk in zip(r, _entries(bad.points[i]))), zero)
+            score = sum((rk * pk for rk, pk in zip(r, bad[i])), zero)
             if score <= c - 1:
                 covered.add(i)
         merged.append(group_sep)
@@ -308,20 +304,43 @@ def sequential_greedy_groups(good, bad, planes, mode: NumericMode):
 
 def sequential_design_multi(env: MarkovEnv, soap, mode: NumericMode, reduce: bool = False):
     """`separability.design_multi` with its first pass as one loop in bad
-    order: one `in_convex_hull` margin LP per bad point, each solved
-    alone, the first member the obstruction.  The reference for the
-    stochastic-first order, and in exact mode for the spec."""
+    order: one `_separate` margin LP per bad point, each solved alone, the
+    first member the obstruction.  The reference for the stochastic-first
+    order, and in exact mode for the spec."""
     table, good, bad = _consistent_points(env, soap, mode)
     planes = []
-    for name, point in zip(bad.names, bad.points):
-        membership = in_convex_hull(point, good, mode)
-        if membership.member:
+    for policy, point in zip(soap.bad, bad):
+        separator, coefficients = _separate(good, [point], len(point), mode)
+        if separator is None:
             return DesignOutcome(realizable=False, obstruction=HullObstruction(
-                policy=name, point=tuple(point.entries), coefficients=membership.coefficients))
-        planes.append(membership.separator)
+                policy=policy.name, point=point, coefficients=coefficients))
+        planes.append(separator)
     if reduce:
         planes = _greedy_groups(good, bad, planes, mode)
     return _realized(table, soap, [p.normal for p in planes], [p.offset for p in planes])
+
+
+def in_hull(point, hull, mode: NumericMode = EXACT) -> bool:
+    """Is `point` in the convex hull of the `hull` points?  Decided by the
+    primal LP sum lambda_g p_g = point with lambda on the simplex, solved
+    by `lp.solve`; the library's margin LP is its dual."""
+    k = len(hull)
+    matrix = [tuple(p[row] for p in hull) for row in range(len(point))] + [(1,) * k]
+    program = lp.LinearProgram.build(matrix, [*point, 1], [EQ] * len(matrix), [False] * k)
+    return lp.solve(program, mode).status == lp.FEASIBLE
+
+
+def hulls_meet(a, b, mode: NumericMode = EXACT) -> bool:
+    """Do the convex hulls of the point lists `a` and `b` meet?  Decided by
+    the primal LP sum lambda_i p_i = sum mu_j q_j with lambda and mu each on
+    the simplex, solved by `lp.solve`; the library's margin LP is its
+    dual."""
+    ka, kb = len(a), len(b)
+    matrix = [(*(p[row] for p in a), *(-q[row] for q in b)) for row in range(len(a[0]))]
+    matrix += [(1,) * ka + (0,) * kb, (0,) * ka + (1,) * kb]
+    program = lp.LinearProgram.build(matrix, [0] * (len(matrix) - 2) + [1, 1],
+                                     [EQ] * len(matrix), [False] * (ka + kb))
+    return lp.solve(program, mode).status == lp.FEASIBLE
 
 
 def one_float_visitation(env: MarkovEnv, policy: Policy, mode: NumericMode) -> tuple:

@@ -23,21 +23,18 @@ from rewardsep.mdp import (
 from rewardsep.numeric import EXACT, FLOAT
 from rewardsep.separability import (
     OverlapObstruction,
-    PointSet,
     check_scalar_optimality,
     design_multi,
     design_scalar,
-    hulls_intersect,
-    in_convex_hull,
 )
 from rewardsep.soap import Soap, check_consistency
 from rewardsep.verify import verify_realization
 
 from oracles import (
-    brute_force_lp, estimate_visitation_monte_carlo, farkas_gap, farkas_signs_ok, random_lp,
-    satisfies,
+    brute_force_lp, estimate_visitation_monte_carlo, farkas_gap, farkas_signs_ok, hulls_meet,
+    in_hull, random_lp, satisfies,
 )
-from test_separability import random_consistent_soap, random_env
+from test_separability import points, random_consistent_soap, random_env
 
 F = Fraction
 
@@ -183,19 +180,16 @@ def test_criterion_07_deterministic_soaps_always_realizable(random_suite):
 
 
 def test_criterion_08_oracle_equivalences(random_suite):
+    # The oracles solve the primal hull LPs, the designs their dual margin
+    # LPs: agreement is an LP-duality cross-check.
     with criterion(8, "design decisions match the independent hull oracles "
                       "on all 200 cases"):
         for env, soap in random_suite:
-            good = PointSet.from_policies(env, soap.good, EXACT)
-            bad = PointSet.from_policies(env, soap.bad, EXACT)
+            good, bad = points(env, *soap.good), points(env, *soap.bad)
             scalar = design_scalar(env, soap, EXACT)
-            crossing = hulls_intersect(good, bad, EXACT)
-            assert scalar.realizable == (not crossing.intersects)
+            assert scalar.realizable == (not hulls_meet(good, bad))
             multi = design_multi(env, soap, EXACT)
-            clear = all(
-                not in_convex_hull(p, good, EXACT).member for p in bad.points
-            )
-            assert multi.realizable == clear
+            assert multi.realizable == (not any(in_hull(q, good) for q in bad))
 
 
 def test_criterion_09_lp_oracle(capfd):

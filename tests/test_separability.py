@@ -9,6 +9,7 @@ from rewardsep.mdp import (
     MarkovEnv,
     Policy,
     RewardSpec,
+    VisitationTable,
     compute_visitation,
     enumerate_deterministic_policies,
     policy_value,
@@ -19,12 +20,11 @@ from rewardsep.separability import (
     HullObstruction,
     InconsistentSoapError,
     OverlapObstruction,
-    PointSet,
+    _overlap,
+    _separate,
     check_scalar_optimality,
     design_multi,
     design_scalar,
-    hulls_intersect,
-    in_convex_hull,
 )
 from rewardsep.soap import Soap, SoapError
 from rewardsep.verify import verify_realization
@@ -32,6 +32,8 @@ from rewardsep.verify import verify_realization
 from envs import GAMMA, PI11, PI12, PI21, PI22, entailment_env, steady_state_env
 from oracles import (
     brute_force_feasible_set,
+    hulls_meet,
+    in_hull,
     resolving_greedy_groups,
     sequential_design_multi,
     sequential_greedy_groups,
@@ -51,14 +53,15 @@ BLEND_SOAP = Soap.build(good=[PI12, PI21], bad=[BLEND])
 
 
 def points(env, *policies, mode=EXACT):
-    return PointSet.from_policies(env, policies, mode)
+    """The visitation entry tuples of `policies`, as the designs read them."""
+    return tuple(rho.entries for rho in VisitationTable(env, mode).many(policies))
 
 
 def separator_is_strict(sep, kept, excluded):
     for p in kept:
-        assert sum(n * e for n, e in zip(sep.normal, p.entries)) >= sep.offset
+        assert sum(n * e for n, e in zip(sep.normal, p)) >= sep.offset
     for q in excluded:
-        assert sum(n * e for n, e in zip(sep.normal, q.entries)) <= sep.offset - 1
+        assert sum(n * e for n, e in zip(sep.normal, q)) <= sep.offset - 1
 
 
 def assert_halves(coefficients, mode):
@@ -86,67 +89,71 @@ def lp_solves(monkeypatch):
 
 
 class TestHullMembership:
+    """`_separate` with one excluded point decides hull membership: a
+    separator when it is outside, convex coefficients when it is inside."""
+
     def test_extreme_point_not_member(self):
         env = entailment_env()
         hull = points(env, PI12, PI21)
-        target = compute_visitation(env, PI11, EXACT)
-        result = in_convex_hull(target, hull, EXACT)
-        assert not result.member
-        separator_is_strict(result.separator, hull.points, [target])
+        (target,) = points(env, PI11)
+        separator, coefficients = _separate(hull, [target], len(target), EXACT)
+        assert coefficients is None
+        separator_is_strict(separator, hull, [target])
 
     def test_hull_point_is_member_with_unit_weights(self):
         env = entailment_env()
         hull = points(env, PI12, PI21)
-        target = compute_visitation(env, PI12, EXACT)
-        result = in_convex_hull(target, hull, EXACT)
-        assert result.member
-        assert result.coefficients == (F(1), F(0))
+        (target,) = points(env, PI12)
+        separator, coefficients = _separate(hull, [target], len(target), EXACT)
+        assert separator is None
+        assert coefficients == (F(1), F(0))
 
     @pytest.mark.parametrize("mode", [EXACT, FLOAT], ids=["exact", "float"])
     def test_midpoint_is_member(self, mode):
         env = entailment_env()
         hull = points(env, PI12, PI21, mode=mode)
-        mid = tuple(
-            (a + b) / 2 for a, b in zip(hull.points[0].entries, hull.points[1].entries)
-        )
-        result = in_convex_hull(mid, hull, mode)
-        assert result.member
-        assert_halves(result.coefficients, mode)
+        mid = tuple((a + b) / 2 for a, b in zip(*hull))
+        separator, coefficients = _separate(hull, [mid], len(mid), mode)
+        assert separator is None
+        assert_halves(coefficients, mode)
 
     def test_empty_hull(self):
         env = entailment_env()
-        target = compute_visitation(env, PI11, EXACT)
-        result = in_convex_hull(target, PointSet(names=(), points=()), EXACT)
-        assert not result.member
-        separator_is_strict(result.separator, [], [target])
+        (target,) = points(env, PI11)
+        separator, coefficients = _separate((), [target], len(target), EXACT)
+        assert coefficients is None
+        separator_is_strict(separator, [], [target])
 
 
 class TestHullIntersection:
+    """`_separate` of two point sets decides whether their hulls meet, and
+    `_overlap` gives the common point of hulls that do."""
+
     def test_xor_hulls_cross_at_shared_midpoint(self):
         env = entailment_env()
-        crossing = hulls_intersect(
-            points(env, PI12, PI21), points(env, PI11, PI22), EXACT
-        )
-        assert crossing.intersects
+        good, bad = points(env, PI12, PI21), points(env, PI11, PI22)
+        separator, _ = _separate(good, bad, env.n_sa, EXACT)
+        assert separator is None
+        overlap = _overlap(good, bad, EXACT)
         # Both segments meet only at their common midpoint:
         # 50/19 on the s0 entries, 45/19 on the s1 entries.
-        assert crossing.point == (F(50, 19), F(50, 19), F(45, 19), F(45, 19))
-        assert crossing.coefficients_a == (F(1, 2), F(1, 2))
-        assert crossing.coefficients_b == (F(1, 2), F(1, 2))
+        assert overlap.point == (F(50, 19), F(50, 19), F(45, 19), F(45, 19))
+        assert overlap.good_coefficients == (F(1, 2), F(1, 2))
+        assert overlap.bad_coefficients == (F(1, 2), F(1, 2))
 
     def test_identical_singletons_intersect(self):
         env = entailment_env()
         a = points(env, PI11)
-        b = PointSet(names=("copy",), points=a.points)
-        assert hulls_intersect(a, b, EXACT).intersects
+        separator, _ = _separate(a, a, env.n_sa, EXACT)
+        assert separator is None
+        assert _overlap(a, a, EXACT).point == a[0]
 
     def test_single_good_against_triangle_is_disjoint(self):
         env = entailment_env()
         good = points(env, PI22)
         bad = points(env, PI11, PI12, PI21)
-        crossing = hulls_intersect(good, bad, EXACT)
-        assert not crossing.intersects
-        separator_is_strict(crossing.separator, good.points, bad.points)
+        separator, _ = _separate(good, bad, env.n_sa, EXACT)
+        separator_is_strict(separator, good, bad)
 
 
 class TestDesignScalar:
@@ -461,8 +468,8 @@ class TestStochasticFirstOrder:
                         r_b[env.sa_index(s, a)] = int(a != policy.action_map[s])
                 rho_b = compute_visitation(env, policy, EXACT)
                 assert sum(r * v for r, v in zip(r_b, rho_b.entries)) == 0
-                for rho_g in good.points:
-                    assert sum(r * v for r, v in zip(r_b, rho_g.entries)) > 0
+                for rho_g in good:
+                    assert sum(r * v for r, v in zip(r_b, rho_g)) > 0
                 checked += 1
         assert checked > 100
 
@@ -540,22 +547,18 @@ class TestRandomizedEquivalences:
             if soap is None:
                 continue
             checked += 1
-            good = PointSet.from_policies(env, soap.good, EXACT)
-            bad = PointSet.from_policies(env, soap.bad, EXACT)
+            good, bad = points(env, *soap.good), points(env, *soap.bad)
 
             multi = design_multi(env, soap, EXACT, reduce=False)
-            membership_says_clear = all(
-                not in_convex_hull(point, good, EXACT).member for point in bad.points
-            )
-            assert multi.realizable == membership_says_clear
+            # The primal hull LPs of `oracles`, whose dual the designs solve.
+            assert multi.realizable == (not any(in_hull(q, good) for q in bad))
             # Deterministic consistent SOAPs are always realizable.
             assert multi.realizable
             assert multi.spec.dimension <= len(soap.bad)
             assert verify_realization(env, soap, multi.spec, EXACT).realized
 
             scalar = design_scalar(env, soap, EXACT)
-            crossing = hulls_intersect(good, bad, EXACT)
-            assert scalar.realizable == (not crossing.intersects)
+            assert scalar.realizable == (not hulls_meet(good, bad))
             if scalar.realizable:
                 assert verify_realization(env, soap, scalar.spec, EXACT).realized
 
