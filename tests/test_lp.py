@@ -385,21 +385,39 @@ class TestPinnedFloatAnswers:
     # changes it.
     DIGEST = "0ae8525f9ee61ebb7c229f81cd1802e892d5f36bed9d312e038ae3c8d07aa25f"
 
-    def test_float_answers_unchanged(self):
+    @staticmethod
+    def cases():
+        """(mode, program) for seeded random LPs, larger sparse LPs and LPs
+        without rows, at two tolerances."""
         rng = random.Random(20261018)
         programs = [random_lp(rng) for _ in range(300)]
         programs += [sparse_lp(rng) for _ in range(150)]
         programs += [lp.LinearProgram.build(*args) for args in ROWLESS]
+        return [(NumericMode.floating(tolerance), program)
+                for tolerance in (1e-9, 1e-6) for program in programs]
+
+    def test_float_answers_unchanged(self):
         digest = hashlib.sha256()
         decisions = set()
-        for tolerance in (1e-9, 1e-6):
-            mode = NumericMode.floating(tolerance)
-            for program in programs:
-                answer = lp.check_feasible(program, mode)
-                decisions.add(answer[0])
-                digest.update(_hex(answer).encode() + b"\n")
+        for mode, program in self.cases():
+            answer = lp.check_feasible(program, mode)
+            decisions.add(answer[0])
+            digest.update(_hex(answer).encode() + b"\n")
         assert decisions == {True, False}
         assert digest.hexdigest() == self.DIGEST
+
+    def test_float_certificates_prove_infeasibility(self):
+        # Every float negative of the pinned set carries a Farkas
+        # certificate: the right signs within the tolerance and yᵀb above
+        # the supremum of yᵀA·x.
+        infeasible = 0
+        for mode, program in self.cases():
+            sol = lp.solve(program, mode)
+            if sol.status == lp.INFEASIBLE:
+                y = sol.certificate.row_multipliers
+                assert farkas_signs_ok(program, y, mode) and farkas_gap(program, y, mode) > 0
+                infeasible += 1
+        assert infeasible > 500
 
 
 def mixed_lp(rng):
