@@ -1,12 +1,11 @@
-"""Dense square solves, a stack of systems at a time: every visitation,
-and the Farkas multipliers of an infeasible float LP.
+"""Dense square solves, a stack of systems at a time: the visitations.
 
-Exact solves serve the visitations only; exact Farkas multipliers are read
-off the simplex tableau instead, and a feasible LP solves no system (see
-`lp`).  Exact solves are fraction-free (Bareiss 1968) on integer systems:
-each column step is one object-array update of every system, with exact
-integer division, and back substitution gives y = det * x in integers,
-so an exact stack returns (y, det) and forms no rational at all.  A float
+The simplex solves no square system: the Farkas multipliers of an
+infeasible LP are read off its tableau in both modes (see `lp`).  Exact
+solves are fraction-free (Bareiss 1968) on integer systems: each column
+step is one object-array update of every system, with exact integer
+division, and back substitution gives y = det * x in integers, so an
+exact stack returns (y, det) and forms no rational at all.  A float
 stack is solved by one numpy call.
 """
 

@@ -31,10 +31,8 @@ float64 array, by the same rules, with the column split, the row
 negation and the slack and artificial columns applied to the array, so
 that every entry is the one a row-by-row set-up gives, the sign of each
 zero included.  Rationals appear only at the edges: the basic values and
-multipliers read out.  The exact reduced costs are integers over one
-denominator, so the Farkas multipliers of an infeasible phase 1 are read
-off the final tableau (Chvátal 1983, ch. 10), and no basis is solved.
-Every zero in an exact answer is the shared `numeric.ZERO`.
+multipliers read out.  Every zero in an exact answer is the shared
+`numeric.ZERO`.
 
 The float tableau is one float64 array with the rhs as its last column,
 and its sign tests use a tolerance.  A float pivot is one masked rank-1
@@ -43,10 +41,10 @@ multiply and subtract per entry, in the same order, as a row-by-row
 update, so the answers are those of plain float rows, bit for bit.  Its
 reduced costs are one float64 vector that each pivot updates in place
 with the same operations, and numpy scans it for the entering column.
-They carry rounding, so the tableau keeps a copy of its unpivoted array,
-and the Farkas multipliers of an infeasible float LP solve Bᵀy = c_B on
-its basis columns with `linalg.solve_square`.  A feasible LP solves no
-square system.
+
+Both tableaux keep their reduced costs up to date, so the Farkas
+multipliers of an infeasible phase 1 are read off them, in either mode,
+by one readout in `solve` (Chvátal 1983, ch. 10): no basis is solved.
 
 A `LinearProgram` is validated once, when it is constructed.
 """
@@ -61,7 +59,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import linalg
 from .numeric import EXACT, FLOAT, NumericMode, over_common_denominator
 
 log = logging.getLogger(__name__)
@@ -300,12 +297,10 @@ class _FloatTableau:
     and subtract as in a row-by-row update, and rows with a zero of either
     sign there are not touched, so every -0.0 keeps its sign.  The reduced
     costs z are one float64 vector, updated in place by each pivot.  The
-    array is the one `_standardize` built, pivoted in place; a copy of it
-    unpivoted is kept for the multipliers (see `duals`)."""
+    array is the one `_standardize` built, pivoted in place."""
 
     def __init__(self, rows, tol):
         self.rows = rows
-        self.unpivoted = self.rows.copy()
         self.tol = tol
         self.z = None
 
@@ -349,11 +344,8 @@ class _FloatTableau:
     def value(self, i) -> float:
         return float(self.rows[i, -1])
 
-    def duals(self, basis, costs, units):
-        """Solve Bᵀy = c_B on the basis columns of the unpivoted rows."""
-        y = linalg.solve_square(self.unpivoted[:, basis].T[None],
-                                np.array([[costs[j] for j in basis]], float), FLOAT)
-        return y[0].tolist()
+    def reduced_cost(self, j) -> float:
+        return float(self.z[j])
 
 
 def _divide(values, g):
@@ -378,8 +370,7 @@ class _IntTableau:
     standard-form row's, twins included.  Positive row scaling changes no
     sign and no ratio, so Bland's rule pivots exactly as it would over
     Fractions.  The reduced costs are the ints z over one denominator
-    zd > 0, one per standard-form column, reduced by gcd(zd, *z), so the
-    simplex multipliers can be read off them (see `duals`).
+    zd > 0, one per standard-form column, reduced by gcd(zd, *z).
     """
 
     def __init__(self, rows, dens, vmap):
@@ -479,12 +470,8 @@ class _IntTableau:
     def value(self, i) -> Fraction:
         return Fraction(self.rows[i][-1], self.dens[i])
 
-    def duals(self, basis, costs, units):
-        """The simplex multipliers y = B⁻ᵀ c_B, read off the reduced costs
-        (Chvátal 1983, ch. 10): for (j, s) = units[i], column j is s·e_i in
-        the unpivoted rows, so its reduced cost is c_j − s·y_i."""
-        zd = self.zd
-        return [(costs[j] - Fraction(self.z[j], zd)) / s for j, s in units]
+    def reduced_cost(self, j) -> Fraction:
+        return Fraction(self.z[j], self.zd)
 
 
 def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
@@ -504,17 +491,20 @@ def solve(lp: LinearProgram, mode: NumericMode = EXACT) -> LpSolution:
     else:
         tab = _FloatTableau(std.rows, tol)
     costs = [zero] * std.art_first + [zero + 1] * (std.width - std.art_first)
+    # The float tolerance grows with the rhs, summed before phase 1 pivots
+    # it; the exact threshold is 0.
+    scale = 1 + sum(map(abs, std.rows[:, -1].tolist())) if tol else 1
     tab.price(basis, costs)
     _bland(tab, basis)
 
-    # The float tolerance grows with the rhs; the exact threshold is 0.
-    scale = 1 + sum(map(abs, tab.unpivoted[:, -1].tolist())) if tol else 1
     # Phase 1 leaves every basic value >= 0, so an exact LP is infeasible
     # exactly when a basic artificial has a nonzero rhs.
     arts = [i for i, col in enumerate(basis) if col >= std.art_first]
     if (any(tab.rows[i][-1] for i in arts) if mode.exact
             else sum(tab.value(i) for i in arts) > tol * scale):
-        y = tab.duals(basis, costs, std.units)
+        # The simplex multipliers y = B⁻ᵀ c_B: for (j, s) = units[i], column
+        # j is s·e_i in the unpivoted rows, so its reduced cost is c_j − s·y_i.
+        y = ((costs[j] - tab.reduced_cost(j)) / s for j, s in std.units)
         y = mode.share_zero(-v if negated else v for v, negated in zip(y, std.negated))
         return LpSolution(status=INFEASIBLE, certificate=FarkasCertificate(y))
 

@@ -615,6 +615,5 @@ class SplitIntTableau:
     def value(self, i) -> Fraction:
         return Fraction(self.rows[i][-1], self.dens[i])
 
-    def duals(self, basis, costs, units):
-        zd = self.zd
-        return [(costs[j] - Fraction(self.z[j], zd)) / s for j, s in units]
+    def reduced_cost(self, j) -> Fraction:
+        return Fraction(self.z[j], self.zd)

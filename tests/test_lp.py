@@ -380,10 +380,10 @@ ROWLESS = ([], [], [], [False, False]), ([], [], [], [False, True])
 class TestPinnedFloatAnswers:
     # SHA-256 over the float.hex of every number in the float
     # `check_feasible` answers to seeded random LPs, larger sparse LPs and
-    # LPs without rows, at two tolerances, recorded with the two-phase
-    # solver.  Any change to a pivot, a rounding or the sign of a zero
+    # LPs without rows, at two tolerances, recorded with the Farkas
+    # multipliers read off the reduced costs.  Any change to a pivot, a rounding or the sign of a zero
     # changes it.
-    DIGEST = "0ae8525f9ee61ebb7c229f81cd1802e892d5f36bed9d312e038ae3c8d07aa25f"
+    DIGEST = "8590a2d01c500fc8ad50cae595c3afb1439c0d0aa1d438daa0ff5220cb0d0b12"
 
     @staticmethod
     def cases():
@@ -798,32 +798,28 @@ def test_lp_solve_sees_every_lp_outside_the_lockstep(monkeypatch, soap_file, mod
 
 @MODES
 @FIXTURE_DESIGNS
-def test_square_solves_are_the_visitations_and_float_duals(monkeypatch, soap_file, mode):
-    # Exact LP certificates are read off the tableau; only an infeasible
-    # float LP solves its basis for the Farkas multipliers.  A float stack
-    # of k visitation systems is one call that solves k systems.
-    squares, visitations, infeasible = [], [], []
-    real_square, real_visitation, real_solve = linalg.solve_square, mdp._visitations, lp.solve
+def test_square_solves_are_the_visitations_and_float_duals(monkeypatch, solved_lps, soap_file,
+                                                           mode):
+    # The visitations are the only square solves: the Farkas multipliers of
+    # an infeasible LP, float ones included, are read off its reduced
+    # costs.  A stack of k visitation systems is one call that solves k
+    # systems.
+    squares, visitations = [], []
+    real_square, real_visitation = linalg.solve_square, mdp._visitations
 
     def counting_square(rows, rhs, mode):
-        squares.append(len(rows) if np.ndim(rows) == 3 else 1)
+        squares.append(len(rows))
         return real_square(rows, rhs, mode)
 
     def counting_visitation(table, policies):
         visitations.extend(policies)
         return real_visitation(table, policies)
 
-    def solve(program, mode):
-        sol = real_solve(program, mode)
-        infeasible.append(sol.status == lp.INFEASIBLE)
-        return sol
-
     monkeypatch.setattr(linalg, "solve_square", counting_square)
     monkeypatch.setattr(mdp, "_visitations", counting_visitation)
-    monkeypatch.setattr(lp, "solve", solve)
     run_fixture_designs(soap_file, mode)
-    assert visitations and infeasible
-    assert sum(squares) == len(visitations) + (0 if mode.exact else sum(infeasible))
+    assert visitations and solved_lps
+    assert sum(squares) == len(visitations)
 
 
 def test_construction_validates():
