@@ -756,25 +756,9 @@ def run_fixture_designs(soap_file, mode):
 
 @MODES
 @FIXTURE_DESIGNS
-def test_each_lp_solved_is_validated_once(monkeypatch, solved_lps, soap_file, mode):
-    validated = []
-    real_validate = lp._validate
-
-    def counting_validate(program):
-        validated.append(program)
-        real_validate(program)
-
-    monkeypatch.setattr(lp, "_validate", counting_validate)
-    run_fixture_designs(soap_file, mode)
-    assert solved_lps
-    assert validated == solved_lps
-
-
-@MODES
-@FIXTURE_DESIGNS
-def test_lp_solve_sees_every_lp_outside_the_lockstep(monkeypatch, soap_file, mode):
-    # A monkeypatched module-level `lp.solve` sees every LP built, and
-    # each result it sees has a status, a point and a certificate.
+def test_each_lp_solved_is_validated_once(monkeypatch, soap_file, mode):
+    # Every LP built is validated once and reaches `lp.solve`, in the order
+    # built, and each answer holds a point or a certificate, not both.
     built, solved = [], []
     real_validate, real_solve = lp._validate, lp.solve
 
@@ -786,7 +770,7 @@ def test_lp_solve_sees_every_lp_outside_the_lockstep(monkeypatch, soap_file, mod
         sol = real_solve(program, mode)
         solved.append(program)
         assert (sol.primal is None, sol.certificate is None) == (
-            (True, False) if sol.status == "infeasible" else (False, True))
+            (True, False) if sol.status == lp.INFEASIBLE else (False, True))
         return sol
 
     monkeypatch.setattr(lp, "_validate", counting_validate)
