@@ -19,8 +19,9 @@ witness is the separating hyperplane as it stands, and when it is
 infeasible its Farkas multipliers, normalised, are the convex coefficients
 of a common point.  Scalar negatives alone still solve the intersection
 LP after it (`_overlap`), because that LP's vertex is the common point
-reported; the Farkas coefficients would name another, equally valid one.  Each
-synthesized spec is re-checked through the verifier before it is returned.
+reported; the Farkas coefficients would name another, equally valid one.
+Each synthesized spec is re-checked through the verifier before it is
+returned.
 
 The multidimensional design decides its stochastic bad points first, in
 bad order, and then its deterministic ones.  For a deterministic bad
@@ -335,9 +336,8 @@ def design_multi(env: MarkovEnv, soap: Soap, mode: NumericMode = EXACT,
     """Multidimensional design: is each bad visitation outside the hull of
     the good ones?  One separating plane per bad point (a margin LP, or in
     float mode the indicator plane of a deterministic one; see below).
-    All outside
-    -> stack their hyperplanes (d <= |bad|); one inside -> the convex
-    coefficients read from that LP's Farkas multipliers are the
+    All outside -> stack their hyperplanes (d <= |bad|); one inside -> the
+    convex coefficients read from that LP's Farkas multipliers are the
     obstruction.  With `reduce`, a greedy merge starts from these
     hyperplanes and reuses them across bad points (`_greedy_groups`).
     From each group state it solves the margin LP of the whole chain,
