@@ -756,9 +756,26 @@ def run_fixture_designs(soap_file, mode):
 
 @MODES
 @FIXTURE_DESIGNS
-def test_each_lp_solved_is_validated_once(monkeypatch, soap_file, mode):
-    # Every LP built is validated once and reaches `lp.solve`, in the order
-    # built, and each answer holds a point or a certificate, not both.
+def test_each_lp_solved_is_validated_once(monkeypatch, solved_lps, soap_file, mode):
+    validated = []
+    real_validate = lp._validate
+
+    def counting_validate(program):
+        validated.append(program)
+        real_validate(program)
+
+    monkeypatch.setattr(lp, "_validate", counting_validate)
+    run_fixture_designs(soap_file, mode)
+    assert solved_lps
+    assert validated == solved_lps
+
+
+@MODES
+@FIXTURE_DESIGNS
+def test_lp_solve_sees_every_lp_outside_the_lockstep(monkeypatch, soap_file, mode):
+    # A monkeypatched module-level `lp.solve` sees every LP built, in the
+    # order built: no design solves an LP past it.  Each answer holds a
+    # point or a certificate, not both.
     built, solved = [], []
     real_validate, real_solve = lp._validate, lp.solve
 
