@@ -151,6 +151,25 @@ class TestOtherCommands:
         assert "hyperplane,rx,ry,c" in lines
         assert "h1,1,1,2" in lines
 
+    def test_float_export_plot(self, capsys):
+        code, out, _ = run(
+            capsys, "export-plot", "entailment.json", "--soap", "xor_soap.json",
+            "--reward", "entailment_reward.json",
+            "--axis-x", "s0,a2", "--axis-y", "s1,a2", "--tol", "1e-9",
+        )
+        assert code == 0
+        assert out == (
+            "name,label,x,y\n"
+            "pi11,bad,0.0,0.0\n"
+            "pi12,good,0.0,4.736842105263159\n"
+            "pi21,good,5.263157894736843,0.0\n"
+            "pi22,bad,5.263157894736843,4.736842105263159\n"
+            "\n"
+            "hyperplane,rx,ry,c\n"
+            "h1,1.0,1.0,2.0\n"
+            "h2,-1.0,-1.0,-8.0\n"
+        )
+
     @pytest.mark.parametrize("argv", [
         ["design-multi", "entailment.json", "--soap", "xor_soap.json"],
         ["export-plot", "entailment.json", "--axis-x", "s0,a2", "--axis-y", "s1,a2"],

@@ -62,6 +62,26 @@ class TestValidation:
         assert not report.ok
         assert any("gamma" in v for v in report.violations)
 
+    def test_every_exact_row_violation_reported_in_order(self):
+        valid = (0, "0.5", F(1, 3), F(1, 6))  # an int, a decimal string, Fractions: lcm 6
+        faulty = {
+            1: (F(1, 2), F(-1, 2), 1, 0),
+            3: (0.5, "0.5", 0, 0),
+            4: (1, 0, 0),
+            5: ("1/2", F(1, 3), 0, 0),
+        }
+        states, actions = ("s0", "s1", "s2", "s3"), ("a1", "a2")
+        env = MarkovEnv(states, actions, tuple(faulty.get(k, valid) for k in range(8)),
+                        "9/10", "s0")
+        assert validate_env(env).violations == (
+            "negative probability in row (s0, a2)",
+            "transition row for (s1, a2) unusable: float 0.5 is not accepted in exact mode; "
+            "pass a decimal string",
+            "transition row for (s2, a1) has wrong width",
+            "transition row for (s2, a2) sums to 5/6",
+        )
+        assert validate_env(MarkovEnv(states, actions, (valid,) * 8, "9/10", "s0")).ok
+
     def test_float_nan_kernel_entry_reported(self):
         env = MarkovEnv(("s0", "s1"), ("a",), ((float("nan"), 1.0), (0.0, 1.0)), 0.9, "s0")
         report = validate_env(env, FLOAT)
