@@ -318,49 +318,6 @@ def _cmd_enumerate(args) -> _Report:
     return _Report(0, "\n".join(lines), payload)
 
 
-@dataclass(frozen=True)
-class PlotExport:
-    """Two-axis projection of the visitation points plus the reward
-    hyperplanes restricted to those axes."""
-
-    points: tuple        # (name, label, x, y)
-    hyperplanes: tuple   # (name, rx, ry, c)
-
-
-def build_plot_export(bundle: ProblemBundle, axis_x, axis_y,
-                      mode: NumericMode = EXACT) -> PlotExport:
-    env = bundle.env
-    ix = env.sa_index(*axis_x)
-    iy = env.sa_index(*axis_y)
-    good = {p.name for p in bundle.soap.good} if bundle.soap else set()
-    bad = {p.name for p in bundle.soap.bad} if bundle.soap else set()
-    points = []
-    rhos = VisitationTable(env, mode).many(bundle.policies)
-    for policy, rho in zip(bundle.policies, rhos):
-        label = "good" if policy.name in good else "bad" if policy.name in bad else "unlabeled"
-        points.append((policy.name, label, rho.entries[ix], rho.entries[iy]))
-    hyperplanes = []
-    if bundle.reward is not None:
-        for i, (row, bound) in enumerate(
-            zip(bundle.reward.rows, bundle.reward.lower_bounds), start=1
-        ):
-            hyperplanes.append((f"h{i}", row[ix], row[iy], bound))
-    return PlotExport(points=tuple(points), hyperplanes=tuple(hyperplanes))
-
-
-def plot_export_csv(export: PlotExport, mode: NumericMode = EXACT) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["name", "label", "x", "y"])
-    for name, label, x, y in export.points:
-        writer.writerow([name, label, _num(x, mode), _num(y, mode)])
-    writer.writerow([])
-    writer.writerow(["hyperplane", "rx", "ry", "c"])
-    for name, rx, ry, c in export.hyperplanes:
-        writer.writerow([name, _num(rx, mode), _num(ry, mode), _num(c, mode)])
-    return buffer.getvalue()
-
-
 def _parse_axis(text: str):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2:
@@ -371,10 +328,28 @@ def _parse_axis(text: str):
 def _cmd_export_plot(args) -> _Report:
     mode = _mode_from_args(args)
     bundle = _load_problem(args)
-    axis_x = _parse_axis(args.axis_x)
-    axis_y = _parse_axis(args.axis_y)
-    export = build_plot_export(bundle, axis_x, axis_y, mode)
-    text = plot_export_csv(export, mode)
+    env = bundle.env
+    axis_x, axis_y = _parse_axis(args.axis_x), _parse_axis(args.axis_y)
+    ix, iy = env.sa_index(*axis_x), env.sa_index(*axis_y)
+    labels = {}
+    if bundle.soap:
+        labels = {p.name: label for label, policies in
+                  (("good", bundle.soap.good), ("bad", bundle.soap.bad)) for p in policies}
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["name", "label", "x", "y"])
+    rhos = VisitationTable(env, mode).many(bundle.policies)
+    for policy, rho in zip(bundle.policies, rhos):
+        writer.writerow([policy.name, labels.get(policy.name, "unlabeled"),
+                         _num(rho.entries[ix], mode), _num(rho.entries[iy], mode)])
+    writer.writerow([])
+    writer.writerow(["hyperplane", "rx", "ry", "c"])
+    if bundle.reward is not None:
+        for i, (row, bound) in enumerate(
+            zip(bundle.reward.rows, bundle.reward.lower_bounds), start=1
+        ):
+            writer.writerow([f"h{i}", _num(row[ix], mode), _num(row[iy], mode), _num(bound, mode)])
+    text = buffer.getvalue()
     if args.out:
         _write(args.out, text)
         out_path, args.out = args.out, None  # the CSV itself is the artifact
