@@ -15,8 +15,11 @@ batched fraction-free elimination that returns integer solutions y and
 determinants det, and float mode over the float values with unit
 denominators, the whole stack solved by one numpy call.  Every route
 from an environment to its visitations, `compute_visitation` and
-`flow_residuals` included, goes through a `VisitationTable`: it validates
-the environment once and keeps the kernel as validation converted it.
+`flow_residuals` included, goes through a `VisitationTable`, built once
+per query: it validates the environment, whose kernel is converted once,
+into the integers over their lcm (exact mode) or the floats (float mode)
+that the solve uses, and validated on those numbers.  A query asks the
+table for its policies' visitations in one call and hands them on.
 The self-check every visitation passes (normalisation and per-state
 flow) is one vectorised test of the stack, computed independently of the
 solve from the converted inputs alone, through the residual routine
@@ -42,7 +45,6 @@ import numpy as np
 from . import linalg
 from .numeric import (
     EXACT, ONE, ZERO, Number, NumericMode, as_exact, as_float, format_number,
-    over_common_denominator,
 )
 
 # Float-mode validation tolerance: fixed, so that a looser comparison
@@ -141,22 +143,24 @@ class MarkovEnv:
 
 @dataclass(frozen=True)
 class EnvReport:
-    """`kernel` is the transition kernel as the check read it (see
-    `_converted_kernel`), kept for the solve that follows; None when the
-    kernel has the wrong number of rows."""
+    """`kernel` and `d_t` are the transition kernel as the check read it,
+    T == kernel / d_t (see `_converted_kernel`), kept for the solve that
+    follows; the kernel is None when it has the wrong number of rows."""
 
     ok: bool
     violations: tuple
     kernel: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    d_t: int = field(default=1, repr=False, compare=False)
 
 
 def validate_env(env: MarkovEnv, mode: NumericMode = EXACT) -> EnvReport:
     """Check stochasticity, discount range, and start membership.
 
     Report-based: callers that need a hard failure use `require_valid_env`.
-    The kernel is converted once, by `_converted_kernel`; the sign and
-    row-sum tests then run on that array, each row sum added in column
-    order.
+    The kernel is converted once, by `_converted_kernel`, into the numbers
+    the solve uses; the sign and row-sum tests then run on that array, each
+    row sum added in column order and compared with d_t (in integers in
+    exact mode).
     """
     violations = []
     if not env.states:
@@ -183,61 +187,68 @@ def validate_env(env: MarkovEnv, mode: NumericMode = EXACT) -> EnvReport:
             f"kernel has {len(env.kernel)} rows, expected {expected_rows}"
         )
         return EnvReport(ok=False, violations=tuple(violations))
-    kernel, unusable = _converted_kernel(env, mode)
+    kernel, d_t, unusable = _converted_kernel(env, mode)
     tol = 0 if mode.exact else _VALIDATION_TOL
-    negative = (kernel < -tol).any(axis=1).tolist()
+    negative = (kernel < -tol).any(axis=1)
     totals = np.zeros(len(kernel), kernel.dtype)
     for column in kernel.T:
         totals += column
-    rows = iter(zip(negative, totals.tolist()))
-    for k, (s, a) in enumerate(env.sa_pairs()):
-        if k in unusable:
-            violations.append(f"transition row for ({s}, {a}) {unusable[k]}")
-            continue
-        has_negative, total = next(rows)
-        if has_negative:
-            violations.append(f"negative probability in row ({s}, {a})")
-        if abs(total - 1) > tol:
-            violations.append(
-                f"transition row for ({s}, {a}) sums to {format_number(total)}")
-    return EnvReport(ok=not violations, violations=tuple(violations), kernel=kernel)
+    off = abs(totals - d_t) > tol
+    if unusable or negative.any() or off.any():  # name each fault, row by row
+        rows = iter(zip(negative.tolist(), off.tolist(), totals.tolist()))
+        for k, (s, a) in enumerate(env.sa_pairs()):
+            if k in unusable:
+                violations.append(f"transition row for ({s}, {a}) {unusable[k]}")
+                continue
+            has_negative, is_off, total = next(rows)
+            if has_negative:
+                violations.append(f"negative probability in row ({s}, {a})")
+            if is_off:
+                violations.append(f"transition row for ({s}, {a}) sums to "
+                                  f"{format_number(mode.ratio(total, d_t))}")
+    return EnvReport(ok=not violations, violations=tuple(violations), kernel=kernel, d_t=d_t)
 
 
-def require_valid_env(env: MarkovEnv, mode: NumericMode = EXACT) -> np.ndarray:
-    """Raise `EnvError` with every violation, or return the kernel as
-    `validate_env` read it."""
+def require_valid_env(env: MarkovEnv, mode: NumericMode = EXACT) -> EnvReport:
+    """Raise `EnvError` with every violation, or return the report."""
     report = validate_env(env, mode)
     if not report.ok:
         raise EnvError("; ".join(report.violations))
-    return report.kernel
+    return report
 
 
 def _converted_kernel(env: MarkovEnv, mode: NumericMode):
-    """(kernel, unusable): the transition rows that convert, read once by
-    `mode` into one (rows, |S|) array (float64 in float mode, Fractions in
-    exact mode), and by row index why each other row does not.  A float
-    row holding NaN or an infinity does not: NaN passes every sign and
-    sum test."""
-    rows, kept, unusable = [], [], {}
-    exact = mode.exact
+    """(kernel, d_t, unusable): the transition rows that convert, each read
+    once by `mode.scaled` into one (rows, |S|) array with T == kernel / d_t
+    (float64 over 1 in float mode, ints over the lcm of the rows'
+    denominators in exact mode), and by row index why each other row does
+    not.  A float row holding NaN or an infinity does not: NaN passes every
+    sign and sum test."""
+    rows, dens, kept, unusable = [], [], [], {}
     for k, row in enumerate(env.kernel):
         if len(row) != env.n_states:
             unusable[k] = "has wrong width"
             continue
         try:
-            rows.append([as_exact(p) for p in row] if exact else mode.scaled(row)[0])
-            kept.append(k)
+            nums, den = mode.scaled(row)
         except ValueError as exc:
             unusable[k] = f"unusable: {exc}"
-    kernel = np.array(rows, dtype=object if exact else float).reshape(len(rows), env.n_states)
-    if not exact:
+            continue
+        rows.append(nums)
+        dens.append(den)
+        kept.append(k)
+    d_t = math.lcm(*dens)  # 1 in float mode
+    kernel = np.array(rows, dtype=object if mode.exact else float).reshape(len(rows), env.n_states)
+    if mode.exact:
+        kernel *= np.array([d_t // den for den in dens], object).reshape(-1, 1)
+    else:
         finite = np.isfinite(kernel).all(axis=1)
         if not finite.all():
             for i in (~finite).nonzero()[0].tolist():
                 unusable[kept[i]] = "has a non-finite probability"
             unusable = dict(sorted(unusable.items()))
             kernel = kernel[finite]
-    return kernel, unusable
+    return kernel, d_t, unusable
 
 
 @dataclass(frozen=True)
@@ -402,62 +413,31 @@ def compute_visitation(env: MarkovEnv, policy: Policy, mode: NumericMode = EXACT
     The result is checked against the flow identities before returning, so
     every visitation the package ever produces satisfies them.
     """
-    return VisitationTable(env, mode)(policy)
+    return VisitationTable(env, mode).many([policy])[0]
 
 
 class VisitationTable:
-    """The visitations of one query's policies, keyed by policy name: each
-    is solved the first time it is asked for (a different policy under a
-    known name is solved afresh, not stored).  Before the first solve the
-    environment is validated, and gamma and the kernel converted, once per
-    table: gamma == g_n / g_d and T(k, s2) == scaled_kernel[k, s2] / d_t
-    (see `NumericMode.scaled`), an (|S||A|, |S|) array of floats, or of
-    ints in exact mode.  Build one per query; it is never shared across
-    calls."""
+    """One query's environment, validated and converted once, when the
+    table is built: gamma == g_n / g_d and T(k, s2) == scaled_kernel[k, s2]
+    / d_t (see `NumericMode.scaled`), an (|S||A|, |S|) array of floats, or
+    of ints in exact mode.  A query builds one table, asks `many` for its
+    policies' visitations once and hands that list on; nothing is kept
+    between calls."""
 
     def __init__(self, env: MarkovEnv, mode: NumericMode = EXACT):
         self.env = env
         self.mode = mode
-        self._rows = {}
-        self.scaled_kernel = None
-
-    def __call__(self, policy: Policy) -> Visitation:
-        return self.many([policy])[0]
+        report = require_valid_env(env, mode)
+        self.scaled_kernel, self.d_t = report.kernel, report.d_t
+        (self.g_n,), self.g_d = mode.scaled([env.gamma])
 
     def many(self, policies) -> list:
-        """The visitations of `policies`, in order.  Those not known yet
-        are validated in order, after the environment, and then solved
-        together, in one `_visitations` call."""
-        policies = list(policies)
-        out = []
+        """The visitations of `policies`, in order: every policy is
+        validated, in order, and then all are solved together, in one
+        `_visitations` call."""
         for policy in policies:
-            known = self._rows.get(policy.name)
-            out.append(known[1] if known is not None and known[0] == policy else None)
-        fresh = [p for p, rho in zip(policies, out) if rho is None]
-        if not fresh:
-            return out
-        self._convert()
-        for policy in fresh:
             policy.validate_for(self.env, self.mode)
-        solved = iter(_visitations(self, fresh))
-        for i, (policy, rho) in enumerate(zip(policies, out)):
-            if rho is None:
-                out[i] = next(solved)
-                self._rows.setdefault(policy.name, (policy, out[i]))
-        return out
-
-    def _convert(self):
-        """Validate the environment and convert gamma and the kernel, the
-        first time only."""
-        if self.scaled_kernel is not None:
-            return
-        kernel = require_valid_env(self.env, self.mode)
-        (self.g_n,), self.g_d = self.mode.scaled([self.env.gamma])
-        self.d_t = 1
-        if self.mode.exact:
-            flat, self.d_t = over_common_denominator(kernel.ravel().tolist())
-            kernel = np.array(flat, object).reshape(kernel.shape)
-        self.scaled_kernel = kernel
+        return _visitations(self, policies)
 
 
 def _visitations(table: VisitationTable, policies) -> list:
@@ -564,7 +544,6 @@ def flow_residuals(env: MarkovEnv, rho: Visitation, mode: NumericMode = EXACT):
     The environment is validated first, as for a solve; the residuals are
     computed independently of the solve, by `_imbalance`."""
     table = VisitationTable(env, mode)
-    table._convert()
     entries, q = mode.scaled(rho.entries)
     dtype = object if mode.exact else float
     num, den = _imbalance(table, np.array([entries], dtype), np.array([q], dtype))

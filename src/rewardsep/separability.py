@@ -195,20 +195,22 @@ def _overlap(good, bad, mode):
 
 
 def _consistent_points(env, soap, mode):
-    """The query's visitation table and the entries of its good and bad
-    visitations, once the SOAP is known to be consistent."""
+    """The visitations of the SOAP's policies, asked for once, and the
+    entries of the good and bad ones, once the SOAP is known to be
+    consistent."""
     soap.require_nonempty()
-    table = VisitationTable(env, mode)
-    report = _consistency(table, soap)
+    rhos = VisitationTable(env, mode).many(soap.policies)
+    report = _consistency(soap, rhos, mode)
     if not report.consistent:
         raise InconsistentSoapError(report)
-    rhos = tuple(rho.entries for rho in table.many(soap.policies))
-    return table, rhos[:len(soap.good)], rhos[len(soap.good):]
+    entries = tuple(rho.entries for rho in rhos)
+    return rhos, entries[:len(soap.good)], entries[len(soap.good):]
 
 
-def _realized(table, soap, rows, lower_bounds) -> DesignOutcome:
+def _realized(soap, rhos, mode, rows, lower_bounds) -> DesignOutcome:
+    """The spec (rows, lower_bounds), verified on `rhos`, the SOAP's visitations."""
     spec = RewardSpec.build(rows=rows, lower_bounds=lower_bounds)
-    report = _verify(table, soap, spec)
+    report = _verify(soap, spec, rhos, mode)
     if not report.realized:  # pragma: no cover - guarded by construction
         raise RuntimeError("synthesized reward failed verification")
     return DesignOutcome(realizable=True, spec=spec, verification=report)
@@ -222,11 +224,11 @@ def design_scalar(env: MarkovEnv, soap: Soap, mode: NumericMode = EXACT) -> Desi
     intersection LP's vertex is the common point given as the obstruction
     (`_overlap`).
     """
-    table, good, bad = _consistent_points(env, soap, mode)
+    rhos, good, bad = _consistent_points(env, soap, mode)
     separator, _ = _separate(good, bad, len(good[0]), mode)
     if separator is None:
         return DesignOutcome(realizable=False, obstruction=_overlap(good, bad, mode))
-    return _realized(table, soap, [separator.normal], [separator.offset])
+    return _realized(soap, rhos, mode, [separator.normal], [separator.offset])
 
 
 def _squared_distance(p, q, zero):
@@ -358,7 +360,7 @@ def design_multi(env: MarkovEnv, soap: Soap, mode: NumericMode = EXACT,
     consistent SOAP, so in exact arithmetic the obstruction is the one
     the bad order gives, and a negative with a stochastic member pays for
     no deterministic LP."""
-    table, good, bad = _consistent_points(env, soap, mode)
+    rhos, good, bad = _consistent_points(env, soap, mode)
     dim = len(good[0])
     goods = None if mode.exact else np.array(good)
 
@@ -378,7 +380,7 @@ def design_multi(env: MarkovEnv, soap: Soap, mode: NumericMode = EXACT,
         planes = _greedy_groups(good, bad, planes, mode)
 
     return _realized(
-        table, soap, [p.normal for p in planes], [p.offset for p in planes]
+        soap, rhos, mode, [p.normal for p in planes], [p.offset for p in planes]
     )
 
 
@@ -410,7 +412,8 @@ def check_scalar_optimality(env: MarkovEnv, soap: Soap, mode: NumericMode = EXAC
     soap_keys = {action_key(p) for p in soap.policies}
     others = [p for p in everyone if action_key(p) not in soap_keys]
     # The enumerated policies are valid by construction; the SOAP's are validated.
-    rhos = table.many(soap.policies) + mdp._visitations(table, others)
+    soap_rhos = table.many(soap.policies)
+    rhos = soap_rhos + mdp._visitations(table, others)
     program = lp.LinearProgram.build(
         matrix=[(*rho.entries, -1) for rho in rhos],
         rhs=[0] * len(soap.good) + [-1] * len(soap.bad) + [0] * len(others),
@@ -422,4 +425,4 @@ def check_scalar_optimality(env: MarkovEnv, soap: Soap, mode: NumericMode = EXAC
         return DesignOutcome(
             realizable=False, obstruction=OptimalityObstruction(certificate=witness)
         )
-    return _realized(table, soap, [tuple(witness[:dim])], [witness[dim]])
+    return _realized(soap, soap_rhos, mode, [tuple(witness[:dim])], [witness[dim]])

@@ -85,18 +85,19 @@ def check_consistency(env: MarkovEnv, soap: Soap,
                       mode: NumericMode = EXACT) -> ConsistencyReport:
     """Compare every good/bad visitation pair (exact equality, or
     infinity-norm within the mode tolerance)."""
-    return _consistency(VisitationTable(env, mode), soap)
+    return _consistency(soap, VisitationTable(env, mode).many(soap.policies), mode)
 
 
-def _consistency(table: VisitationTable, soap: Soap) -> ConsistencyReport:
-    """Exact mode compares visitation tuples.  Float mode makes the same
-    IEEE subtractions and tests as max(|x - y|) <= tolerance over each
-    pair's entries, on one float64 row per policy."""
-    mode = table.mode
-    rhos = [rho.entries for rho in table.many(soap.policies)]
+def _consistency(soap: Soap, rhos, mode: NumericMode) -> ConsistencyReport:
+    """`rhos` are the visitations of `soap.policies`, in order.  Exact mode
+    compares visitation tuples.  Float mode makes the same IEEE
+    subtractions and tests as max(|x - y|) <= tolerance over each pair's
+    entries, on one float64 row per policy."""
+    rhos = [rho.entries for rho in rhos]
     good, bad = rhos[:len(soap.good)], rhos[len(soap.good):]
-    if not mode.exact:
-        good, bad = (np.array(v, float).reshape(-1, table.env.n_sa) for v in (good, bad))
+    if not mode.exact:  # rows of width 1 when there are no policies at all
+        width = len(rhos[0]) if rhos else 1
+        good, bad = (np.array(v, float).reshape(-1, width) for v in (good, bad))
 
     def names(a, b, pairs):
         return tuple((a[i].name, b[j].name) for i, j in pairs)

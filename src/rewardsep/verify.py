@@ -62,15 +62,16 @@ def verify_realization(env: MarkovEnv, soap: Soap, spec: RewardSpec,
                        mode: NumericMode = EXACT) -> RealizationReport:
     """Per-policy values and verdicts; realized iff the good/bad pattern
     holds exactly."""
-    return _verify(VisitationTable(env, mode), soap, spec)
+    spec.require_width(env)
+    return _verify(soap, spec, VisitationTable(env, mode).many(soap.policies), mode)
 
 
-def _verify(table: VisitationTable, soap: Soap, spec: RewardSpec) -> RealizationReport:
-    mode = table.mode
-    spec.require_width(table.env)
+def _verify(soap: Soap, spec: RewardSpec, rhos, mode: NumericMode) -> RealizationReport:
+    """The verdicts of `spec` on `rhos`, the visitations of
+    `soap.policies` in order; the spec is as wide as each visitation."""
     verdicts = []
     realized = True
-    rhos = iter(table.many(soap.policies))
+    rhos = iter(rhos)
     for label, policies in (("good", soap.good), ("bad", soap.bad)):
         for policy in policies:
             values = value_of_visitation(next(rhos), spec, mode)

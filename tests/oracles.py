@@ -307,7 +307,7 @@ def sequential_design_multi(env: MarkovEnv, soap, mode: NumericMode, reduce: boo
     order: one `_separate` margin LP per bad point, each solved alone, the
     first member the obstruction.  The reference for the stochastic-first
     order, and in exact mode for the spec."""
-    table, good, bad = _consistent_points(env, soap, mode)
+    rhos, good, bad = _consistent_points(env, soap, mode)
     planes = []
     for policy, point in zip(soap.bad, bad):
         separator, coefficients = _separate(good, [point], len(point), mode)
@@ -317,7 +317,7 @@ def sequential_design_multi(env: MarkovEnv, soap, mode: NumericMode, reduce: boo
         planes.append(separator)
     if reduce:
         planes = _greedy_groups(good, bad, planes, mode)
-    return _realized(table, soap, [p.normal for p in planes], [p.offset for p in planes])
+    return _realized(soap, rhos, mode, [p.normal for p in planes], [p.offset for p in planes])
 
 
 def in_hull(point, hull, mode: NumericMode = EXACT) -> bool:
@@ -475,10 +475,10 @@ def brute_force_feasible_set(env: MarkovEnv, spec: RewardSpec,
     if any(len(row) != env.n_sa for row in spec.rows):
         raise ValueError(f"reward rows do not have the environment's width {env.n_sa}")
     bounds = [mode.convert(c) - mode.tolerance for c in spec.lower_bounds]
-    table = VisitationTable(env, mode)
+    policies = enumerate_deterministic_policies(env, limit)
     feasible = []
-    for policy in enumerate_deterministic_policies(env, limit):
-        values = value_of_visitation(table(policy), spec, mode)
+    for policy, rho in zip(policies, VisitationTable(env, mode).many(policies)):
+        values = value_of_visitation(rho, spec, mode)
         if all(v >= c for v, c in zip(values, bounds)):
             feasible.append(policy)
     return tuple(feasible)

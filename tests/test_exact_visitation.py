@@ -139,7 +139,6 @@ class TestPinnedFloatVisitations:
 def self_check(env, rho, mode):
     """`mdp._self_check` on one visitation, as a stack of one."""
     table = mdp.VisitationTable(env, mode)
-    table._convert()
     entries, q = mode.scaled(rho.entries)
     dtype = object if mode.exact else float
     mdp._self_check(table, np.array([entries], dtype), np.array([q], dtype))

@@ -202,17 +202,6 @@ class TestConsistency:
         assert check_consistency(env, soap, EXACT).consistent
 
 
-class _Rows:
-    """A visitation table with given float rows, keyed by policy name."""
-
-    def __init__(self, rows, n_sa, mode):
-        self.rows, self.mode = rows, mode
-        self.env = SimpleNamespace(n_sa=n_sa)
-
-    def many(self, policies):
-        return [Visitation(self.rows[p.name]) for p in policies]
-
-
 class TestFloatConsistencyOracle:
     """Float `_consistency` against the pairwise oracle on SOAPs built to
     sit on the tolerance: a coordinate that is 0.0 in the base vector
@@ -221,12 +210,11 @@ class TestFloatConsistencyOracle:
 
     TOLERANCES = (FLOAT.tolerance, 2.0 ** -10, 0.25)
 
-    def _compare(self, good, bad, n_sa, tol):
-        mode = NumericMode.floating(tol)
-        table = _Rows(dict(good + bad), n_sa, mode)
+    def _compare(self, good, bad, tol):
         soap = Soap(good=tuple(SimpleNamespace(name=n) for n, _ in good),
                     bad=tuple(SimpleNamespace(name=n) for n, _ in bad))
-        report = _consistency(table, soap)
+        rhos = [Visitation(row) for _, row in good + bad]
+        report = _consistency(soap, rhos, NumericMode.floating(tol))
         assert report == pairwise_consistency(good, bad, tol)
         return report
 
@@ -236,7 +224,7 @@ class TestFloatConsistencyOracle:
         at = (tol, 0.5, 2.0)
         above = (math.nextafter(tol, math.inf), 0.5, 2.0)
         report = self._compare([("g0", base), ("g1", at), ("g2", above)],
-                               [("b0", above), ("b1", at), ("b2", base)], 3, tol)
+                               [("b0", above), ("b1", at), ("b2", base)], tol)
         assert report.witnesses == (("g0", "b1"), ("g0", "b2"), ("g1", "b0"),
                                     ("g1", "b1"), ("g1", "b2"), ("g2", "b0"),
                                     ("g2", "b1"))
@@ -246,7 +234,7 @@ class TestFloatConsistencyOracle:
     def test_empty_sets(self):
         rows = [("p0", (1.0, 0.0)), ("p1", (1.0, 0.0))]
         for good, bad in ((rows, []), ([], rows), ([], [])):
-            report = self._compare(good, bad, 2, FLOAT.tolerance)
+            report = self._compare(good, bad, FLOAT.tolerance)
             assert report.consistent and report.witnesses == ()
 
     @pytest.mark.parametrize("seed", range(40))
@@ -267,4 +255,4 @@ class TestFloatConsistencyOracle:
 
         good = [draw(f"g{i}") for i in range(rng.randint(0, 6))]
         bad = [draw(f"b{i}") for i in range(rng.randint(0, 6))]
-        self._compare(good, bad, n_sa, tol)
+        self._compare(good, bad, tol)

@@ -159,13 +159,23 @@ def test_flow_residuals_validates_the_environment():
                        compute_visitation(env, PI11, EXACT), EXACT)
 
 
+def test_optimality_validates_the_environment_before_counting_policies():
+    """The table validates its environment as it is built, so an invalid
+    environment is refused before its deterministic policies are counted
+    against `limit`."""
+    env = entailment_env()
+    kernel = ((F(1, 2), F(1, 3)),) + env.kernel[1:]  # row (s0, a1) sums to 5/6
+    with pytest.raises(EnvError, match=re.escape("transition row for (s0, a1) sums to 5/6")):
+        check_scalar_optimality(MarkovEnv(env.states, env.actions, kernel, env.gamma, env.start),
+                                Soap.build(good=[PI11], bad=[PI12]), EXACT, limit=3)
+
+
 def test_name_clash_is_solved_afresh():
     env = entailment_env()
-    table = VisitationTable(env, FLOAT)
     impostor = Policy.deterministic(PI11.name, dict(PI22.action_map))
-    assert table(PI11) is table(PI11)
-    assert table(impostor).entries == compute_visitation(env, PI22, FLOAT).entries
-    assert table(PI11).entries == compute_visitation(env, PI11, FLOAT).entries
+    rho11, rho_impostor = VisitationTable(env, FLOAT).many([PI11, impostor])
+    assert rho_impostor.entries == compute_visitation(env, PI22, FLOAT).entries
+    assert rho11.entries == compute_visitation(env, PI11, FLOAT).entries
 
 
 
