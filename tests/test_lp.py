@@ -799,8 +799,7 @@ def test_lp_solve_sees_every_lp_outside_the_lockstep(monkeypatch, soap_file, mod
 
 @MODES
 @FIXTURE_DESIGNS
-def test_square_solves_are_the_visitations_and_float_duals(monkeypatch, solved_lps, soap_file,
-                                                           mode):
+def test_square_solves_are_the_visitations(monkeypatch, solved_lps, soap_file, mode):
     # The visitations are the only square solves: the Farkas multipliers of
     # an infeasible LP, float ones included, are read off its reduced
     # costs.  A stack of k visitation systems is one call that solves k
