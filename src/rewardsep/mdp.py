@@ -224,7 +224,7 @@ def _converted_kernel(env: MarkovEnv, mode: NumericMode):
     denominators in exact mode), and by row index why each other row does
     not.  A float row holding NaN or an infinity does not: NaN passes every
     sign and sum test."""
-    rows, dens, kept, unusable = [], [], [], {}
+    rows, dens, unusable = [], [], {}
     for k, row in enumerate(env.kernel):
         if len(row) != env.n_states:
             unusable[k] = "has wrong width"
@@ -236,7 +236,6 @@ def _converted_kernel(env: MarkovEnv, mode: NumericMode):
             continue
         rows.append(nums)
         dens.append(den)
-        kept.append(k)
     d_t = math.lcm(*dens)  # 1 in float mode
     kernel = np.array(rows, dtype=object if mode.exact else float).reshape(len(rows), env.n_states)
     if mode.exact:
@@ -244,6 +243,7 @@ def _converted_kernel(env: MarkovEnv, mode: NumericMode):
     else:
         finite = np.isfinite(kernel).all(axis=1)
         if not finite.all():
+            kept = [k for k in range(len(env.kernel)) if k not in unusable]
             for i in (~finite).nonzero()[0].tolist():
                 unusable[kept[i]] = "has a non-finite probability"
             unusable = dict(sorted(unusable.items()))
